@@ -14,7 +14,9 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .oracle import OracleError
 from .reports import SUITE_NAMES, RunConfig, UsageError, emit_report, run_suite
+from .systems import CatalogueError
 
 SEED_ENV_VAR = "KRAWPV_SEED"
 
@@ -152,8 +154,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_suite(args.suite, cfg)
         _write(emit_report(report, args.format), args.out)
         return 0 if report.overall == "PASS" else 1
-    except UsageError as exc:
-        print(f"krawpv: error: {exc}", file=sys.stderr)
+    except (UsageError, CatalogueError, OracleError) as exc:
+        # args[0], not str(exc): CatalogueError is a KeyError, whose str() adds quotes
+        print(f"krawpv: error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

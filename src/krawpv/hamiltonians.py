@@ -13,13 +13,14 @@ t^3 is part of the test battery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
-from .expr import Const, EvaluationDivisionError, Expr, Sym, syms
-from .sampling import MAX_RESAMPLES_PER_POINT, CaseResult, Sampler, SamplingExhausted
-from .systems import SingularLocusError, get_system
+from .expr import Const, Expr, syms
+from .sampling import CaseResult, Sampler, run_case
+from .systems import get_system
 
 t, n, NN, al = syms("t n N alpha")
 
@@ -37,12 +38,10 @@ class HamiltonianEntry:
     h: Expr  # rational in the chart coordinates, t, and (n, N, alpha)
     prefactor: Expr = _ONE
 
-    @property
-    def chart(self):
-        return get_system(self.system_id).chart
 
-
-def _build() -> Dict[str, HamiltonianEntry]:
+@functools.cache
+def hamiltonian_registry() -> Dict[str, HamiltonianEntry]:
+    """Every catalogued Hamiltonian pairing by id, built on first use."""
     reg: Dict[str, HamiltonianEntry] = {}
 
     def add(entry: HamiltonianEntry):
@@ -125,16 +124,6 @@ def _build() -> Dict[str, HamiltonianEntry]:
     return reg
 
 
-_REG: Optional[Dict[str, HamiltonianEntry]] = None
-
-
-def hamiltonian_registry() -> Dict[str, HamiltonianEntry]:
-    global _REG
-    if _REG is None:
-        _REG = _build()
-    return _REG
-
-
 def get_hamiltonian(h_id: str) -> HamiltonianEntry:
     try:
         return hamiltonian_registry()[h_id]
@@ -168,30 +157,19 @@ def verify_hamiltonian(
     dh_dc2 = h.diff(c2)
     dh_dc1 = h.diff(c1)
 
-    tag = "" if h_offset is None else "+offset"
-    case = CaseResult(f"hamiltonian:{h_id}{tag}@{entry.system_id}", "PASS")
-    names = [c1, c2, "t", "n", "N", "alpha"]
-    done = 0
-    attempts = 0
-    while done < samples:
-        if attempts > MAX_RESAMPLES_PER_POINT * samples:
-            raise SamplingExhausted(case.id)
-        attempts += 1
-        env = sampler.draw(names, reject=lambda e: e["t"] == 0 or e["N"] == 0)
-        try:
-            r1, r2 = system.evaluate_rhs(env)
-            w = entry.prefactor.evaluate(env)
-            lhs1, lhs2 = w * r1, w * r2
-            rhs1, rhs2 = dh_dc2.evaluate(env), -dh_dc1.evaluate(env)
-        except (ZeroDivisionError, EvaluationDivisionError, SingularLocusError):
-            sampler.resamples += 1
-            continue
-        done += 1
-        case.samples = done
+    def check(env):
+        r1, r2 = system.evaluate_rhs(env)
+        w = entry.prefactor.evaluate(env)
+        lhs1, lhs2 = w * r1, w * r2
+        rhs1, rhs2 = dh_dc2.evaluate(env), -dh_dc1.evaluate(env)
         if lhs1 != rhs1 or lhs2 != rhs2:
-            case.status = "FAIL"
-            case.failures.append(
-                f"sample {done}: ({lhs1}, {lhs2}) != ({rhs1}, {rhs2})"
-            )
-    case.resamples = sampler.resamples
-    return case
+            return [f"({lhs1}, {lhs2}) != ({rhs1}, {rhs2})"]
+        return []
+
+    tag = "" if h_offset is None else "+offset"
+    names = [c1, c2, "t", "n", "N", "alpha"]
+    return run_case(
+        f"hamiltonian:{h_id}{tag}@{entry.system_id}", sampler, samples,
+        lambda: sampler.draw(names, reject=lambda e: e["t"] == 0 or e["N"] == 0),
+        check,
+    )

@@ -8,9 +8,9 @@ locus.  Trajectories compare against the exact oracle and export as CSV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -48,16 +48,12 @@ class IntegratorConfig:
 class Trajectory:
     """Dense-output solution samples of a two-component state."""
 
-    labels: Tuple[str, ...]
     ts: np.ndarray
-    states: np.ndarray  # shape (len(labels), len(ts))
-    dense: Optional[Callable[[float], np.ndarray]] = None
+    states: np.ndarray  # shape (2, len(ts))
+    dense: Callable[[float], np.ndarray]
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.dense is not None:
-            return np.atleast_1d(self.dense(t))
-        idx = int(np.argmin(np.abs(self.ts - t)))
-        return self.states[:, idx]
+        return np.atleast_1d(self.dense(t))
 
     @property
     def t0(self) -> float:
@@ -75,18 +71,11 @@ def _param_floats(params: Mapping[str, Scalar]) -> Dict[str, float]:
     return {k: float(v) for k, v in params.items()}
 
 
-def _compiled_pair(e1: Expr, e2: Expr, names: Sequence[str]):
-    return compile_float(e1, names), compile_float(e2, names)
-
-
-def _run(
-    rhs, t0: float, t1: float, state0, cfg: IntegratorConfig, events, labels
-) -> Trajectory:
+def _run(rhs, t0: float, t1: float, state0, cfg: IntegratorConfig, events) -> Trajectory:
     y0 = np.asarray([float(s) for s in state0], dtype=float)
     if t0 == t1:
         ts = np.asarray([t0])
-        return Trajectory(tuple(labels), ts, y0.reshape(-1, 1),
-                          dense=lambda t: y0)
+        return Trajectory(ts, y0.reshape(-1, 1), lambda t: y0)
     sol = solve_ivp(
         rhs, (t0, t1), y0, method="RK45", dense_output=True,
         rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, events=events,
@@ -98,7 +87,7 @@ def _run(
         )
     if not sol.success:
         raise IntegrationError(sol.message)
-    return Trajectory(tuple(labels), sol.t, sol.y, dense=sol.sol)
+    return Trajectory(sol.t, sol.y, sol.sol)
 
 
 def _guard_events(dens: Sequence, guard: float):
@@ -123,18 +112,41 @@ def integrate_planar(
     """Integrate a catalogued planar system with denominator guards."""
     pf = _param_floats(params)
     names = list(system.chart) + ["t"] + sorted(pf)
-    f1, f2 = _compiled_pair(system.rhs1, system.rhs2, names)
-    d1f, d2f = _compiled_pair(system.rhs1_den, system.rhs2_den, names)
+    pvals = tuple(pf[k] for k in sorted(pf))
+    f1 = compile_float(system.rhs1, names)
+    f2 = compile_float(system.rhs2, names)
+    d1f = compile_float(system.rhs1_den, names)
+    d2f = compile_float(system.rhs2_den, names)
 
     def rhs(t, s):
-        args = (s[0], s[1], t, *(pf[k] for k in sorted(pf)))
+        args = (s[0], s[1], t, *pvals)
         return (f1(*args), f2(*args))
 
     def den_args(fn):
-        return lambda t, s: fn(s[0], s[1], t, *(pf[k] for k in sorted(pf)))
+        return lambda t, s: fn(s[0], s[1], t, *pvals)
 
     events = _guard_events([den_args(d1f), den_args(d2f)], cfg.singular_guard)
-    return _run(rhs, float(t0), float(t1), state0, cfg, events, system.chart)
+    return _run(rhs, float(t0), float(t1), state0, cfg, events)
+
+
+def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequence[float],
+                            t0: float, t1: float, y0: Scalar, yp0: Scalar,
+                            cfg: IntegratorConfig) -> Trajectory:
+    """y'' = rhs_expr(y, yp, t, params) as the first-order (y, y') system.
+
+    The run aborts when y comes within the guard distance of any of ``levels``.
+    """
+    names = ["y", "yp", "t"] + sorted(pf)
+    pvals = tuple(pf[k] for k in sorted(pf))
+    f = compile_float(rhs_expr, names)
+
+    def rhs(t, s):
+        return (s[1], f(s[0], s[1], t, *pvals))
+
+    events = _guard_events(
+        [lambda t, s, _level=level: s[0] - _level for level in levels], cfg.singular_guard
+    )
+    return _run(rhs, float(t0), float(t1), (y0, yp0), cfg, events)
 
 
 def integrate_ode2(
@@ -150,34 +162,8 @@ def integrate_ode2(
     pf = _param_floats(params)
     if ode.alpha_fixed is not None:
         pf["alpha"] = float(ode.alpha_fixed)
-    names = ["y", "yp", "t"] + sorted(pf)
-    f = compile_float(ode.rhs, names)
-
-    def rhs(t, s):
-        return (s[1], f(s[0], s[1], t, *(pf[k] for k in sorted(pf))))
-
     # guard against the structural singularities y in {0, +-1} of the charts
-    def make_guard(level):
-        def ev(t, s):
-            return abs(s[0] - level) - cfg.singular_guard
-
-        ev.terminal = True
-        return ev
-
-    events = [make_guard(v) for v in (0.0, 1.0, -1.0)]
-    labels = (ode.reduce_coord, ode.reduce_coord + "'")
-    return _run(rhs, float(t0), float(t1), (y0, yp0), cfg, events, labels)
-
-
-def ode2_jet(ode: ScalarODE2, traj: Trajectory, t: float,
-             params: Mapping[str, Scalar]) -> Tuple[float, float, float, float]:
-    """(t, y, y', y'') at a sample time, with y'' completed from the ODE."""
-    pf = _param_floats(params)
-    if ode.alpha_fixed is not None:
-        pf["alpha"] = float(ode.alpha_fixed)
-    yv, ypv = (float(x) for x in traj(t))
-    env = {"y": yv, "yp": ypv, "t": float(t), **pf}
-    return float(t), yv, ypv, float(ode.rhs.evaluate(env))
+    return _integrate_second_order(ode.rhs, pf, (0.0, 1.0, -1.0), t0, t1, y0, yp0, cfg)
 
 
 def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float,
@@ -185,22 +171,8 @@ def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float,
     """Integrate the fifth Painlevé equation itself (float parameters)."""
     from .painleve import PV_RHS  # local import to avoid a cycle
 
-    pe = {k: float(v) for k, v in params.as_env().items()}
-    names = ["y", "yp", "t"] + sorted(pe)
-    f = compile_float(PV_RHS, names)
-
-    def rhs(t, s):
-        return (s[1], f(s[0], s[1], t, *(pe[k] for k in sorted(pe))))
-
-    def make_guard(level):
-        def ev(t, s):
-            return abs(s[0] - level) - cfg.singular_guard
-
-        ev.terminal = True
-        return ev
-
-    events = [make_guard(v) for v in (0.0, 1.0)]
-    return _run(rhs, t0, t1, (y0, yp0), cfg, events, ("y", "y'"))
+    pe = _param_floats(params.as_env())
+    return _integrate_second_order(PV_RHS, pe, (0.0, 1.0), t0, t1, y0, yp0, cfg)
 
 
 def compare_trajectories(
@@ -227,17 +199,13 @@ def compare_trajectories(
     return case
 
 
-def trajectory_csv(traj: Trajectory, extra: Optional[np.ndarray] = None) -> str:
-    """CSV export: header t,coord1,coord2[,d1,d2], 17 significant digits."""
+def trajectory_csv(traj: Trajectory) -> str:
+    """CSV export: header t,coord1,coord2, 17 significant digits."""
     ncomp = traj.states.shape[0]
     header = ["t", "coord1", "coord2"][: 1 + ncomp]
-    if extra is not None:
-        header += ["d1", "d2"][: extra.shape[0]]
     lines = [",".join(header)]
     for i, tv in enumerate(traj.ts):
         row = [tv] + [traj.states[j, i] for j in range(ncomp)]
-        if extra is not None:
-            row += [extra[j, i] for j in range(extra.shape[0])]
         lines.append(",".join(format(float(x), ".17g") for x in row))
     return "\n".join(lines) + "\n"
 

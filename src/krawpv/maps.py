@@ -11,12 +11,13 @@ points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .expr import Const, EvaluationDivisionError, Expr, Sym, syms
-from .sampling import MAX_RESAMPLES_PER_POINT, CaseResult, Sampler, SamplingExhausted
+from .expr import Const, Expr, Sym, syms
+from .sampling import CaseResult, Sampler, run_case
 from .systems import PlanarSystem, get_system
 
 t, n, NN, al = syms("t n N alpha")
@@ -55,7 +56,7 @@ def apply_map(m: BirationalMap, env: Mapping[str, Fraction]) -> Dict[str, Fracti
     return {name: e.evaluate(env) for name, e in m.forward.items()}
 
 
-def compose_maps(maps: Sequence[BirationalMap], composite_id: str = "") -> BirationalMap:
+def compose_maps(maps: Sequence[BirationalMap]) -> BirationalMap:
     """Iterated substitution; maps are listed in substitution order.
 
     maps[0] expresses the outermost coordinates; each subsequent map must
@@ -73,7 +74,7 @@ def compose_maps(maps: Sequence[BirationalMap], composite_id: str = "") -> Birat
             )
         cur = {k: e.subs(m.forward) for k, e in cur.items()}
     return BirationalMap(
-        composite_id or "*".join(m.id for m in maps),
+        "*".join(m.id for m in maps),
         maps[0].source_coords,
         maps[-1].target_coords,
         cur,
@@ -84,7 +85,9 @@ def compose_maps(maps: Sequence[BirationalMap], composite_id: str = "") -> Birat
 # map catalogue
 # ---------------------------------------------------------------------------
 
-def _build_maps() -> Dict[str, BirationalMap]:
+@functools.cache
+def map_registry() -> Dict[str, BirationalMap]:
+    """Every catalogued birational map by id, built on first use."""
     reg: Dict[str, BirationalMap] = {}
 
     def add(mid, src, tgt, forward, inverse=None):
@@ -274,16 +277,6 @@ def _build_maps() -> Dict[str, BirationalMap]:
     return reg
 
 
-_MAPS: Optional[Dict[str, BirationalMap]] = None
-
-
-def map_registry() -> Dict[str, BirationalMap]:
-    global _MAPS
-    if _MAPS is None:
-        _MAPS = _build_maps()
-    return _MAPS
-
-
 def get_map(map_id: str) -> BirationalMap:
     try:
         return map_registry()[map_id]
@@ -362,13 +355,6 @@ INDETERMINACY_POINTS: Tuple[IndeterminacyPoint, ...] = (
 # verification
 # ---------------------------------------------------------------------------
 
-def _draw_params(sampler: Sampler, alpha_fixed: Optional[Fraction]):
-    env = sampler.draw(PARAMS)
-    if alpha_fixed is not None:
-        env["alpha"] = Fraction(alpha_fixed)
-    return env
-
-
 def _alpha_constraint(*systems: PlanarSystem) -> Optional[Fraction]:
     vals = {s.alpha_fixed for s in systems if s.alpha_fixed is not None}
     if len(vals) > 1:
@@ -398,6 +384,7 @@ def pushforward_check(
     if tuple(m.target_coords) != tuple(target.chart):
         return CaseResult(case_id, "FAIL", failures=[f"{map_id} target chart != {target_id}"])
     alpha_fixed = _alpha_constraint(source, target)
+    fixed = None if alpha_fixed is None else {"alpha": alpha_fixed}
 
     z1, z2 = target.chart
     f1 = m.forward[source.chart[0]]
@@ -406,45 +393,29 @@ def pushforward_check(
     d21, d22 = f2.diff(z1), f2.diff(z2)
     ft1, ft2 = f1.diff("t"), f2.diff("t")
 
-    case = CaseResult(case_id, "PASS")
-    done = 0
-    attempts = 0
-    while done < samples:
-        if attempts > MAX_RESAMPLES_PER_POINT * samples:
-            raise SamplingExhausted(case.id)
-        attempts += 1
-        env = _draw_params(sampler, alpha_fixed)
+    def draw():
+        env = sampler.draw(PARAMS, fixed=fixed)
         env.update(sampler.draw(target.chart))
-        try:
-            x1, x2 = f1.evaluate(env), f2.evaluate(env)
-            senv = dict(env)
-            senv[source.chart[0]] = x1
-            senv[source.chart[1]] = x2
-            r1, r2 = source.evaluate_rhs(senv)
-            a, b = d11.evaluate(env), d12.evaluate(env)
-            c, d = d21.evaluate(env), d22.evaluate(env)
-            det = a * d - b * c
-            if det == 0:
-                sampler.resamples += 1
-                continue
-            b1 = r1 - ft1.evaluate(env)
-            b2 = r2 - ft2.evaluate(env)
-            z1p = (d * b1 - b * b2) / det
-            z2p = (a * b2 - c * b1) / det
-            w1, w2 = target.evaluate_rhs(env)
-        except (ZeroDivisionError, EvaluationDivisionError):
-            sampler.resamples += 1
-            continue
-        done += 1
+        return env
+
+    def check(env):
+        senv = dict(env)
+        senv[source.chart[0]] = f1.evaluate(env)
+        senv[source.chart[1]] = f2.evaluate(env)
+        r1, r2 = source.evaluate_rhs(senv)
+        a, b = d11.evaluate(env), d12.evaluate(env)
+        c, d = d21.evaluate(env), d22.evaluate(env)
+        det = a * d - b * c  # a singular Jacobian raises on the division below
+        b1 = r1 - ft1.evaluate(env)
+        b2 = r2 - ft2.evaluate(env)
+        z1p = (d * b1 - b * b2) / det
+        z2p = (a * b2 - c * b1) / det
+        w1, w2 = target.evaluate_rhs(env)
         if (z1p, z2p) != (w1, w2):
-            case.status = "FAIL"
-            case.failures.append(
-                f"sample {done}: transported {(z1p, z2p)} != target {(w1, w2)}"
-            )
-            case.residual = "nonzero"
-    case.samples = done
-    case.resamples = sampler.resamples
-    return case
+            return [f"transported {(z1p, z2p)} != target {(w1, w2)}"]
+        return []
+
+    return run_case(case_id, sampler, samples, draw, check)
 
 
 def verify_inverse(map_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
@@ -452,37 +423,26 @@ def verify_inverse(map_id: str, sampler: Sampler, samples: int = 50) -> CaseResu
     m = get_map(map_id)
     if m.inverse is None:
         raise MapError(f"{map_id} has no catalogued inverse")
-    case = CaseResult(f"inverse:{map_id}", "PASS")
-    done = 0
-    attempts = 0
-    while done < samples:
-        if attempts > MAX_RESAMPLES_PER_POINT * samples:
-            raise SamplingExhausted(case.id)
-        attempts += 1
-        env = sampler.draw(PARAMS + tuple(m.target_coords))
-        try:
-            src = apply_map(m, env)
-            back_env = dict(env)
-            for k in m.target_coords:
-                del back_env[k]
-            back_env.update(src)
-            tgt = {k: e.evaluate(back_env) for k, e in m.inverse.items()}
-            # and the other direction, from the recovered target point
-            fwd_env = dict(env)
-            fwd_env.update(tgt)
-            src2 = apply_map(m, fwd_env)
-        except (ZeroDivisionError, EvaluationDivisionError):
-            sampler.resamples += 1
-            continue
-        done += 1
-        ok = all(tgt[k] == env[k] for k in m.target_coords) and src2 == src
-        if not ok:
-            case.status = "FAIL"
-            case.failures.append(f"sample {done}: round-trip mismatch")
-            case.residual = "nonzero"
-    case.samples = done
-    case.resamples = sampler.resamples
-    return case
+
+    def check(env):
+        src = apply_map(m, env)
+        back_env = dict(env)
+        for k in m.target_coords:
+            del back_env[k]
+        back_env.update(src)
+        tgt = {k: e.evaluate(back_env) for k, e in m.inverse.items()}
+        # and the other direction, from the recovered target point
+        fwd_env = dict(env)
+        fwd_env.update(tgt)
+        src2 = apply_map(m, fwd_env)
+        if all(tgt[k] == env[k] for k in m.target_coords) and src2 == src:
+            return []
+        return ["round-trip mismatch"]
+
+    return run_case(
+        f"inverse:{map_id}", sampler, samples,
+        lambda: sampler.draw(PARAMS + tuple(m.target_coords)), check,
+    )
 
 
 def verify_cascade(cascade_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
@@ -502,34 +462,20 @@ def _maps_agree(case_id, m1, m2, sampler, samples, rename=None) -> CaseResult:
     """
     if tuple(m1.source_coords) != tuple(m2.source_coords) and rename is None:
         raise ChartMismatchError(f"{case_id}: source charts differ")
-    case = CaseResult(case_id, "PASS")
-    done = 0
-    attempts = 0
-    while done < samples:
-        if attempts > MAX_RESAMPLES_PER_POINT * samples:
-            raise SamplingExhausted(case_id)
-        attempts += 1
-        env = sampler.draw(PARAMS + tuple(m1.target_coords))
-        env2 = env
-        if rename:
-            env2 = {rename.get(k, k): val for k, val in env.items()}
-        try:
-            a = {k: e.evaluate(env) for k, e in m1.forward.items()}
-            b = {k: e.evaluate(env2) for k, e in m2.forward.items()}
-        except (ZeroDivisionError, EvaluationDivisionError):
-            sampler.resamples += 1
-            continue
-        done += 1
-        keys = set(a)
-        if rename:
-            keys = set(a) & set(b)
+
+    def check(env):
+        env2 = {rename.get(k, k): val for k, val in env.items()} if rename else env
+        a = {k: e.evaluate(env) for k, e in m1.forward.items()}
+        b = {k: e.evaluate(env2) for k, e in m2.forward.items()}
+        keys = set(a) & set(b) if rename else set(a)
         if any(a[k] != b[k] for k in keys):
-            case.status = "FAIL"
-            case.failures.append(f"sample {done}: {a} != {b}")
-            case.residual = "nonzero"
-    case.samples = done
-    case.resamples = sampler.resamples
-    return case
+            return [f"{a} != {b}"]
+        return []
+
+    return run_case(
+        case_id, sampler, samples,
+        lambda: sampler.draw(PARAMS + tuple(m1.target_coords)), check,
+    )
 
 
 # decomposition statements: LHS map == composition (substitution order)
@@ -568,31 +514,19 @@ def verify_indeterminacy(
 ) -> CaseResult:
     """Numerator and denominator of some rhs component both vanish at the point."""
     sys = get_system(point.system_id)
-    case = CaseResult(f"indeterminacy:{point.id}@{point.system_id}", "PASS")
-    done = 0
-    attempts = 0
-    while done < samples:
-        if attempts > MAX_RESAMPLES_PER_POINT * samples:
-            raise SamplingExhausted(case.id)
-        attempts += 1
-        env = _draw_params(sampler, point.alpha_fixed)
-        try:
-            for coord, e in point.coords.items():
-                env[coord] = e.evaluate(env)
-            hits = []
-            for num, den in (
-                (sys.rhs1_num, sys.rhs1_den),
-                (sys.rhs2_num, sys.rhs2_den),
-            ):
-                hits.append(num.evaluate(env) == 0 and den.evaluate(env) == 0)
-        except (ZeroDivisionError, EvaluationDivisionError):
-            sampler.resamples += 1
-            continue
-        done += 1
-        if not any(hits):
-            case.status = "FAIL"
-            case.failures.append(f"sample {done}: no simultaneous zero at {env}")
-            case.residual = "nonzero"
-    case.samples = done
-    case.resamples = sampler.resamples
-    return case
+    fixed = None if point.alpha_fixed is None else {"alpha": point.alpha_fixed}
+
+    def check(env):
+        for coord, e in point.coords.items():
+            env[coord] = e.evaluate(env)
+        # both components are evaluated, so a singular one redraws the point
+        hits = [
+            num.evaluate(env) == 0 and den.evaluate(env) == 0
+            for num, den in ((sys.rhs1_num, sys.rhs1_den), (sys.rhs2_num, sys.rhs2_den))
+        ]
+        return [] if any(hits) else [f"no simultaneous zero at {env}"]
+
+    return run_case(
+        f"indeterminacy:{point.id}@{point.system_id}", sampler, samples,
+        lambda: sampler.draw(PARAMS, fixed=fixed), check,
+    )

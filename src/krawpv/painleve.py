@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
-from .expr import Const, EvaluationDivisionError, Expr, Sym, syms
-from .jets import Jet2, JetDivisionError
-from .sampling import MAX_RESAMPLES_PER_POINT, CaseResult, Sampler, SamplingExhausted
+from .expr import Const, Expr, syms
+from .jets import Jet2
+from .sampling import CaseResult, Sampler, run_case
 from .systems import get_ode2
 
 Scalar = Union[Fraction, float]
@@ -35,8 +35,8 @@ class BranchError(PainleveError):
     """A square root has no exact rational value; use float mode instead."""
 
 
-class SingularJetError(PainleveError):
-    pass
+class SingularJetError(PainleveError, ZeroDivisionError):
+    """A jet sits on a singular locus of the equation it is checked against."""
 
 
 # y'' as a rational expression in (y, yp, t) and the parameters (a5, b5, g5, d5)
@@ -215,11 +215,6 @@ def _unreciprocal(uj: Jet2) -> Jet2:
     return 1 / (uj + 1)
 
 
-def _untilde(vj: Jet2) -> Jet2:
-    # the tilde shift is an involution: y = V/(V-1)
-    return vj / (vj - 1)
-
-
 @dataclass(frozen=True)
 class Reduction:
     """How a catalogued second-order reduction relates to PV."""
@@ -240,7 +235,8 @@ REDUCTIONS: Dict[str, Reduction] = {
         Reduction("ode_v54", "ode_v54", "ode_v54", _shift, _unshift),
         Reduction("ode_U11_reciprocal", "ode_U11", "ode_U11_reciprocal",
                   _reciprocal_shift, _unreciprocal),
-        Reduction("ode_tildeV22", "ode_tildeV22", "ode_tildeV22", _tilde, _untilde),
+        # the tilde shift is an involution: y = V/(V-1)
+        Reduction("ode_tildeV22", "ode_tildeV22", "ode_tildeV22", _tilde, _tilde),
         Reduction("ode_V12", "ode_V12", "ode_V12", _identity, _identity),
         Reduction("ode_V22", "ode_V22", "ode_V22", _identity, _identity),
         Reduction("ode_V32", "ode_V32", "ode_V32", _identity, _identity),
@@ -267,35 +263,25 @@ def mobius_reduce(reduction_id: str, sampler: Sampler, samples: int = 50) -> Cas
     red = REDUCTIONS[reduction_id]
     ode = get_ode2(red.ode_id)
     params = pv_params_for(red.params_id)
-    case = CaseResult(f"reduction_to_pv:{reduction_id}", "PASS")
-    done = 0
-    attempts = 0
-    while done < samples:
-        if attempts > MAX_RESAMPLES_PER_POINT * samples:
-            raise SamplingExhausted(case.id)
-        attempts += 1
-        env = _draw_pv_point(sampler, ode.alpha_fixed)
-        try:
-            pj = complete_jet(env["t"], env["y"], env["yp"], params.evaluate(env))
-            uj = red.transform(Jet2(pj.y, pj.yp, pj.ypp))
-            ode_env = {
-                "y": uj.v, "yp": uj.d1, "t": env["t"],
-                "n": env["n"], "N": env["N"],
-            }
-            if ode.alpha_fixed is None:
-                ode_env["alpha"] = env["alpha"]
-            rhs_val = ode.rhs.evaluate(ode_env)
-        except (ZeroDivisionError, EvaluationDivisionError, JetDivisionError):
-            sampler.resamples += 1
-            continue
-        done += 1
-        case.samples = done
+
+    def check(env):
+        pj = complete_jet(env["t"], env["y"], env["yp"], params.evaluate(env))
+        uj = red.transform(Jet2(pj.y, pj.yp, pj.ypp))
+        ode_env = {
+            "y": uj.v, "yp": uj.d1, "t": env["t"],
+            "n": env["n"], "N": env["N"],
+        }
+        if ode.alpha_fixed is None:
+            ode_env["alpha"] = env["alpha"]
+        rhs_val = ode.rhs.evaluate(ode_env)
         if uj.d2 != rhs_val:
-            case.status = "FAIL"
-            case.failures.append(f"sample {done}: U'' = {uj.d2} != ode rhs {rhs_val}")
-            case.residual = str(uj.d2 - rhs_val)
-    case.resamples = sampler.resamples
-    return case
+            return [f"U'' = {uj.d2} != ode rhs {rhs_val} (difference {uj.d2 - rhs_val})"]
+        return []
+
+    return run_case(
+        f"reduction_to_pv:{reduction_id}", sampler, samples,
+        lambda: _draw_pv_point(sampler, ode.alpha_fixed), check,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +325,6 @@ def backlund_params(p: PVParams, s: BacklundSigns) -> PVParams:
         s.e3 * k * (s.e2 * a - s.e1 * c),
         pe["d5"],
     )
-
-
-def backlund_y1_expr(p: PVParams, s: BacklundSigns) -> Expr:
-    """y1 as an expression in (y, yp, t) with the branch constants baked in."""
-    c, a, k = _branch_values(p)
-    if isinstance(c, float) or isinstance(a, float) or isinstance(k, float):
-        raise PainleveError("expression form needs exact rational branch values")
-    den = t * yp - s.e1 * c * y**2 + (s.e1 * c - s.e2 * a + s.e3 * k * t) * y + s.e2 * a
-    return 1 - (2 * s.e3 * k * t * y) / den
 
 
 def backlund_apply(
@@ -495,20 +472,21 @@ def verify_param_chain(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
     """The step-by-step parameter chain lands exactly on the target quadruple."""
     comp = COMPOSITIONS[comp_id]
     tgt = pv_params_for(comp.target_params)
-    case = CaseResult(f"param_chain:{comp_id}", "PASS")
-    for i in range(samples):
-        env = _draw_integer_params(sampler.rng)
+
+    def check(env):
         st = branch_state_for(comp.source_params, env)
         for s in comp.steps:
             st = backlund_step(st, s)
         p = st.params()
         expect = tgt.evaluate(env)
-        case.samples = i + 1
         if (p.a5, p.b5, p.g5, p.d5) != (expect.a5, expect.b5, expect.g5, expect.d5):
-            case.status = "FAIL"
-            case.failures.append(f"sample {i + 1}: chained {p} != target {expect} at {env}")
-    case.resamples = sampler.resamples
-    return case
+            return [f"chained {p} != target {expect} at {env}"]
+        return []
+
+    return run_case(
+        f"param_chain:{comp_id}", sampler, samples,
+        lambda: _draw_integer_params(sampler.rng), check,
+    )
 
 
 def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
@@ -520,61 +498,80 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
     comp = COMPOSITIONS[comp_id]
     src = pv_params_for(comp.source_params)
     tgt = pv_params_for(comp.target_params)
-    case = CaseResult(f"closed_form:{comp_id}", "PASS")
-    done = 0
-    attempts = 0
-    while done < samples:
-        if attempts > MAX_RESAMPLES_PER_POINT * samples:
-            raise SamplingExhausted(case.id)
-        attempts += 1
+
+    def draw():
         ipar = _draw_integer_params(sampler.rng)
         point = sampler.draw(
             ["t", "y", "yp"], reject=lambda e: e["t"] == 0 or e["y"] in (0, 1)
         )
-        env = {**ipar, **point}
-        try:
-            p = src.evaluate(env)
-            j = complete_jet(env["t"], env["y"], env["yp"], p)
-            st = branch_state_for(comp.source_params, env)
-            jf, pf = j, p
-            ok = True
-            for s in comp.steps:
-                jf, pf = backlund_apply(jf, pf, s, branches=(st.c, st.a))
-                st = backlund_step(st, s)
-                pf = st.params()
-                if jf.y in (0, 1):
-                    raise SingularJetError("intermediate jet hit y in {0, 1}")
-                if pv_residual(jf, pf) != 0:
-                    ok = False
-                    break
-            closed = transform_jet(
-                comp.closed_form, j, p,
-                extra={"n": env["n"], "N": env["N"], "alpha": env["alpha"]},
-            )
-        except (ZeroDivisionError, EvaluationDivisionError, JetDivisionError,
-                SingularJetError):
-            sampler.resamples += 1
-            continue
-        done += 1
-        case.samples = done
-        if not ok:
-            case.status = "FAIL"
-            case.failures.append(f"sample {done}: intermediate jet violates its PV")
-            continue
-        expect = pv_params_for(comp.target_params).evaluate(env)
+        return {**ipar, **point}
+
+    def check(env):
+        p = src.evaluate(env)
+        j = complete_jet(env["t"], env["y"], env["yp"], p)
+        st = branch_state_for(comp.source_params, env)
+        jf, pf = j, p
+        for s in comp.steps:
+            jf, pf = backlund_apply(jf, pf, s, branches=(st.c, st.a))
+            st = backlund_step(st, s)
+            pf = st.params()
+            if jf.y in (0, 1):
+                raise SingularJetError("intermediate jet hit y in {0, 1}")
+            if pv_residual(jf, pf) != 0:
+                return ["intermediate jet violates its PV"]
+        closed = transform_jet(
+            comp.closed_form, j, p,
+            extra={"n": env["n"], "N": env["N"], "alpha": env["alpha"]},
+        )
+        failures = []
+        expect = tgt.evaluate(env)
         if (pf.a5, pf.b5, pf.g5, pf.d5) != (expect.a5, expect.b5, expect.g5, expect.d5):
-            case.status = "FAIL"
-            case.failures.append(f"sample {done}: final params {pf} != {expect}")
+            failures.append(f"final params {pf} != {expect}")
         if (jf.y, jf.yp, jf.ypp) != (closed.y, closed.yp, closed.ypp):
-            case.status = "FAIL"
-            case.failures.append(
-                f"sample {done}: composed jet {(jf.y, jf.yp, jf.ypp)} != "
+            failures.append(
+                f"composed jet {(jf.y, jf.yp, jf.ypp)} != "
                 f"closed form {(closed.y, closed.yp, closed.ypp)}"
             )
         elif pv_residual(closed, expect) != 0:
+            failures.append("closed-form image violates target PV")
+        return failures
+
+    return run_case(f"closed_form:{comp_id}", sampler, samples, draw, check)
+
+
+def _trajectory_case(case_id: str, integrate: Callable[[float], object],
+                     residual: Callable[[float, float, float], float],
+                     t0: float, t1: float, tol: float, num_checks: int, what: str) -> CaseResult:
+    """Integrate on [t0, t1] and require |residual(t, y, y')| < tol inside it.
+
+    A window that runs into a movable singularity aborts the integration; it
+    is halved, up to eight tries, before the case FAILs.
+    """
+    from .integrate import IntegrationError  # deferred: scipy import is heavy
+
+    case = CaseResult(case_id, "PASS")
+    last_error: Optional[Exception] = None
+    for _ in range(8):
+        try:
+            traj = integrate(t1)
+            break
+        except IntegrationError as exc:
+            last_error = exc
+            t1 = t0 + (t1 - t0) / 2
+    else:
+        case.status = "FAIL"
+        case.failures.append(f"no singularity-free window found: {last_error}")
+        return case
+    worst = 0.0
+    for i in range(num_checks):
+        tv = t0 + (t1 - t0) * (i + 1) / (num_checks + 1)
+        res = abs(residual(tv, *(float(x) for x in traj(tv))))
+        worst = max(worst, res)
+        case.samples = i + 1
+        if res >= tol:
             case.status = "FAIL"
-            case.failures.append(f"sample {done}: closed-form image violates target PV")
-    case.resamples = sampler.resamples
+            case.failures.append(f"t = {tv}: {what} residual {res} >= {tol}")
+    case.residual = repr(worst)
     return case
 
 
@@ -591,7 +588,7 @@ def verify_trajectory(
     num_checks: int = 20,
 ) -> CaseResult:
     """Integrate the source PV and check the mapped function on the target PV."""
-    from .integrate import integrate_pv  # deferred: scipy import is heavy
+    from . import integrate  # deferred: scipy import is heavy
 
     comp = COMPOSITIONS[comp_id]
     env = {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": alpha_val}
@@ -600,37 +597,15 @@ def verify_trajectory(
     tgt_f = pv_params_for(comp.target_params).evaluate(fenv)
     src_f = PVParams(*(float(x) for x in (src.a5, src.b5, src.g5, src.d5)))
 
-    case = CaseResult(f"trajectory:{comp_id}", "PASS")
-    # windows avoiding movable singularities are found by abort-and-shrink
-    from .integrate import IntegrationError
-
-    sol = None
-    last_error: Optional[Exception] = None
-    for _ in range(8):
-        try:
-            sol = integrate_pv(src_f, t0, t1, y0, yp0)
-            break
-        except IntegrationError as exc:
-            last_error = exc
-            t1 = t0 + (t1 - t0) / 2
-    if sol is None:
-        case.status = "FAIL"
-        case.failures.append(f"no singularity-free window found: {last_error}")
-        return case
-    worst = 0.0
-    for i in range(num_checks):
-        tv = t0 + (t1 - t0) * (i + 1) / (num_checks + 1)
-        yv, ypv = (float(x) for x in sol(tv))
+    def residual(tv, yv, ypv):
         j = complete_jet(tv, yv, ypv, src_f)
-        mapped = transform_jet(comp.closed_form, j, src_f, extra=fenv)
-        res = abs(pv_residual(mapped, tgt_f))
-        worst = max(worst, res)
-        case.samples = i + 1
-        if res >= tol:
-            case.status = "FAIL"
-            case.failures.append(f"t = {tv}: target residual {res} >= {tol}")
-    case.residual = repr(worst)
-    return case
+        return pv_residual(transform_jet(comp.closed_form, j, src_f, extra=fenv), tgt_f)
+
+    return _trajectory_case(
+        f"trajectory:{comp_id}",
+        lambda t_end: integrate.integrate_pv(src_f, t0, t_end, y0, yp0),
+        residual, t0, t1, tol, num_checks, "target",
+    )
 
 
 def verify_reduction_trajectory(
@@ -648,10 +623,9 @@ def verify_reduction_trajectory(
     """Integrate the chart reduction; its Möbius image must satisfy PV.
 
     Initial data are given PV-side and pushed into the chart through the
-    shift; windows avoiding movable singularities are found by
-    abort-and-shrink.
+    shift.
     """
-    from .integrate import IntegrationError, integrate_ode2
+    from . import integrate  # deferred: scipy import is heavy
 
     red = REDUCTIONS[reduction_id]
     ode = get_ode2(red.ode_id)
@@ -665,45 +639,15 @@ def verify_reduction_trajectory(
     j0 = complete_jet(t0, y0, yp0, params)
     u0 = red.transform(Jet2(j0.y, j0.yp, j0.ypp))
 
-    case = CaseResult(f"reduction_trajectory:{reduction_id}", "PASS")
-    traj = None
-    last_error: Optional[Exception] = None
-    for _ in range(8):
-        try:
-            traj = integrate_ode2(ode, u0.v, u0.d1, t0, t1, fenv)
-            break
-        except IntegrationError as exc:
-            last_error = exc
-            t1 = t0 + (t1 - t0) / 2
-    if traj is None:
-        case.status = "FAIL"
-        case.failures.append(f"no singularity-free window found: {last_error}")
-        return case
-
     ode_rhs_env = dict(fenv)
-    worst = 0.0
-    for i in range(num_checks):
-        tv = t0 + (t1 - t0) * (i + 1) / (num_checks + 1)
-        uv, upv = (float(x) for x in traj(tv))
+
+    def residual(tv, uv, upv):
         ode_rhs_env.update({"y": uv, "yp": upv, "t": tv})
-        uj = Jet2(uv, upv, float(ode.rhs.evaluate(ode_rhs_env)))
-        yj = red.inverse(uj)
-        res = abs(pv_residual(PVJet(tv, yj.v, yj.d1, yj.d2), params))
-        worst = max(worst, res)
-        case.samples = i + 1
-        if res >= tol:
-            case.status = "FAIL"
-            case.failures.append(f"t = {tv}: PV residual {res} >= {tol}")
-    case.residual = repr(worst)
-    return case
+        yj = red.inverse(Jet2(uv, upv, float(ode.rhs.evaluate(ode_rhs_env))))
+        return pv_residual(PVJet(tv, yj.v, yj.d1, yj.d2), params)
 
-
-def verify_composition(
-    comp_id: str, sampler: Sampler, samples: int = 50
-) -> List[CaseResult]:
-    """All three checks (parameter chain, closed form, trajectory residual)."""
-    return [
-        verify_param_chain(comp_id, sampler, samples),
-        verify_closed_form(comp_id, sampler, samples),
-        verify_trajectory(comp_id),
-    ]
+    return _trajectory_case(
+        f"reduction_trajectory:{reduction_id}",
+        lambda t_end: integrate.integrate_ode2(ode, u0.v, u0.d1, t0, t_end, fenv),
+        residual, t0, t1, tol, num_checks, "PV",
+    )

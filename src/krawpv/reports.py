@@ -2,8 +2,8 @@
 
 Each suite assembles CaseResults from the library modules.  A run is fully
 determined by (suite, seed, config): every case gets its own RNG seeded from
-the global seed and the case id, so reports are byte-identical across reruns
-(runtime fields are excluded from the serialized output).
+the global seed and the case id, so reports are byte-identical across reruns.
+No wall-clock time is recorded or serialized.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .sampling import CaseResult, Sampler
 
@@ -40,6 +40,23 @@ class RunConfig:
     ts: Tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(3))
     from_t: float = 1.0
     to_t: float = 2.0
+
+    def __post_init__(self):
+        # written as `not (x > bound)` so that NaN is rejected too
+        if not self.samples >= 1:
+            raise UsageError(f"samples must be at least 1, got {self.samples}")
+        if not all(N >= 1 for N in self.Ns):
+            raise UsageError(f"every N must be at least 1, got {list(self.Ns)}")
+        if not all(a < 1 for a in self.alphas):
+            raise UsageError("the weight requires every alpha < 1")
+        if not all(tv > 0 for tv in self.ts):
+            raise UsageError("the weight requires every t > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise UsageError(f"tol must be finite and positive, got {self.tol}")
+        if not (self.from_t > 0 and self.to_t > 0):
+            raise UsageError("the integration window needs from_t > 0 and to_t > 0")
+        if next(self.sweep(), None) is None:
+            raise UsageError("the parameter sweep (N, n, alpha, t) is empty")
 
     def sweep(self):
         for N in self.Ns:
@@ -322,10 +339,7 @@ def run_suite(name: str, cfg: RunConfig) -> SuiteReport:
         raise UsageError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES + ('all',))}"
         )
-    start = time.monotonic()
-    report = SuiteReport(name, cfg.seed, _SUITES[name](cfg))
-    _ = time.monotonic() - start  # runtime intentionally not serialized
-    return report
+    return SuiteReport(name, cfg.seed, _SUITES[name](cfg))
 
 
 # ---------------------------------------------------------------------------

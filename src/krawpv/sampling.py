@@ -4,6 +4,18 @@ Identities between rational expressions are certified Schwartz-Zippel style:
 evaluate both sides at random rational points and require exact equality.
 Numerators and denominators are drawn from [-99, 99]; a draw is rejected and
 redrawn whenever any guarded denominator vanishes, and rejections are counted.
+
+``run_case`` is the one loop that runs a sampled identity check:
+
+* a point is redrawn, and one resample counted, when ``check`` raises a
+  division error (a denominator vanished at the point); ``draw`` itself may
+  also reject and redraw inside ``Sampler.draw``;
+* a case FAILs when ``check`` returns a failure message for any completed
+  sample; messages are numbered ``sample k:`` by that sample;
+* a case whose points run out FAILs with "sampling exhausted after k
+  samples" instead of aborting the suite: either ``Sampler.draw`` gives up,
+  or more than ``MAX_RESAMPLES_PER_POINT`` attempts per requested sample
+  were spent.
 """
 
 from __future__ import annotations
@@ -11,9 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-DEFAULT_SAMPLES = 50
+from .expr import EvaluationDivisionError
+
 COORD_BOUND = 99
 MAX_RESAMPLES_PER_POINT = 1000
 
@@ -24,13 +37,6 @@ class SamplingExhausted(RuntimeError):
 
 def rand_fraction(rng: random.Random, bound: int = COORD_BOUND) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def rand_nonzero_fraction(rng: random.Random, bound: int = COORD_BOUND) -> Fraction:
-    while True:
-        f = rand_fraction(rng, bound)
-        if f != 0:
-            return f
 
 
 @dataclass
@@ -68,8 +74,48 @@ class CaseResult:
     samples: int = 0
     resamples: int = 0
     failures: List[str] = field(default_factory=list)
-    runtime_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
+
+
+def run_case(
+    case_id: str,
+    sampler: Sampler,
+    samples: int,
+    draw: Callable[[], Dict[str, Fraction]],
+    check: Callable[[Dict[str, Fraction]], List[str]],
+) -> CaseResult:
+    """Run ``check`` on ``samples`` nonsingular points from ``draw``.
+
+    ``check`` returns the failure messages for one point (empty on success)
+    and may add derived values to the point it is given.
+    """
+    if samples <= 0:
+        raise ValueError(f"{case_id}: samples must be positive, got {samples}")
+    case = CaseResult(case_id, "PASS")
+    done = 0
+    attempts = 0
+    try:
+        while done < samples:
+            if attempts > MAX_RESAMPLES_PER_POINT * samples:
+                raise SamplingExhausted(case_id)
+            attempts += 1
+            env = draw()
+            try:
+                failures = check(env)
+            except (ZeroDivisionError, EvaluationDivisionError):
+                sampler.resamples += 1
+                continue
+            done += 1
+            if failures:
+                case.status = "FAIL"
+                case.residual = "nonzero"
+                case.failures.extend(f"sample {done}: {msg}" for msg in failures)
+    except SamplingExhausted:
+        case.status = "FAIL"
+        case.failures.append(f"sampling exhausted after {done} samples")
+    case.samples = done
+    case.resamples = sampler.resamples
+    return case

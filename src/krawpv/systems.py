@@ -11,12 +11,14 @@ blow-up of the base point at the origin, and so on; the 'b' cascades carry a
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .expr import Const, Div, Expr, Sym, syms
+from .expr import Const, Div, EvaluationDivisionError, Expr, Sym, syms
+from .sampling import run_case
 
 t, n, NN, al = syms("t n N alpha")
 
@@ -48,11 +50,6 @@ class PlanarSystem:
     divisor_exclusions: Tuple[Expr, ...] = ()
     # parameter constraint: alpha pinned to this value (the alpha=0 chart)
     alpha_fixed: Optional[Fraction] = None
-
-    @property
-    def divisor(self) -> Optional[Expr]:
-        """Expression cutting out the exceptional divisor (second coordinate)."""
-        return Sym(self.chart[1]) if self.has_divisor else None
 
     @property
     def rhs1(self) -> Expr:
@@ -95,7 +92,9 @@ def _sq(e: Expr) -> Expr:
     return e**2
 
 
-def _build_systems() -> Dict[str, PlanarSystem]:
+@functools.cache
+def registry() -> Dict[str, PlanarSystem]:
+    """Every catalogued planar system by id, built on first use."""
     reg: Dict[str, PlanarSystem] = {}
 
     def add(sys: PlanarSystem):
@@ -477,40 +476,27 @@ def _add_reciprocal_charts(reg: Dict[str, PlanarSystem]) -> None:
     rq = base.rhs1
     rp = base.rhs2
 
-    def split(e: Expr):
-        return e.as_num_den()
-
     # (q, P): p = 1/P
     rq_qP = rq.subs({"p": 1 / P})
     rp_qP = -(P**2) * rp.subs({"p": 1 / P})
-    n1, d1 = split(rq_qP)
-    n2, d2 = split(rp_qP)
+    n1, d1 = rq_qP.as_num_den()
+    n2, d2 = rp_qP.as_num_den()
     reg["original_qP"] = PlanarSystem("original_qP", ("q", "P"), n1, d1, n2, d2)
 
     # (Q, p): q = 1/Q
     rq_Qp = -(Q**2) * rq.subs({"q": 1 / Q})
     rp_Qp = rp.subs({"q": 1 / Q})
-    n1, d1 = split(rq_Qp)
-    n2, d2 = split(rp_Qp)
+    n1, d1 = rq_Qp.as_num_den()
+    n2, d2 = rp_Qp.as_num_den()
     reg["original_Qp"] = PlanarSystem("original_Qp", ("Q", "p"), n1, d1, n2, d2)
 
     # (Q, P)
     sub = {"q": 1 / Q, "p": 1 / P}
     rq_QP = -(Q**2) * rq.subs(sub)
     rp_QP = -(P**2) * rp.subs(sub)
-    n1, d1 = split(rq_QP)
-    n2, d2 = split(rp_QP)
+    n1, d1 = rq_QP.as_num_den()
+    n2, d2 = rp_QP.as_num_den()
     reg["original_QP"] = PlanarSystem("original_QP", ("Q", "P"), n1, d1, n2, d2)
-
-
-_SYSTEMS: Optional[Dict[str, PlanarSystem]] = None
-
-
-def registry() -> Dict[str, PlanarSystem]:
-    global _SYSTEMS
-    if _SYSTEMS is None:
-        _SYSTEMS = _build_systems()
-    return _SYSTEMS
 
 
 def get_system(system_id: str) -> PlanarSystem:
@@ -536,13 +522,9 @@ def check_regular_on_divisor(system_id: str, sampler, samples: int = 50):
     U = -1) are rejected before evaluation; any remaining singular
     evaluation is a genuine regularity failure.
     """
-    from .expr import EvaluationDivisionError
-    from .sampling import CaseResult
-
     sys = get_system(system_id)
     if not sys.has_divisor:
         raise CatalogueError(f"system {system_id} has no catalogued divisor")
-    case = CaseResult(f"regular_on_divisor:{system_id}", "PASS")
     c1, c2 = sys.chart
     names = [c1] + [p for p in PARAM_NAMES if p != "alpha" or sys.alpha_fixed is None]
     fixed = {c2: Fraction(0)}
@@ -555,16 +537,18 @@ def check_regular_on_divisor(system_id: str, sampler, samples: int = 50):
         probe = dict(env)
         return any(e.evaluate(probe) == 0 for e in sys.divisor_exclusions)
 
-    for i in range(samples):
-        env = sampler.draw(names, reject=reject, fixed=fixed)
-        case.samples = i + 1
+    def check(env):
+        # a singular evaluation here is the failure, not a point to redraw
         try:
             sys.evaluate_rhs(env)
-        except (SingularLocusError, EvaluationDivisionError, ZeroDivisionError) as exc:
-            case.status = "FAIL"
-            case.failures.append(f"sample {i + 1}: {exc} at {env}")
-    case.resamples = sampler.resamples
-    return case
+        except (ZeroDivisionError, EvaluationDivisionError) as exc:
+            return [f"{exc} at {env}"]
+        return []
+
+    return run_case(
+        f"regular_on_divisor:{system_id}", sampler, samples,
+        lambda: sampler.draw(names, reject=reject, fixed=fixed), check,
+    )
 
 
 def alpha_zero_divisor_degeneracy(sampler, samples: int = 20):
@@ -576,39 +560,36 @@ def alpha_zero_divisor_degeneracy(sampler, samples: int = 20):
     the chart stops being regular on its divisor.  This check PASSes when
     both behaviours are confirmed.
     """
-    from .sampling import CaseResult
-
     sys = get_system("UV21")
-    case = CaseResult("alpha0_degeneracy:UV21", "PASS")
-    point = {"U21": Fraction(-1), "V21": Fraction(0)}
-    for i in range(samples):
+
+    def draw():
         env = sampler.draw(
             ["t", "n", "N", "alpha"],
             # N = -1 would annihilate the (N+1) factor of the residue itself
             reject=lambda e: e["t"] == 0 or e["N"] in (0, -1) or e["alpha"] == 0,
         )
-        env.update(point)
-        case.samples = i + 1
+        env.update({"U21": Fraction(-1), "V21": Fraction(0)})
+        return env
+
+    def check(env):
+        failures = []
         num2 = sys.rhs2_num.evaluate(env)
         den2 = sys.rhs2_den.evaluate(env)
         if den2 != 0 or num2 == 0:
-            case.status = "FAIL"
-            case.failures.append(
-                f"sample {i + 1}: expected a simple pole at alpha != 0, "
-                f"got num = {num2}, den = {den2}"
+            failures.append(
+                f"expected a simple pole at alpha != 0, got num = {num2}, den = {den2}"
             )
         env0 = dict(env)
         env0["alpha"] = Fraction(0)
         num0 = sys.rhs2_num.evaluate(env0)
         den0 = sys.rhs2_den.evaluate(env0)
         if num0 != 0 or den0 != 0:
-            case.status = "FAIL"
-            case.failures.append(
-                f"sample {i + 1}: expected indeterminacy at alpha = 0, "
-                f"got num = {num0}, den = {den0}"
+            failures.append(
+                f"expected indeterminacy at alpha = 0, got num = {num0}, den = {den0}"
             )
-    case.resamples = sampler.resamples
-    return case
+        return failures
+
+    return run_case("alpha0_degeneracy:UV21", sampler, samples, draw, check)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +628,9 @@ def _derive_elimination(sys: PlanarSystem, y_name: str, s_name: str) -> Expr:
     return elim.subs({y_name: y})
 
 
-def _build_ode2() -> Dict[str, ScalarODE2]:
+@functools.cache
+def ode2_registry() -> Dict[str, ScalarODE2]:
+    """Every catalogued second-order reduction by id, built on first use."""
     reg: Dict[str, ScalarODE2] = {}
     sysreg = registry()
 
@@ -739,9 +722,6 @@ def check_reduction_soundness(ode_id: str, sampler, samples: int = 50):
 
     This must equal the catalogued second-order rhs at every sampled point.
     """
-    from .expr import EvaluationDivisionError
-    from .sampling import MAX_RESAMPLES_PER_POINT, CaseResult, SamplingExhausted
-
     ode = get_ode2(ode_id)
     parent = get_system(ode.parent_id)
     c1, c2 = parent.chart
@@ -750,58 +730,34 @@ def check_reduction_soundness(ode_id: str, sampler, samples: int = 50):
     d_c2 = rhs_y.diff(c2)
     d_t = rhs_y.diff("t")
 
-    case = CaseResult(f"reduction_soundness:{ode_id}", "PASS")
     names = ["y", "yp", "t", "n", "N"] + ([] if ode.alpha_fixed is not None else ["alpha"])
     fixed = {"alpha": ode.alpha_fixed} if ode.alpha_fixed is not None else None
-    done = 0
-    attempts = 0
-    while done < samples:
-        if attempts > MAX_RESAMPLES_PER_POINT * samples:
-            raise SamplingExhausted(case.id)
-        attempts += 1
-        env = sampler.draw(
-            names, reject=lambda e: e["t"] == 0 or e["N"] == 0, fixed=fixed
+
+    def check(env):
+        chart_env = dict(env)
+        chart_env[ode.reduce_coord] = env["y"]
+        chart_env[ode.elim_coord] = ode.elimination.evaluate(env)
+        r1, r2 = parent.evaluate_rhs(chart_env)
+        flow = {c1: r1, c2: r2}
+        ypp = (
+            d_c1.evaluate(chart_env) * flow[c1]
+            + d_c2.evaluate(chart_env) * flow[c2]
+            + d_t.evaluate(chart_env)
         )
-        try:
-            s_val = ode.elimination.evaluate(env)
-            chart_env = dict(env)
-            chart_env[ode.reduce_coord] = env["y"]
-            chart_env[ode.elim_coord] = s_val
-            r1, r2 = parent.evaluate_rhs(chart_env)
-            flow = {c1: r1, c2: r2}
-            ypp = (
-                d_c1.evaluate(chart_env) * flow[c1]
-                + d_c2.evaluate(chart_env) * flow[c2]
-                + d_t.evaluate(chart_env)
-            )
-            expect = ode.rhs.evaluate(env)
-            y_rate = flow[ode.reduce_coord]
-        except (SingularLocusError, EvaluationDivisionError, ZeroDivisionError):
-            sampler.resamples += 1
-            continue
-        done += 1
-        case.samples = done
+        expect = ode.rhs.evaluate(env)
+        y_rate = flow[ode.reduce_coord]
+        failures = []
         if y_rate != env["yp"]:
-            case.status = "FAIL"
-            case.failures.append(
-                f"sample {done}: elimination does not invert the flow "
-                f"({y_rate} != {env['yp']})"
-            )
+            failures.append(f"elimination does not invert the flow ({y_rate} != {env['yp']})")
         if ypp != expect:
-            case.status = "FAIL"
-            case.failures.append(f"sample {done}: y'' = {ypp} != catalogued {expect}")
-    case.resamples = sampler.resamples
-    return case
+            failures.append(f"y'' = {ypp} != catalogued {expect}")
+        return failures
 
-
-_ODE2: Optional[Dict[str, ScalarODE2]] = None
-
-
-def ode2_registry() -> Dict[str, ScalarODE2]:
-    global _ODE2
-    if _ODE2 is None:
-        _ODE2 = _build_ode2()
-    return _ODE2
+    return run_case(
+        f"reduction_soundness:{ode_id}", sampler, samples,
+        lambda: sampler.draw(names, reject=lambda e: e["t"] == 0 or e["N"] == 0, fixed=fixed),
+        check,
+    )
 
 
 def get_ode2(ode_id: str) -> ScalarODE2:

@@ -95,3 +95,20 @@ def test_integrate_csv(capsys):
 def test_integrate_unsupported_chart_is_usage_error(capsys):
     code, _, err = run(capsys, "--integrate", "UV11")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "hamiltonian", "--samples", "0"),
+    ("--suite", "discrete", "--N", "0"),
+    ("--suite", "pv", "--tol", "nan"),
+    ("--suite", "oracle", "--alpha", "1"),
+    ("--integrate", "nosuch"),
+    ("--integrate", "original", "--from-t", "0"),
+    ("--suite", "pv", "--from-t", "0"),
+])
+def test_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("krawpv: error: ")
