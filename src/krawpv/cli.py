@@ -2,7 +2,8 @@
 
 Runs verification suites, dumps the system catalogue, and integrates the
 base system from exact oracle initial data, emitting machine-readable
-reports.  Exit code 0 on overall PASS, 1 on any FAIL, 2 on usage errors.
+reports.  Exit code 0 on overall PASS, 1 on any FAIL or on an integration
+that stops early, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .oracle import OracleError
-from .reports import SUITE_NAMES, RunConfig, UsageError, emit_report, run_suite
+from .reports import SUITE_NAMES, RunConfig, UsageError, check_window, emit_report, run_suite
 from .systems import CatalogueError
 
 SEED_ENV_VAR = "KRAWPV_SEED"
@@ -109,6 +110,7 @@ def _integrate_csv(system_id: str, args) -> str:
             "only the base (q, p) system has oracle initial data; "
             "use the library API for other charts"
         )
+    check_window(args.from_t, args.to_t)
     t0 = Fraction(args.from_t).limit_denominator(10**6)
     xy = oracle_xy(WeightParams(N, alpha, t0), n)
     ic = (float(xy.x[n]), float(xy.y[n]))
@@ -134,7 +136,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _write(_dump_catalogue(), args.out)
             return 0
         if args.integrate:
-            _write(_integrate_csv(args.integrate, args), args.out)
+            from .integrate import IntegrationError  # deferred: scipy import is heavy
+
+            try:
+                _write(_integrate_csv(args.integrate, args), args.out)
+            except IntegrationError as exc:
+                print(f"krawpv: error: {exc}", file=sys.stderr)
+                return 1
             return 0
         if not args.suite:
             parser.print_usage(sys.stderr)

@@ -26,16 +26,12 @@ class UnboundSymbolError(ExprError):
     pass
 
 
-class EvaluationDivisionError(ExprError):
+class EvaluationDivisionError(ExprError, ZeroDivisionError):
     """Division by zero while evaluating; carries the offending subtree."""
 
     def __init__(self, subtree: "Expr"):
         super().__init__(f"division by zero in {subtree.to_prefix()}")
         self.subtree = subtree
-
-
-class MixedModeError(ExprError):
-    """A binding mixes exact (Fraction/int) and float values."""
 
 
 def as_expr(x) -> "Expr":
@@ -278,10 +274,9 @@ class Div(Expr):
 
     def evaluate(self, env):
         den = self.b.evaluate(env)
-        if not isinstance(den, (Jet2, float)) and den == 0:
-            raise EvaluationDivisionError(self.b)
+        num = self.a.evaluate(env)
         try:
-            return self.a.evaluate(env) / den
+            return num / den
         except ZeroDivisionError:
             raise EvaluationDivisionError(self.b) from None
 
@@ -342,27 +337,6 @@ ZERO = Const(Fraction(0))
 def syms(names: str) -> Tuple[Sym, ...]:
     """Create symbols from a whitespace-separated name list."""
     return tuple(Sym(nm) for nm in names.split())
-
-
-def check_mode(env: Mapping[str, Value]) -> None:
-    """Reject bindings that mix exact (Fraction) and float values."""
-    has_exact = False
-    has_float = False
-    for v in env.values():
-        parts = (v.v, v.d1, v.d2) if isinstance(v, Jet2) else (v,)
-        for p in parts:
-            if isinstance(p, float):
-                has_float = True
-            elif isinstance(p, Fraction):
-                has_exact = True
-    if has_exact and has_float:
-        raise MixedModeError("binding mixes Fraction and float values")
-
-
-def evaluate(e: Expr, env: Mapping[str, Value]) -> Value:
-    """Evaluate with mode checking; loud failure on unbound symbols."""
-    check_mode(env)
-    return e.evaluate(env)
 
 
 def compile_float(e: Expr, arg_names) -> "callable":

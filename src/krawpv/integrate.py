@@ -8,6 +8,7 @@ locus.  Trajectories compare against the exact oracle and export as CSV.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
@@ -23,7 +24,7 @@ Scalar = Union[int, float, Fraction]
 
 
 class IntegrationError(Exception):
-    pass
+    """A bad config, or a run that stopped early (its ``trajectory`` is the part integrated)."""
 
 
 class SingularGuardError(IntegrationError):
@@ -34,7 +35,6 @@ class SingularGuardError(IntegrationError):
 class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = np.inf
     singular_guard: float = 1e-6
 
     def __post_init__(self):
@@ -78,16 +78,15 @@ def _run(rhs, t0: float, t1: float, state0, cfg: IntegratorConfig, events) -> Tr
         return Trajectory(ts, y0.reshape(-1, 1), lambda t: y0)
     sol = solve_ivp(
         rhs, (t0, t1), y0, method="RK45", dense_output=True,
-        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, events=events,
+        rtol=cfg.rtol, atol=cfg.atol, events=events,
     )
-    if sol.status == 1:
-        raise SingularGuardError(
-            f"denominator within {cfg.singular_guard} of zero near t = "
-            f"{float(sol.t[-1])}"
-        )
-    if not sol.success:
-        raise IntegrationError(sol.message)
-    return Trajectory(sol.t, sol.y, sol.sol)
+    traj = Trajectory(sol.t, sol.y, sol.sol)
+    if sol.status == 0:
+        return traj
+    guard = f"denominator within {cfg.singular_guard} of zero near t = {traj.t1}"
+    exc = SingularGuardError(guard) if sol.status == 1 else IntegrationError(sol.message)
+    exc.trajectory = traj
+    raise exc
 
 
 def _guard_events(dens: Sequence, guard: float):
@@ -175,6 +174,22 @@ def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float,
     return _integrate_second_order(PV_RHS, pe, (0.0, 1.0), t0, t1, y0, yp0, cfg)
 
 
+def tolerance_case(case_id: str, ts: Sequence[float], deviation: Callable[[float], float],
+                   tol: float, what: str) -> CaseResult:
+    """The float verdict: PASS iff ``deviation(t) < tol`` at every ``t``, which NaN never is.
+
+    The residual is the worst deviation, or ``nan`` if any deviation is NaN.
+    """
+    devs = [deviation(tv) for tv in ts]
+    worst = math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
+    case = CaseResult(case_id, "PASS", residual=repr(worst), samples=len(devs))
+    for tv, dev in zip(ts, devs):
+        if not dev < tol:
+            case.status = "FAIL"
+            case.failures.append(f"t = {tv}: {what} {dev} >= {tol}")
+    return case
+
+
 def compare_trajectories(
     a: Trajectory,
     b: Callable[[float], Sequence[float]],
@@ -183,20 +198,13 @@ def compare_trajectories(
     case_id: str = "trajectory_compare",
 ) -> CaseResult:
     """Max relative deviation of b from a at sample times; PASS iff < tol."""
-    case = CaseResult(case_id, "PASS")
-    ts = list(times) if times is not None else [float(t) for t in a.ts]
-    worst = 0.0
-    for tv in ts:
+    def deviation(tv):
         va = np.asarray(a(tv), dtype=float)
         vb = np.asarray([float(x) for x in b(tv)], dtype=float)
-        dev = float(np.max(np.abs(va - vb) / np.maximum(1.0, np.abs(va))))
-        worst = max(worst, dev)
-        case.samples += 1
-        if dev >= tol:
-            case.status = "FAIL"
-            case.failures.append(f"t = {tv}: relative deviation {dev} >= {tol}")
-    case.residual = repr(worst)
-    return case
+        return float(np.max(np.abs(va - vb) / np.maximum(1.0, np.abs(va))))
+
+    ts = list(times) if times is not None else [float(t) for t in a.ts]
+    return tolerance_case(case_id, ts, deviation, tol, "relative deviation")
 
 
 def trajectory_csv(traj: Trajectory) -> str:

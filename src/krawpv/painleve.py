@@ -455,7 +455,7 @@ COMPOSITIONS: Dict[str, Composition] = {
 }
 
 
-def _draw_integer_params(rng, alpha_positive: bool = True) -> Dict[str, Fraction]:
+def _draw_integer_params(rng) -> Dict[str, Fraction]:
     """Integer 1 <= N <= 12, 0 <= n < N, rational alpha in (0, 1).
 
     Positivity of alpha (together with n >= 0, N >= n) keeps every branch
@@ -539,40 +539,37 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
     return run_case(f"closed_form:{comp_id}", sampler, samples, draw, check)
 
 
+TRAJECTORY_CHECKS = 20  # interior residual checks per trajectory case
+
+
 def _trajectory_case(case_id: str, integrate: Callable[[float], object],
                      residual: Callable[[float, float, float], float],
-                     t0: float, t1: float, tol: float, num_checks: int, what: str) -> CaseResult:
-    """Integrate on [t0, t1] and require |residual(t, y, y')| < tol inside it.
+                     t0: float, t1: float, tol: float, what: str) -> CaseResult:
+    """Integrate once on [t0, t1] and require |residual(t, y, y')| < tol inside it.
 
-    A window that runs into a movable singularity aborts the integration; it
-    is halved, up to eight tries, before the case FAILs.
+    A run that stops early at a movable singularity keeps the part it
+    integrated.  The window is halved, up to seven times, until its end lies
+    between t0 and the stop; the case FAILs when no window fits.
     """
-    from .integrate import IntegrationError  # deferred: scipy import is heavy
+    from .integrate import IntegrationError, tolerance_case  # deferred: scipy import is heavy
 
-    case = CaseResult(case_id, "PASS")
-    last_error: Optional[Exception] = None
-    for _ in range(8):
-        try:
-            traj = integrate(t1)
-            break
-        except IntegrationError as exc:
-            last_error = exc
+    try:
+        traj = integrate(t1)
+    except IntegrationError as exc:
+        traj = exc.trajectory
+        for _ in range(7):
             t1 = t0 + (t1 - t0) / 2
-    else:
-        case.status = "FAIL"
-        case.failures.append(f"no singularity-free window found: {last_error}")
-        return case
-    worst = 0.0
-    for i in range(num_checks):
-        tv = t0 + (t1 - t0) * (i + 1) / (num_checks + 1)
-        res = abs(residual(tv, *(float(x) for x in traj(tv))))
-        worst = max(worst, res)
-        case.samples = i + 1
-        if res >= tol:
-            case.status = "FAIL"
-            case.failures.append(f"t = {tv}: {what} residual {res} >= {tol}")
-    case.residual = repr(worst)
-    return case
+            if abs(t1 - t0) <= abs(traj.t1 - t0):
+                break
+        else:
+            return CaseResult(case_id, "FAIL",
+                              failures=[f"no singularity-free window found: {exc}"])
+    ts = [t0 + (t1 - t0) * (i + 1) / (TRAJECTORY_CHECKS + 1)
+          for i in range(TRAJECTORY_CHECKS)]
+    return tolerance_case(
+        case_id, ts, lambda tv: abs(residual(tv, *(float(x) for x in traj(tv)))),
+        tol, f"{what} residual",
+    )
 
 
 def verify_trajectory(
@@ -585,7 +582,6 @@ def verify_trajectory(
     y0: float = 3.0,
     yp0: float = 0.25,
     tol: float = 1e-6,
-    num_checks: int = 20,
 ) -> CaseResult:
     """Integrate the source PV and check the mapped function on the target PV."""
     from . import integrate  # deferred: scipy import is heavy
@@ -604,7 +600,7 @@ def verify_trajectory(
     return _trajectory_case(
         f"trajectory:{comp_id}",
         lambda t_end: integrate.integrate_pv(src_f, t0, t_end, y0, yp0),
-        residual, t0, t1, tol, num_checks, "target",
+        residual, t0, t1, tol, "target",
     )
 
 
@@ -618,7 +614,6 @@ def verify_reduction_trajectory(
     y0: float = 3.0,
     yp0: float = 0.25,
     tol: float = 1e-6,
-    num_checks: int = 20,
 ) -> CaseResult:
     """Integrate the chart reduction; its Möbius image must satisfy PV.
 
@@ -649,5 +644,5 @@ def verify_reduction_trajectory(
     return _trajectory_case(
         f"reduction_trajectory:{reduction_id}",
         lambda t_end: integrate.integrate_ode2(ode, u0.v, u0.d1, t0, t_end, fenv),
-        residual, t0, t1, tol, num_checks, "PV",
+        residual, t0, t1, tol, "PV",
     )

@@ -29,6 +29,15 @@ class UsageError(Exception):
     pass
 
 
+def check_window(from_t: float, to_t: float) -> None:
+    """An integration window needs finite from_t > 0 and to_t > 0."""
+    if not all(math.isfinite(x) and x > 0 for x in (from_t, to_t)):
+        raise UsageError(
+            f"the integration window needs finite from_t > 0 and to_t > 0, "
+            f"got {from_t} and {to_t}"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 20260823
@@ -53,8 +62,7 @@ class RunConfig:
             raise UsageError("the weight requires every t > 0")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise UsageError(f"tol must be finite and positive, got {self.tol}")
-        if not (self.from_t > 0 and self.to_t > 0):
-            raise UsageError("the integration window needs from_t > 0 and to_t > 0")
+        check_window(self.from_t, self.to_t)
         if next(self.sweep(), None) is None:
             raise UsageError("the parameter sweep (N, n, alpha, t) is empty")
 

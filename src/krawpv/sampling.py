@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .expr import EvaluationDivisionError
-
 COORD_BOUND = 99
 MAX_RESAMPLES_PER_POINT = 1000
 
@@ -105,7 +103,7 @@ def run_case(
             env = draw()
             try:
                 failures = check(env)
-            except (ZeroDivisionError, EvaluationDivisionError):
+            except ZeroDivisionError:
                 sampler.resamples += 1
                 continue
             done += 1

@@ -105,6 +105,12 @@ def test_integrate_unsupported_chart_is_usage_error(capsys):
     ("--integrate", "nosuch"),
     ("--integrate", "original", "--from-t", "0"),
     ("--suite", "pv", "--from-t", "0"),
+    ("--integrate", "original", "--to-t", "nan"),
+    ("--suite", "pv", "--from-t", "inf"),
+    ("--integrate", "original", "--to-t", "inf"),
+    ("--integrate", "original", "--from-t", "nan"),
+    ("--integrate", "original", "--from-t", "inf"),
+    ("--suite", "pv", "--to-t", "inf"),
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -112,3 +118,13 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("krawpv: error: ")
+
+
+def test_integration_stopping_early_is_one_error_line(capsys):
+    # the base system runs into its singular guard near t = 26.3
+    code, out, err = run(capsys, "--integrate", "original", "--N", "2", "--n", "1",
+                         "--to-t", "40")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("krawpv: error: denominator within ")

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from krawpv.expr import (
     Const,
     EvaluationDivisionError,
-    MixedModeError,
     Sym,
     UnboundSymbolError,
     compile_float,
-    evaluate,
     syms,
 )
 from krawpv.jets import Jet2
@@ -35,13 +33,13 @@ def test_unbound_symbol_is_loud():
 
 
 def test_division_by_zero_is_loud():
-    with pytest.raises(EvaluationDivisionError):
-        (1 / x).evaluate({"x": Fraction(0)})
-
-
-def test_mixed_mode_rejected():
-    with pytest.raises(MixedModeError):
-        evaluate(x + y, {"x": Fraction(1), "y": 2.0})
+    # exact, float and jet zeros raise one error family, naming the denominator
+    for zero in (Fraction(0), 0.0, Jet2(Fraction(0), Fraction(1), Fraction(0)),
+                 Jet2(0.0, 1.0, 0.0)):
+        with pytest.raises(EvaluationDivisionError) as exc:
+            (1 / (y * x)).evaluate({"x": zero, "y": Fraction(2)})
+        assert isinstance(exc.value, ZeroDivisionError)
+        assert exc.value.subtree == y * x
 
 
 def test_negative_power_rejected():

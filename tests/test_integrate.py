@@ -56,12 +56,26 @@ def test_compare_mismatched_parameters_fails():
     assert case.status == "FAIL"
 
 
+def test_compare_against_nan_reference_fails():
+    system = get_system("original")
+    traj = integrate_planar(system, oracle_point(1), 1.0, 2.0, PARAMS)
+    nan = float("nan")
+    case = compare_trajectories(traj, lambda t: (nan, nan), 1e-6, times=[1.5, 2.0])
+    assert case.status == "FAIL"
+    assert case.residual == "nan"
+    assert case.samples == 2 and len(case.failures) == 2
+
+
 def test_singular_guard_trips():
     # drive the base system toward the p + q = 0 locus
     system = get_system("original")
-    with pytest.raises(SingularGuardError):
+    with pytest.raises(SingularGuardError) as exc:
         integrate_planar(system, (0.5, -0.45), 1.0, 2.0, PARAMS,
                          IntegratorConfig(singular_guard=1e-3))
+    # the error carries the run up to the stop; its text is only the message
+    stop = exc.value.trajectory
+    assert stop.t0 == 1.0 and 1.0 < stop.t1 < 2.0
+    assert str(exc.value) == f"denominator within 0.001 of zero near t = {stop.t1}"
 
 
 def test_zero_length_interval():

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from krawpv.integrate import IntegrationError, Trajectory
 from krawpv.painleve import (
     COMPOSITIONS,
     REDUCTIONS,
@@ -11,6 +13,7 @@ from krawpv.painleve import (
     PainleveError,
     PVJet,
     PVParams,
+    _trajectory_case,
     backlund_apply,
     backlund_params,
     branch_state_for,
@@ -142,3 +145,69 @@ def test_trajectory_transport(comp_id):
 def test_reduction_trajectories(reduction_id):
     case = verify_reduction_trajectory(reduction_id)
     assert case.passed, case.failures[:3]
+
+
+@pytest.mark.parametrize("reduction_id", sorted(REDUCTIONS))
+def test_reduction_trajectories_backward(reduction_id):
+    case = verify_reduction_trajectory(reduction_id, t0=2.0, t1=1.0)
+    assert case.passed, case.failures[:3]
+
+
+def test_trajectory_case_integrates_once(monkeypatch):
+    # ode_U21 stops at a movable singularity inside the default window [1, 2]
+    import krawpv.integrate as integrate
+
+    calls = []
+    original = integrate.integrate_ode2
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "integrate_ode2", counted)
+    case = verify_reduction_trajectory("ode_U21")
+    assert calls == [2.0]
+    assert case.passed, case.failures[:3]
+    assert case.samples == 20
+
+
+def _stopping_run(t0, stop):
+    """An integrator that stops at ``stop``; the stopped run is identically zero."""
+    def integrate(t_end):
+        exc = IntegrationError(f"stopped near t = {stop}")
+        exc.trajectory = Trajectory(np.array([t0, stop]), np.zeros((2, 2)),
+                                    lambda t: np.zeros(2))
+        raise exc
+    return integrate
+
+
+@pytest.mark.parametrize("t0, t1, stop, end", [
+    (1.0, 2.0, 1.3, 1.25),  # windows [1, 2], [1, 1.5], [1, 1.25]
+    (2.0, 1.0, 1.7, 1.75),  # backwards: windows [2, 1], [2, 1.5], [2, 1.75]
+])
+def test_stopped_run_cuts_the_window(t0, t1, stop, end):
+    seen = []
+
+    def residual(tv, yv, ypv):
+        seen.append(tv)
+        return 0.0
+
+    case = _trajectory_case("x", _stopping_run(t0, stop), residual, t0, t1, 1e-6, "PV")
+    assert case.passed and case.samples == 20
+    assert seen == [t0 + (end - t0) * (i + 1) / 21 for i in range(20)]
+
+
+def test_stopped_run_fails_when_no_window_fits():
+    # the eighth window, [1, 1 + 1/128], still reaches past the stop
+    case = _trajectory_case("x", _stopping_run(1.0, 1.005), lambda tv, y, yp: 0.0,
+                            1.0, 2.0, 1e-6, "PV")
+    assert case.status == "FAIL" and case.samples == 0
+    assert case.failures == ["no singularity-free window found: stopped near t = 1.005"]
+
+
+def test_nan_residual_fails():
+    case = _trajectory_case("x", lambda t1: (lambda tv: [0.0, 0.0]),
+                            lambda tv, y, yp: float("nan"), 1.0, 2.0, 1e-6, "PV")
+    assert case.status == "FAIL"
+    assert case.residual == "nan"
+    assert len(case.failures) == 20
