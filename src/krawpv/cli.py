@@ -112,7 +112,10 @@ def _integrate_csv(system_id: str, args) -> str:
         )
     check_window(args.from_t, args.to_t)
     t0 = Fraction(args.from_t).limit_denominator(10**6)
-    xy = oracle_xy(WeightParams(N, alpha, t0), n)
+    weight = WeightParams(N, alpha, t0)  # rejects a bad N with its own message first
+    if not 0 <= n < N:
+        raise UsageError(f"--n must satisfy 0 <= n < N, got n={n}, N={N}")
+    xy = oracle_xy(weight, n)
     ic = (float(xy.x[n]), float(xy.y[n]))
     traj = integrate_planar(
         system, ic, float(t0), args.to_t, {"n": n, "N": N, "alpha": alpha}

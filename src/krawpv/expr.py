@@ -4,14 +4,47 @@ Nodes are constants, symbols, sums, differences, negations, products,
 quotients and nonnegative integer powers.  There is no simplification and no
 normal form: semantic identities are established elsewhere by exact
 evaluation at random rational points.  Evaluation is generic in the bound
-values, so the same tree evaluates over Fractions, floats or order-2 jets.
+values, so the same tree evaluates over Fractions, ints, floats or order-2
+jets.
+
+Evaluation is compiled.  The first ``evaluate`` call on a node turns its tree
+into one straight-line Python function and caches it on that instance (no
+global cache; an equal tree built elsewhere compiles again).  The generator
+walks the tree iteratively in post-order, visiting a quotient's denominator
+before its numerator, gives structurally equal subtrees one slot (common
+subexpression elimination, CSE) and folds constant subtrees exactly, so each
+unique subtree costs one statement and deep trees hit no recursion or
+parenthesis limit.  The function holds two kernels generated from that one
+slot order:
+
+* the rational kernel, taken only when every symbol of the tree is bound to
+  exactly a ``Fraction``: it carries unreduced integer numerator/denominator
+  pairs, takes no gcd per node and builds one ``Fraction`` at the end;
+* the operator kernel, for every other binding (int, float, ``Jet2`` or a
+  mix): it applies Python's operators to the bound values, with constants
+  bound as ``Fraction`` objects, exactly as a recursive tree walk would, so
+  int and float semantics are unchanged.
+
+The rational kernel returns the same rational number a recursive tree walk
+computes: both work in exact rational arithmetic and only the time of
+reduction moves.  No arithmetic domain changes, so an identity certified at a
+random rational point keeps the same Schwartz-Zippel error bound.  The first
+error raised is the walk's too (``tests/test_expr.py`` keeps that walk as the
+reference), because the first occurrence of each subtree runs at its
+post-order position: a vanishing denominator raises
+``EvaluationDivisionError`` carrying that denominator's subtree, and a symbol
+missing from the bindings raises ``UnboundSymbolError`` where the walk would
+have read it.  ``compile_float`` uses the same generator with positional
+float arguments and float constants for the ODE integrator.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .jets import Jet2
 
@@ -78,8 +111,14 @@ class Expr:
 
     # --- core operations -------------------------------------------------
 
+    _evaluator = None  # compiled on the first evaluate call; not a dataclass field
+
     def evaluate(self, env: Mapping[str, Value]) -> Value:
-        raise NotImplementedError
+        fn = self._evaluator
+        if fn is None:
+            fn = _compile_evaluate(self)
+            object.__setattr__(self, "_evaluator", fn)
+        return fn(env)
 
     def diff(self, name: str) -> "Expr":
         raise NotImplementedError
@@ -110,8 +149,6 @@ ZERO = None
 class Const(Expr):
     value: Fraction
 
-    def evaluate(self, env):
-        return self.value
 
     def diff(self, name):
         return ZERO
@@ -133,11 +170,6 @@ class Const(Expr):
 class Sym(Expr):
     name: str
 
-    def evaluate(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise UnboundSymbolError(f"unbound symbol {self.name!r}") from None
 
     def diff(self, name):
         return ONE if name == self.name else ZERO
@@ -164,8 +196,6 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def evaluate(self, env):
-        return self.a.evaluate(env) + self.b.evaluate(env)
 
     def diff(self, name):
         return Add(self.a.diff(name), self.b.diff(name))
@@ -192,8 +222,6 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def evaluate(self, env):
-        return self.a.evaluate(env) - self.b.evaluate(env)
 
     def diff(self, name):
         return Sub(self.a.diff(name), self.b.diff(name))
@@ -219,8 +247,6 @@ class Sub(Expr):
 class Neg(Expr):
     a: Expr
 
-    def evaluate(self, env):
-        return -self.a.evaluate(env)
 
     def diff(self, name):
         return Neg(self.a.diff(name))
@@ -244,8 +270,6 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def evaluate(self, env):
-        return self.a.evaluate(env) * self.b.evaluate(env)
 
     def diff(self, name):
         return Add(Mul(self.a.diff(name), self.b), Mul(self.a, self.b.diff(name)))
@@ -272,13 +296,6 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def evaluate(self, env):
-        den = self.b.evaluate(env)
-        num = self.a.evaluate(env)
-        try:
-            return num / den
-        except ZeroDivisionError:
-            raise EvaluationDivisionError(self.b) from None
 
     def diff(self, name):
         return Div(
@@ -306,8 +323,6 @@ class Pow(Expr):
     a: Expr
     k: int
 
-    def evaluate(self, env):
-        return self.a.evaluate(env) ** self.k
 
     def diff(self, name):
         if self.k == 0:
@@ -339,34 +354,230 @@ def syms(names: str) -> Tuple[Sym, ...]:
     return tuple(Sym(nm) for nm in names.split())
 
 
-def compile_float(e: Expr, arg_names) -> "callable":
+def compile_float(e: Expr, arg_names) -> Callable[..., float]:
     """Compile an expression to a float-mode callable of the given arguments.
 
-    Used by the ODE integrator, where tree-walking per right-hand-side call
-    would dominate the runtime.
+    Used by the ODE integrator, where the per-call overhead of reading a
+    binding dictionary would dominate the runtime.  Constant subtrees are
+    folded exactly and rounded once, so the result is bit for bit what
+    ``evaluate`` gives with the same float bindings.
     """
-    src = _pysrc(e)
-    code = "def _f({}):\n    return {}".format(", ".join(arg_names), src)
-    ns: Dict[str, object] = {}
-    exec(code, ns)  # noqa: S102 - generated from our own tree
-    return ns["_f"]
+    position = {name: j for j, name in enumerate(arg_names)}
+    slots = _schedule(e)
+    names = []
+    for i, slot in enumerate(slots):
+        if slot.kind == "const":
+            names.append(f"({float(slot.value)!r})")
+        elif slot.kind == "sym":
+            if slot.node.name not in position:
+                raise UnboundSymbolError(f"unbound symbol {slot.node.name!r}")
+            names.append(f"a{position[slot.node.name]}")
+        else:
+            names.append(f"v{i}")
+    body = _operator_kernel(slots, names, check_unbound=False) + [f"return {names[-1]}"]
+    params = ", ".join(f"a{j}" for j in range(len(arg_names)))
+    return _define("compiled_float", params, body, _namespace(slots))
 
 
-def _pysrc(e: Expr) -> str:
-    if isinstance(e, Const):
-        return f"({e.value.numerator}/{e.value.denominator})"
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Add):
-        return f"({_pysrc(e.a)}+{_pysrc(e.b)})"
-    if isinstance(e, Sub):
-        return f"({_pysrc(e.a)}-{_pysrc(e.b)})"
-    if isinstance(e, Neg):
-        return f"(-{_pysrc(e.a)})"
-    if isinstance(e, Mul):
-        return f"({_pysrc(e.a)}*{_pysrc(e.b)})"
-    if isinstance(e, Div):
-        return f"({_pysrc(e.a)}/{_pysrc(e.b)})"
-    if isinstance(e, Pow):
-        return f"({_pysrc(e.a)}**{e.k})"
+# --- code generation -------------------------------------------------------
+
+
+class _Slot(NamedTuple):
+    """One unique subtree: "const" (folded value), "sym", "op" or "raise"."""
+
+    kind: str
+    node: Expr
+    args: Tuple[int, ...]  # operand slots, in field order (a, b)
+    value: Optional[Fraction] = None
+
+
+_FOLD = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv,
+         Neg: operator.neg}
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_INT_LITERAL = re.compile(r"\(-?\d+\)")  # how the rational kernel writes a constant
+
+
+def _operands(e: Expr) -> Tuple[Expr, ...]:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return e.a, e.b
+    if isinstance(e, (Neg, Pow)):
+        return (e.a,)
+    if isinstance(e, (Const, Sym)):
+        return ()
     raise TypeError(type(e))
+
+
+def _schedule(root: Expr) -> List[_Slot]:
+    """The unique subtrees of ``root`` in the order a tree walk first finishes them.
+
+    Iterative post-order, a Div's denominator before its numerator.
+    Structurally equal subtrees share the slot of their first occurrence, and
+    a subtree without symbols is folded to its exact value; a constant
+    division by zero becomes a "raise" slot, which raises where the walk would.
+    """
+    slots: List[_Slot] = []
+    by_key: Dict[tuple, int] = {}
+    by_id: Dict[int, int] = {}  # id(node) -> slot, so a shared object is walked once
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in by_id:
+            continue
+        kids = _operands(node)
+        if kids and not expanded:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in (kids if isinstance(node, Div) else kids[::-1]))
+            continue
+        args = tuple(by_id[id(kid)] for kid in kids)
+        if isinstance(node, Const):
+            key = (Const, node.value)
+        elif isinstance(node, Sym):
+            key = (Sym, node.name)
+        else:
+            key = (type(node), args, node.k if isinstance(node, Pow) else None)
+        slot = by_key.get(key)
+        if slot is None:
+            slot = by_key[key] = len(slots)
+            slots.append(_make_slot(node, args, slots))
+        by_id[id(node)] = slot
+    return slots
+
+
+def _make_slot(node: Expr, args: Tuple[int, ...], slots: List[_Slot]) -> _Slot:
+    if isinstance(node, Const):
+        return _Slot("const", node, args, node.value)
+    if isinstance(node, Sym):
+        return _Slot("sym", node, args)
+    if any(slots[i].kind != "const" for i in args):
+        return _Slot("op", node, args)
+    vals = [slots[i].value for i in args]
+    if isinstance(node, Pow):
+        return _Slot("const", node, args, vals[0] ** node.k)
+    try:
+        return _Slot("const", node, args, _FOLD[type(node)](*vals))
+    except ZeroDivisionError:
+        return _Slot("raise", node, args)
+
+
+def _namespace(slots: List[_Slot]) -> Dict[str, object]:
+    """Globals of a generated function: helpers, constants and denominators to report."""
+    ns: Dict[str, object] = {
+        "_F": Fraction, "_MISSING": _MISSING,
+        "_Unbound": UnboundSymbolError, "_DivErr": EvaluationDivisionError,
+    }
+    for i, slot in enumerate(slots):
+        if slot.kind == "const":
+            ns[f"c{i}"] = slot.value
+        elif isinstance(slot.node, Div):
+            ns[f"den{i}"] = slot.node.b
+    return ns
+
+
+_MISSING = object()
+
+
+def _operator_kernel(slots: List[_Slot], names: List[str], check_unbound: bool) -> List[str]:
+    """One statement per slot applying Python's operators; slot i is ``names[i]``."""
+    lines = []
+    for i, slot in enumerate(slots):
+        node = slot.node
+        if slot.kind == "sym" and check_unbound:
+            message = f"unbound symbol {node.name!r}"
+            lines.append(f"if {names[i]} is _MISSING: raise _Unbound({message!r})")
+        elif slot.kind == "raise":
+            lines.append(f"raise _DivErr(den{i})")
+        elif slot.kind == "op":
+            a = names[slot.args[0]]
+            if isinstance(node, Neg):
+                lines.append(f"v{i} = -{a}")
+            elif isinstance(node, Pow):
+                lines.append(f"v{i} = {a} ** {node.k}")
+            elif isinstance(node, Div):
+                lines += ["try:", f"    v{i} = {a} / {names[slot.args[1]]}",
+                          "except ZeroDivisionError:", f"    raise _DivErr(den{i}) from None"]
+            else:
+                lines.append(f"v{i} = {a} {_INFIX[type(node)]} {names[slot.args[1]]}")
+    return lines
+
+
+def _rational_kernel(slots: List[_Slot], names: List[str]) -> List[str]:
+    """Statements on unreduced integer pairs (n_i, d_i), ending in one Fraction.
+
+    A denominator known to be 1 is left out (None) instead of multiplied in.
+    A symbol slot reads the numerator and denominator of the Fraction bound
+    to ``names[i]``.
+    """
+    lines: List[str] = []
+    num: List[str] = []
+    den: List[Optional[str]] = []
+
+    def times(x: Optional[str], y: Optional[str]) -> Optional[str]:
+        return y if x is None else x if y is None else f"{x} * {y}"
+
+    def bind(var: str, expr: Optional[str]) -> Optional[str]:
+        if expr is None or expr.isidentifier() or _INT_LITERAL.fullmatch(expr):
+            return expr  # a name or a literal: use it in place
+        lines.append(f"{var} = {expr}")
+        return var
+
+    for i, slot in enumerate(slots):
+        node = slot.node
+        if slot.kind == "const":
+            value = slot.value
+            num.append(f"({value.numerator})")
+            den.append(None if value.denominator == 1 else f"({value.denominator})")
+            continue
+        if slot.kind == "sym":
+            lines += [f"n{i} = {names[i]}.numerator", f"d{i} = {names[i]}.denominator"]
+            num.append(f"n{i}")
+            den.append(f"d{i}")
+            continue
+        if slot.kind == "raise":
+            lines.append(f"raise _DivErr(den{i})")
+            num.append(f"n{i}")
+            den.append(None)
+            continue
+        na, da = num[slot.args[0]], den[slot.args[0]]
+        if isinstance(node, Neg):
+            n, d = f"-{na}", da
+        elif isinstance(node, Pow):
+            n, d = f"{na} ** {node.k}", None if da is None else f"{da} ** {node.k}"
+        else:
+            nb, db = num[slot.args[1]], den[slot.args[1]]
+            if isinstance(node, Mul):
+                n, d = f"{na} * {nb}", times(da, db)
+            elif isinstance(node, Div):
+                divisor = slots[slot.args[1]]
+                if divisor.kind != "const":
+                    lines.append(f"if {nb} == 0: raise _DivErr(den{i})")
+                elif divisor.value == 0:  # a symbolic numerator kept this from folding
+                    lines.append(f"raise _DivErr(den{i})")
+                n, d = times(na, db), times(da, nb)
+            else:
+                n = f"{times(na, db)} {_INFIX[type(node)]} {times(nb, da)}"
+                d = times(da, db)
+        num.append(bind(f"n{i}", n))
+        den.append(bind(f"d{i}", d))
+    d = den[-1]
+    lines.append(f"return _F({num[-1]})" if d is None else f"return _F({num[-1]}, {d})")
+    return lines
+
+
+def _compile_evaluate(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
+    slots = _schedule(e)
+    sym_slots = [i for i, slot in enumerate(slots) if slot.kind == "sym"]
+    names = [f"c{i}" if slot.kind == "const" else f"s{i}" if slot.kind == "sym" else f"v{i}"
+             for i, slot in enumerate(slots)]
+    body = [f"s{i} = env.get({slots[i].node.name!r}, _MISSING)" for i in sym_slots]
+    exact = " and ".join(f"type(s{i}) is _F" for i in sym_slots) or "True"
+    body.append(f"if {exact}:")
+    body += ["    " + line for line in _rational_kernel(slots, names)]
+    body += _operator_kernel(slots, names, check_unbound=True)
+    body.append(f"return {names[-1]}")
+    return _define("evaluate", "env", body, _namespace(slots))
+
+
+def _define(name: str, params: str, body: List[str], namespace: Dict[str, object]):
+    src = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(src, f"<krawpv.expr {name}>", "exec"), namespace)  # noqa: S102 - our own tree
+    return namespace[name]

@@ -111,6 +111,7 @@ def test_integrate_unsupported_chart_is_usage_error(capsys):
     ("--integrate", "original", "--from-t", "nan"),
     ("--integrate", "original", "--from-t", "inf"),
     ("--suite", "pv", "--to-t", "inf"),
+    ("--integrate", "original", "--N", "2", "--n", "-1"),
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

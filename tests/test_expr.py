@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krawpv.expr import (
+    Add,
     Const,
+    Div,
     EvaluationDivisionError,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
     Sym,
     UnboundSymbolError,
     compile_float,
@@ -114,3 +121,166 @@ def test_compile_float_matches_exact():
 def test_to_prefix_deterministic():
     e = x * (y + 1)
     assert e.to_prefix() == "(* x (+ y 1))"
+
+
+# --- the compiled evaluator against the recursive tree walk ---------------
+
+_WALK_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def reference_evaluate(e, env):
+    """The recursive per-node tree walk the compiled evaluator replaced."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Sym):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise UnboundSymbolError(f"unbound symbol {e.name!r}") from None
+    if isinstance(e, Div):
+        den = reference_evaluate(e.b, env)
+        num = reference_evaluate(e.a, env)
+        try:
+            return num / den
+        except ZeroDivisionError:
+            raise EvaluationDivisionError(e.b) from None
+    if isinstance(e, Neg):
+        return -reference_evaluate(e.a, env)
+    if isinstance(e, Pow):
+        return reference_evaluate(e.a, env) ** e.k
+    return _WALK_OPS[type(e)](reference_evaluate(e.a, env), reference_evaluate(e.b, env))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the comparison covers every exception class
+        return "raised", exc
+
+
+def _same_value(a, b):
+    """Equal and of the same type, slot by slot for jets; floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Jet2):
+        return all(_same_value(p, q) for p, q in ((a.v, b.v), (a.d1, b.d1), (a.d2, b.d2)))
+    if isinstance(a, float):
+        return repr(a) == repr(b)  # also nan == nan and the sign of zero
+    return a == b
+
+
+def _assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if want[0] == "value":
+        assert _same_value(got[1], want[1]), (got, want)
+    else:
+        assert type(got[1]) is type(want[1]), (got, want)
+        assert str(got[1]) == str(want[1])  # names the same symbol or denominator
+        if isinstance(want[1], EvaluationDivisionError):
+            assert got[1].subtree == want[1].subtree
+
+
+NAMES = ("x", "y", "z")
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+leaves = st.one_of(
+    small_fractions.map(Const),  # includes zero, so denominators vanish
+    st.sampled_from(NAMES).map(Sym),
+)
+
+
+def _extend(children):
+    binary = st.sampled_from([Add, Sub, Mul, Div])
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), binary, children, children),
+        children.map(Neg),
+        st.builds(Pow, children, st.integers(0, 3)),
+        # a repeated subtree, in the same object and rebuilt, to exercise CSE
+        st.builds(lambda op, a, b: op(op(a, b), Div(b, op(a, b))), binary, children, children),
+        children.map(lambda a: Mul(a, Pow(a.subs({}), 2))),
+        st.builds(lambda a, j, k: Sub(Pow(a, j), Pow(a, k)),
+                  children, st.integers(0, 3), st.integers(0, 3)),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=12)
+
+scalars = {
+    "fraction": small_fractions,
+    "int": st.integers(-3, 3),
+    "float": st.floats(-3, 3, allow_nan=False).filter(lambda v: v != 0) | st.just(0.0),
+    "jet_fraction": st.builds(Jet2, small_fractions, small_fractions, small_fractions),
+    "jet_float": st.builds(Jet2, *[st.floats(-3, 3, allow_nan=False)] * 3),
+}
+
+
+@st.composite
+def bindings(draw):
+    """Bindings of one kind or mixed, sometimes with a symbol left unbound."""
+    kinds = draw(st.one_of(
+        st.sampled_from(sorted(scalars)).map(lambda k: [k] * len(NAMES)),
+        st.lists(st.sampled_from(sorted(scalars)), min_size=len(NAMES), max_size=len(NAMES)),
+    ))
+    bound = draw(st.sets(st.sampled_from(NAMES)).map(lambda s: set(NAMES) - s)
+                 | st.just(set(NAMES)))
+    return {nm: draw(scalars[kind]) for nm, kind in zip(NAMES, kinds) if nm in bound}
+
+
+@given(e=trees, envs=st.lists(bindings(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_compiled_evaluate_matches_tree_walk(e, envs):
+    # one tree, several bindings: the cached function switches kernels per call
+    for env in envs:
+        _assert_same_outcome(_outcome(e.evaluate, env), _outcome(reference_evaluate, e, env))
+
+
+@given(e=trees, values=st.lists(scalars["float"], min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_compile_float_is_bit_identical_to_tree_walk(e, values):
+    env = dict(zip(NAMES, values))
+    want = _outcome(reference_evaluate, e, env)
+    if want[0] == "value" and isinstance(want[1], Fraction):
+        want = ("value", float(want[1]))  # a tree without symbols
+    got = _outcome(lambda: compile_float(e, list(NAMES))(*values))
+    _assert_same_outcome(got, want)
+
+
+def test_first_error_is_the_tree_walks():
+    # post-order with a quotient's denominator first, as the tree walk raised
+    (z,) = syms("z")
+    e = (x / y) / (x / z)
+    for zero in (Fraction(0), 0.0, 0):
+        with pytest.raises(EvaluationDivisionError) as exc:
+            e.evaluate({"x": Fraction(1), "y": zero, "z": zero})
+        assert exc.value.subtree == z
+    with pytest.raises(UnboundSymbolError, match="'z'"):
+        e.evaluate({})
+    # a constant zero denominator raises where the walk reaches it
+    with pytest.raises(UnboundSymbolError, match="'x'"):
+        (x + 1 / Const(Fraction(0))).evaluate({})
+    with pytest.raises(EvaluationDivisionError):
+        (1 / Const(Fraction(0)) + x).evaluate({})
+    # a symbolic numerator keeps x/0 from folding; exact bindings still name the 0
+    for value in (Fraction(0), Fraction(2), 0.0, 2):
+        with pytest.raises(EvaluationDivisionError) as exc:
+            (x / Const(Fraction(0)) * x).evaluate({"x": value})
+        assert exc.value.subtree == Const(Fraction(0))
+
+
+def test_exact_bindings_take_exact_arithmetic():
+    # only Fraction bindings take the rational kernel; ints keep int semantics
+    e = x / y
+    assert e.evaluate({"x": Fraction(1), "y": Fraction(3)}) == Fraction(1, 3)
+    assert e.evaluate({"x": 1, "y": 3}) == 1 / 3
+    assert type(e.evaluate({"x": 1, "y": 3})) is float
+
+
+def test_deep_trees_compile_and_evaluate():
+    # a chain 1000 nodes deep: no recursion or parenthesis-nesting limit is hit
+    e, exact, approx = x, Fraction(1, 2), 0.5
+    for _ in range(1000):
+        e = e * x + 1
+        exact = exact * Fraction(1, 2) + 1
+        approx = approx * 0.5 + 1.0
+    assert e.evaluate({"x": Fraction(1, 2)}) == exact
+    assert e.evaluate({"x": 0.5}) == approx
+    assert compile_float(e, ["x"])(0.5) == approx
