@@ -124,11 +124,14 @@ def _integrate_csv(system_id: str, args) -> str:
 
 
 def _write(text: str, out: Optional[str]) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

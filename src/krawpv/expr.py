@@ -7,13 +7,21 @@ evaluation at random rational points.  Evaluation is generic in the bound
 values, so the same tree evaluates over Fractions, ints, floats or order-2
 jets.
 
+Every operation on a tree runs on one walk, ``_walk``: it visits each node
+object once, iteratively in post-order with a quotient's denominator before
+its numerator, and applies one rule to each node and its operands' results.
+``diff``, ``subs``, ``symbols``, ``to_prefix`` and ``as_num_den`` are such
+rules, each dispatching on the node type, and so is the compiler's schedule
+below.  A subtree shared by reference is handled once, and deep trees hit no
+recursion limit.  (``==`` and ``hash`` are the ``dataclass`` ones and still
+recurse.)
+
 Evaluation is compiled.  The first ``evaluate`` call on a node turns its tree
 into one straight-line Python function and caches it on that instance (no
 global cache; an equal tree built elsewhere compiles again).  The generator
-walks the tree iteratively in post-order, visiting a quotient's denominator
-before its numerator, gives structurally equal subtrees one slot (common
-subexpression elimination, CSE) and folds constant subtrees exactly, so each
-unique subtree costs one statement and deep trees hit no recursion or
+takes the nodes in the walk's order, gives structurally equal subtrees one
+slot (common subexpression elimination, CSE) and folds constant subtrees
+exactly, so each unique subtree costs one statement and deep trees hit no
 parenthesis limit.  The function holds two kernels generated from that one
 slot order:
 
@@ -44,6 +52,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .jets import Jet2
@@ -121,16 +130,17 @@ class Expr:
         return fn(env)
 
     def diff(self, name: str) -> "Expr":
-        raise NotImplementedError
+        return _walk(self, partial(_diff, name))
 
     def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
-        raise NotImplementedError
+        """Simultaneous substitution; every operator node is built anew."""
+        return _walk(self, partial(_subs, mapping))
 
     def symbols(self) -> frozenset:
-        raise NotImplementedError
+        return _walk(self, _symbols)
 
     def to_prefix(self) -> str:
-        raise NotImplementedError
+        return _walk(self, _prefix)
 
     def as_num_den(self) -> Tuple["Expr", "Expr"]:
         """Structurally clear nested fractions; returns (numerator, denominator).
@@ -138,11 +148,7 @@ class Expr:
         No cancellation is performed; the pair is only guaranteed to satisfy
         num/den == self wherever both are defined.
         """
-        raise NotImplementedError
-
-
-ONE = None  # set below
-ZERO = None
+        return _walk(self, _num_den)
 
 
 @dataclass(frozen=True)
@@ -150,45 +156,9 @@ class Const(Expr):
     value: Fraction
 
 
-    def diff(self, name):
-        return ZERO
-
-    def subs(self, mapping):
-        return self
-
-    def symbols(self):
-        return frozenset()
-
-    def to_prefix(self):
-        return str(self.value)
-
-    def as_num_den(self):
-        return self, ONE
-
-
 @dataclass(frozen=True)
 class Sym(Expr):
     name: str
-
-
-    def diff(self, name):
-        return ONE if name == self.name else ZERO
-
-    def subs(self, mapping):
-        return mapping.get(self.name, self)
-
-    def symbols(self):
-        return frozenset({self.name})
-
-    def to_prefix(self):
-        return self.name
-
-    def as_num_den(self):
-        return self, ONE
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1
 
 
 @dataclass(frozen=True)
@@ -197,72 +167,15 @@ class Add(Expr):
     b: Expr
 
 
-    def diff(self, name):
-        return Add(self.a.diff(name), self.b.diff(name))
-
-    def subs(self, mapping):
-        return Add(self.a.subs(mapping), self.b.subs(mapping))
-
-    def symbols(self):
-        return self.a.symbols() | self.b.symbols()
-
-    def to_prefix(self):
-        return f"(+ {self.a.to_prefix()} {self.b.to_prefix()})"
-
-    def as_num_den(self):
-        na, da = self.a.as_num_den()
-        nb, db = self.b.as_num_den()
-        if _is_one(da) and _is_one(db):
-            return Add(na, nb), ONE
-        return Add(Mul(na, db), Mul(nb, da)), Mul(da, db)
-
-
 @dataclass(frozen=True)
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-    def diff(self, name):
-        return Sub(self.a.diff(name), self.b.diff(name))
-
-    def subs(self, mapping):
-        return Sub(self.a.subs(mapping), self.b.subs(mapping))
-
-    def symbols(self):
-        return self.a.symbols() | self.b.symbols()
-
-    def to_prefix(self):
-        return f"(- {self.a.to_prefix()} {self.b.to_prefix()})"
-
-    def as_num_den(self):
-        na, da = self.a.as_num_den()
-        nb, db = self.b.as_num_den()
-        if _is_one(da) and _is_one(db):
-            return Sub(na, nb), ONE
-        return Sub(Mul(na, db), Mul(nb, da)), Mul(da, db)
-
-
 @dataclass(frozen=True)
 class Neg(Expr):
     a: Expr
-
-
-    def diff(self, name):
-        return Neg(self.a.diff(name))
-
-    def subs(self, mapping):
-        return Neg(self.a.subs(mapping))
-
-    def symbols(self):
-        return self.a.symbols()
-
-    def to_prefix(self):
-        return f"(neg {self.a.to_prefix()})"
-
-    def as_num_den(self):
-        na, da = self.a.as_num_den()
-        return Neg(na), da
 
 
 @dataclass(frozen=True)
@@ -271,78 +184,16 @@ class Mul(Expr):
     b: Expr
 
 
-    def diff(self, name):
-        return Add(Mul(self.a.diff(name), self.b), Mul(self.a, self.b.diff(name)))
-
-    def subs(self, mapping):
-        return Mul(self.a.subs(mapping), self.b.subs(mapping))
-
-    def symbols(self):
-        return self.a.symbols() | self.b.symbols()
-
-    def to_prefix(self):
-        return f"(* {self.a.to_prefix()} {self.b.to_prefix()})"
-
-    def as_num_den(self):
-        na, da = self.a.as_num_den()
-        nb, db = self.b.as_num_den()
-        if _is_one(da) and _is_one(db):
-            return Mul(na, nb), ONE
-        return Mul(na, nb), Mul(da, db)
-
-
 @dataclass(frozen=True)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-    def diff(self, name):
-        return Div(
-            Sub(Mul(self.a.diff(name), self.b), Mul(self.a, self.b.diff(name))),
-            Pow(self.b, 2),
-        )
-
-    def subs(self, mapping):
-        return Div(self.a.subs(mapping), self.b.subs(mapping))
-
-    def symbols(self):
-        return self.a.symbols() | self.b.symbols()
-
-    def to_prefix(self):
-        return f"(/ {self.a.to_prefix()} {self.b.to_prefix()})"
-
-    def as_num_den(self):
-        na, da = self.a.as_num_den()
-        nb, db = self.b.as_num_den()
-        return Mul(na, db) if not _is_one(db) else na, Mul(da, nb) if not _is_one(da) else nb
-
-
 @dataclass(frozen=True)
 class Pow(Expr):
     a: Expr
     k: int
-
-
-    def diff(self, name):
-        if self.k == 0:
-            return ZERO
-        return Mul(Mul(Const(Fraction(self.k)), Pow(self.a, self.k - 1)), self.a.diff(name))
-
-    def subs(self, mapping):
-        return Pow(self.a.subs(mapping), self.k)
-
-    def symbols(self):
-        return self.a.symbols()
-
-    def to_prefix(self):
-        return f"(^ {self.a.to_prefix()} {self.k})"
-
-    def as_num_den(self):
-        na, da = self.a.as_num_den()
-        if _is_one(da):
-            return Pow(na, self.k), ONE
-        return Pow(na, self.k), Pow(da, self.k)
 
 
 ONE = Const(Fraction(1))
@@ -379,6 +230,110 @@ def compile_float(e: Expr, arg_names) -> Callable[..., float]:
     return _define("compiled_float", params, body, _namespace(slots))
 
 
+# --- the tree walk ---------------------------------------------------------
+
+
+def _operands(e: Expr) -> Tuple[Expr, ...]:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return e.a, e.b
+    if isinstance(e, (Neg, Pow)):
+        return (e.a,)
+    if isinstance(e, (Const, Sym)):
+        return ()
+    raise TypeError(type(e))
+
+
+def _walk(root: Expr, rule: Callable[[Expr, list], object]):
+    """Fold ``rule`` over the tree of ``root`` and return its result for ``root``.
+
+    Iterative post-order, a Div's denominator before its numerator, so that
+    ``rule(node, results)`` runs in the order a recursive tree walk finishes
+    the nodes; ``results`` holds the rule's results for the node's operands
+    in field order (a, b).  Each node object is visited once: a subtree
+    shared by reference is folded once and its result reused.
+    """
+    done: Dict[int, object] = {}
+    stack = [(root, None)]  # (node, None) to visit, (node, operands) to finish
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            if id(node) in done:
+                continue
+            kids = _operands(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend([(kid, None) for kid in (kids if isinstance(node, Div) else kids[::-1])])
+                continue
+        done[id(node)] = rule(node, [done[id(kid)] for kid in kids])
+    return done[id(root)]
+
+
+def _is_one(e: Expr) -> bool:
+    return isinstance(e, Const) and e.value == 1
+
+
+def _diff(name: str, e: Expr, d: list) -> Expr:
+    """d/d``name`` of ``e``, given the derivatives ``d`` of its operands."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Sym):
+        return ONE if e.name == name else ZERO
+    if isinstance(e, (Add, Sub, Neg)):
+        return type(e)(*d)
+    if isinstance(e, Mul):
+        return Add(Mul(d[0], e.b), Mul(e.a, d[1]))
+    if isinstance(e, Div):
+        return Div(Sub(Mul(d[0], e.b), Mul(e.a, d[1])), Pow(e.b, 2))
+    if e.k == 0:
+        return ZERO
+    return Mul(Mul(Const(Fraction(e.k)), Pow(e.a, e.k - 1)), d[0])
+
+
+def _subs(mapping: Mapping[str, Expr], e: Expr, r: list) -> Expr:
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Sym):
+        return mapping.get(e.name, e)
+    if isinstance(e, Pow):
+        return Pow(r[0], e.k)
+    return type(e)(*r)
+
+
+def _symbols(e: Expr, r: list) -> frozenset:
+    if isinstance(e, Sym):
+        return frozenset({e.name})
+    return frozenset().union(*r)
+
+
+def _prefix(e: Expr, r: list) -> str:
+    if isinstance(e, Const):
+        return str(e.value)
+    if isinstance(e, Sym):
+        return e.name
+    if isinstance(e, Pow):
+        return f"(^ {r[0]} {e.k})"
+    return f"({'neg' if isinstance(e, Neg) else _INFIX[type(e)]} {' '.join(r)})"
+
+
+def _num_den(e: Expr, r: list) -> Tuple[Expr, Expr]:
+    """(numerator, denominator) of ``e``, given those of its operands."""
+    if isinstance(e, (Const, Sym)):
+        return e, ONE
+    na, da = r[0]
+    if isinstance(e, Neg):
+        return Neg(na), da
+    if isinstance(e, Pow):
+        return Pow(na, e.k), ONE if _is_one(da) else Pow(da, e.k)
+    nb, db = r[1]
+    if isinstance(e, Div):
+        return na if _is_one(db) else Mul(na, db), nb if _is_one(da) else Mul(da, nb)
+    if _is_one(da) and _is_one(db):
+        return type(e)(na, nb), ONE
+    if isinstance(e, Mul):
+        return Mul(na, nb), Mul(da, db)
+    return type(e)(Mul(na, db), Mul(nb, da)), Mul(da, db)
+
+
 # --- code generation -------------------------------------------------------
 
 
@@ -397,38 +352,18 @@ _INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _INT_LITERAL = re.compile(r"\(-?\d+\)")  # how the rational kernel writes a constant
 
 
-def _operands(e: Expr) -> Tuple[Expr, ...]:
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return e.a, e.b
-    if isinstance(e, (Neg, Pow)):
-        return (e.a,)
-    if isinstance(e, (Const, Sym)):
-        return ()
-    raise TypeError(type(e))
-
-
 def _schedule(root: Expr) -> List[_Slot]:
     """The unique subtrees of ``root`` in the order a tree walk first finishes them.
 
-    Iterative post-order, a Div's denominator before its numerator.
     Structurally equal subtrees share the slot of their first occurrence, and
     a subtree without symbols is folded to its exact value; a constant
     division by zero becomes a "raise" slot, which raises where the walk would.
     """
     slots: List[_Slot] = []
     by_key: Dict[tuple, int] = {}
-    by_id: Dict[int, int] = {}  # id(node) -> slot, so a shared object is walked once
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in by_id:
-            continue
-        kids = _operands(node)
-        if kids and not expanded:
-            stack.append((node, True))
-            stack.extend((kid, False) for kid in (kids if isinstance(node, Div) else kids[::-1]))
-            continue
-        args = tuple(by_id[id(kid)] for kid in kids)
+
+    def slot_of(node: Expr, args: list) -> int:
+        args = tuple(args)
         if isinstance(node, Const):
             key = (Const, node.value)
         elif isinstance(node, Sym):
@@ -439,7 +374,9 @@ def _schedule(root: Expr) -> List[_Slot]:
         if slot is None:
             slot = by_key[key] = len(slots)
             slots.append(_make_slot(node, args, slots))
-        by_id[id(node)] = slot
+        return slot
+
+    _walk(root, slot_of)
     return slots
 
 

@@ -15,16 +15,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional
 
-from .expr import Const, Expr, syms
+from .expr import ONE, Expr, syms
 from .sampling import CaseResult, Sampler, run_case
 from .systems import get_system
 
 t, n, NN, al = syms("t n N alpha")
-
-_ONE = Const(Fraction(1))
 
 
 class HamiltonianError(Exception):
@@ -36,7 +33,7 @@ class HamiltonianEntry:
     id: str
     system_id: str
     h: Expr  # rational in the chart coordinates, t, and (n, N, alpha)
-    prefactor: Expr = _ONE
+    prefactor: Expr = ONE
 
 
 @functools.cache

@@ -112,6 +112,9 @@ def test_integrate_unsupported_chart_is_usage_error(capsys):
     ("--integrate", "original", "--from-t", "inf"),
     ("--suite", "pv", "--to-t", "inf"),
     ("--integrate", "original", "--N", "2", "--n", "-1"),
+    ("--suite", "oracle", "--N", "1", "--out", "/nonexistent-dir/r.json"),
+    ("--dump-catalogue", "--out", "/nonexistent-dir/r.json"),
+    ("--integrate", "original", "--N", "2", "--n", "1", "--out", "/nonexistent-dir/r.csv"),
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,55 @@ def test_first_error_is_the_tree_walks():
         assert exc.value.subtree == Const(Fraction(0))
 
 
+# --- the tree operations against independent oracles -----------------------
+
+exact_points = st.fixed_dictionaries({nm: small_fractions for nm in NAMES})
+
+
+def _value(e, env):
+    """``e`` at ``env``, or None where a denominator vanishes."""
+    try:
+        return e.evaluate(env)
+    except ZeroDivisionError:
+        return None
+
+
+@given(e=trees, env=exact_points)
+@settings(max_examples=200, deadline=None)
+def test_diff_matches_forward_mode_jets(e, env):
+    for name in NAMES:
+        got = _value(e.diff(name), env)
+        jets = {nm: (Jet2.variable if nm == name else Jet2.constant)(v) for nm, v in env.items()}
+        want = _value(e, jets)
+        if got is None or want is None:
+            continue
+        assert got == (want.d1 if isinstance(want, Jet2) else 0)  # no symbols: derivative 0
+
+
+@given(e=trees, env=exact_points)
+@settings(max_examples=200, deadline=None)
+def test_subs_swaps_simultaneously(e, env):
+    swapped = {**env, "x": env["y"], "y": env["x"]}
+    got, want = _value(e.subs({"x": y, "y": x}), env), _value(e, swapped)
+    if got is not None and want is not None:
+        assert got == want
+
+
+@given(e=trees, env=exact_points)
+@settings(max_examples=200, deadline=None)
+def test_as_num_den_quotient_is_the_tree(e, env):
+    num, den = e.as_num_den()
+    n, d, want = _value(num, env), _value(den, env), _value(e, env)
+    if n is not None and d and want is not None:
+        assert n / d == want
+
+
+@given(e=trees)
+@settings(max_examples=200, deadline=None)
+def test_symbols_are_the_names_in_the_prefix_form(e):
+    assert e.symbols() == set(re.findall(r"[a-z]\w*", e.to_prefix())) - {"neg"}
+
+
 def test_exact_bindings_take_exact_arithmetic():
     # only Fraction bindings take the rational kernel; ints keep int semantics
     e = x / y
@@ -284,3 +334,18 @@ def test_deep_trees_compile_and_evaluate():
     assert e.evaluate({"x": Fraction(1, 2)}) == exact
     assert e.evaluate({"x": 0.5}) == approx
     assert compile_float(e, ["x"])(0.5) == approx
+    # every tree operation walks iteratively too (== and hash still recurse)
+    half = {"x": Fraction(1, 2)}
+    assert e.diff("x").evaluate(half) == e.evaluate({"x": Jet2.variable(Fraction(1, 2))}).d1
+    assert e.subs({}).evaluate(half) == exact
+    assert e.symbols() == {"x"}
+    assert e.to_prefix().count("(") == 2000
+    num, den = e.as_num_den()
+    assert num.evaluate(half) == exact and den.evaluate(half) == 1
+    # the division error names a deep denominator
+    d = x
+    for _ in range(999):
+        d = d * x
+    with pytest.raises(EvaluationDivisionError) as exc:
+        (1 / d).evaluate({"x": Fraction(0)})
+    assert exc.value.subtree is d
