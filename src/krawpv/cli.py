@@ -9,15 +9,17 @@ that stops early, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, ContextManager, Optional, Sequence, TextIO
 
-from .oracle import OracleError
+from .integrate import IntegrationError, integrate_planar, trajectory_csv
+from .oracle import OracleError, WeightParams, oracle_xy
 from .reports import SUITE_NAMES, RunConfig, UsageError, check_window, emit_report, run_suite
-from .systems import CatalogueError
+from .systems import CatalogueError, get_system, system_ids
 
 SEED_ENV_VAR = "KRAWPV_SEED"
 
@@ -77,8 +79,6 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
 
 
 def _dump_catalogue() -> str:
-    from .systems import get_system, system_ids
-
     out = []
     for sid in system_ids():
         s = get_system(sid)
@@ -96,11 +96,8 @@ def _dump_catalogue() -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
-def _integrate_csv(system_id: str, args) -> str:
-    from .integrate import integrate_planar, trajectory_csv
-    from .oracle import WeightParams, oracle_xy
-    from .systems import get_system
-
+def _integration(system_id: str, args) -> Callable[[], str]:
+    """Check the ``--integrate`` arguments; return the run that makes the trajectory CSV."""
     N = args.Ns[0] if args.Ns else 2
     n = args.ns[0] if args.ns else min(1, N - 1)
     alpha = args.alphas[0] if args.alphas else Fraction(0)
@@ -117,19 +114,16 @@ def _integrate_csv(system_id: str, args) -> str:
         raise UsageError(f"--n must satisfy 0 <= n < N, got n={n}, N={N}")
     xy = oracle_xy(weight, n)
     ic = (float(xy.x[n]), float(xy.y[n]))
-    traj = integrate_planar(
-        system, ic, float(t0), args.to_t, {"n": n, "N": N, "alpha": alpha}
-    )
-    return trajectory_csv(traj)
+    params = {"n": n, "N": N, "alpha": alpha}
+    return lambda: trajectory_csv(integrate_planar(system, ic, float(t0), args.to_t, params))
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _open_out(out: Optional[str]) -> ContextManager[TextIO]:
+    """The report's destination, opened before the work so that a bad path costs none."""
     if not out:
-        sys.stdout.write(text)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(out, "w") as fh:
-            fh.write(text)
+        return open(out, "w")
     except OSError as exc:
         raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
@@ -139,16 +133,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.dump_catalogue:
-            _write(_dump_catalogue(), args.out)
+            text = _dump_catalogue()
+            with _open_out(args.out) as fh:
+                fh.write(text)
             return 0
         if args.integrate:
-            from .integrate import IntegrationError  # deferred: scipy import is heavy
-
-            try:
-                _write(_integrate_csv(args.integrate, args), args.out)
-            except IntegrationError as exc:
-                print(f"krawpv: error: {exc}", file=sys.stderr)
-                return 1
+            run = _integration(args.integrate, args)
+            with _open_out(args.out) as fh:
+                try:
+                    fh.write(run())
+                except IntegrationError as exc:
+                    print(f"krawpv: error: {exc}", file=sys.stderr)
+                    return 1
             return 0
         if not args.suite:
             parser.print_usage(sys.stderr)
@@ -165,8 +161,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from_t=args.from_t,
             to_t=args.to_t,
         )
-        report = run_suite(args.suite, cfg)
-        _write(emit_report(report, args.format), args.out)
+        with _open_out(args.out) as fh:
+            report = run_suite(args.suite, cfg)
+            fh.write(emit_report(report, args.format))
         return 0 if report.overall == "PASS" else 1
     except (UsageError, CatalogueError, OracleError) as exc:
         # args[0], not str(exc): CatalogueError is a KeyError, whose str() adds quotes

@@ -12,9 +12,8 @@ object once, iteratively in post-order with a quotient's denominator before
 its numerator, and applies one rule to each node and its operands' results.
 ``diff``, ``subs``, ``symbols``, ``to_prefix`` and ``as_num_den`` are such
 rules, each dispatching on the node type, and so is the compiler's schedule
-below.  A subtree shared by reference is handled once, and deep trees hit no
-recursion limit.  (``==`` and ``hash`` are the ``dataclass`` ones and still
-recurse.)
+below, and so are the structural ``==`` and ``hash``.  A subtree shared by
+reference is handled once, and deep trees hit no recursion limit.
 
 Evaluation is compiled.  The first ``evaluate`` call on a node turns its tree
 into one straight-line Python function and caches it on that instance (no
@@ -84,7 +83,7 @@ def as_expr(x) -> "Expr":
     raise TypeError(f"cannot convert {x!r} to Expr")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -117,6 +116,20 @@ class Expr:
 
     def __neg__(self):
         return Neg(self)
+
+    def __eq__(self, other):
+        """Structural equality: same node types, operands, constants, names and powers."""
+        if not isinstance(other, Expr):
+            return NotImplemented
+        ids: Dict[tuple, int] = {}  # one number per distinct subtree of either tree
+
+        def number(node: Expr, args: list) -> int:
+            return ids.setdefault(_node_key(node, args), len(ids))
+
+        return _walk(self, number) == _walk(other, number)
+
+    def __hash__(self):
+        return _walk(self, lambda node, args: hash(_node_key(node, args)))
 
     # --- core operations -------------------------------------------------
 
@@ -151,46 +164,46 @@ class Expr:
         return _walk(self, _num_den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     a: Expr
     k: int
@@ -266,6 +279,19 @@ def _walk(root: Expr, rule: Callable[[Expr, list], object]):
                 continue
         done[id(node)] = rule(node, [done[id(kid)] for kid in kids])
     return done[id(root)]
+
+
+def _node_key(node: Expr, args) -> tuple:
+    """What identifies ``node`` given the results ``args`` of a fold for its operands.
+
+    With structure-determined results for the operands (their slots, their
+    hashes), equal keys mean structurally equal subtrees.
+    """
+    if isinstance(node, Const):
+        return Const, node.value
+    if isinstance(node, Sym):
+        return Sym, node.name
+    return type(node), tuple(args), node.k if isinstance(node, Pow) else None
 
 
 def _is_one(e: Expr) -> bool:
@@ -364,12 +390,7 @@ def _schedule(root: Expr) -> List[_Slot]:
 
     def slot_of(node: Expr, args: list) -> int:
         args = tuple(args)
-        if isinstance(node, Const):
-            key = (Const, node.value)
-        elif isinstance(node, Sym):
-            key = (Sym, node.name)
-        else:
-            key = (type(node), args, node.k if isinstance(node, Pow) else None)
+        key = _node_key(node, args)
         slot = by_key.get(key)
         if slot is None:
             slot = by_key[key] = len(slots)

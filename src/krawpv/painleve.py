@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
+from . import integrate
 from .expr import Const, Expr, syms
+from .integrate import IntegrationError, tolerance_case
 from .jets import Jet2
 from .sampling import CaseResult, Sampler, run_case
 from .systems import get_ode2
@@ -551,8 +553,6 @@ def _trajectory_case(case_id: str, integrate: Callable[[float], object],
     integrated.  The window is halved, up to seven times, until its end lies
     between t0 and the stop; the case FAILs when no window fits.
     """
-    from .integrate import IntegrationError, tolerance_case  # deferred: scipy import is heavy
-
     try:
         traj = integrate(t1)
     except IntegrationError as exc:
@@ -584,8 +584,6 @@ def verify_trajectory(
     tol: float = 1e-6,
 ) -> CaseResult:
     """Integrate the source PV and check the mapped function on the target PV."""
-    from . import integrate  # deferred: scipy import is heavy
-
     comp = COMPOSITIONS[comp_id]
     env = {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": alpha_val}
     fenv = {k: float(v) for k, v in env.items()}
@@ -620,8 +618,6 @@ def verify_reduction_trajectory(
     Initial data are given PV-side and pushed into the chart through the
     shift.
     """
-    from . import integrate  # deferred: scipy import is heavy
-
     red = REDUCTIONS[reduction_id]
     ode = get_ode2(red.ode_id)
     env = {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": alpha_val}

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from krawpv import cli
 from krawpv.cli import main
 
 
@@ -122,6 +123,23 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("krawpv: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "all"),
+    ("--integrate", "original", "--N", "2", "--n", "1"),
+])
+def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "integrate_planar", no_work)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "r.out"))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("krawpv: error: cannot write --out ")
 
 
 def test_integration_stopping_early_is_one_error_line(capsys):

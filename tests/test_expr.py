@@ -324,6 +324,22 @@ def test_exact_bindings_take_exact_arithmetic():
     assert type(e.evaluate({"x": 1, "y": 3})) is float
 
 
+def test_structural_equality_and_hash():
+    # equal trees built apart compare and hash equal; any differing node breaks equality
+    a = (x + 1) * y / (x - y) ** 2
+    b = (x + 1) * y / (x - y) ** 2
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert Const(Fraction(1)) == Const(1) and hash(Const(Fraction(1))) == hash(Const(1))
+    for other in ((x + 1) * y / (x - y) ** 3, (x + 1) * y / (y - x) ** 2,
+                  (x + 2) * y / (x - y) ** 2, (x + 1) * x / (x - y) ** 2,
+                  (x + 1) * y * (x - y) ** 2, Add(x, y), x):
+        assert a != other and not a == other
+    assert (x == "x") is False and x != 1
+    # a subtree shared by reference equals the same subtree built twice
+    s = x * y
+    assert s + s == x * y + x * y
+
+
 def test_deep_trees_compile_and_evaluate():
     # a chain 1000 nodes deep: no recursion or parenthesis-nesting limit is hit
     e, exact, approx = x, Fraction(1, 2), 0.5
@@ -334,8 +350,14 @@ def test_deep_trees_compile_and_evaluate():
     assert e.evaluate({"x": Fraction(1, 2)}) == exact
     assert e.evaluate({"x": 0.5}) == approx
     assert compile_float(e, ["x"])(0.5) == approx
-    # every tree operation walks iteratively too (== and hash still recurse)
+    # every tree operation walks iteratively too, == and hash included
     half = {"x": Fraction(1, 2)}
+    f = x
+    for _ in range(1000):
+        f = f * x + 1
+    assert e == f and hash(e) == hash(f) and e is not f
+    assert e != f * x + 1 and e != (f - 1) + 1
+    assert len({e, f, e.subs({})}) == 1
     assert e.diff("x").evaluate(half) == e.evaluate({"x": Jet2.variable(Fraction(1, 2))}).d1
     assert e.subs({}).evaluate(half) == exact
     assert e.symbols() == {"x"}

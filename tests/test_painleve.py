@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from krawpv.integrate import IntegrationError, Trajectory
@@ -175,8 +174,8 @@ def _stopping_run(t0, stop):
     """An integrator that stops at ``stop``; the stopped run is identically zero."""
     def integrate(t_end):
         exc = IntegrationError(f"stopped near t = {stop}")
-        exc.trajectory = Trajectory(np.array([t0, stop]), np.zeros((2, 2)),
-                                    lambda t: np.zeros(2))
+        exc.trajectory = Trajectory((t0, stop), ((0.0, 0.0), (0.0, 0.0)),
+                                    lambda t: (0.0, 0.0))
         raise exc
     return integrate
 
