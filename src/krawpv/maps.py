@@ -325,6 +325,12 @@ CASCADES: Dict[str, Tuple[Tuple[str, ...], str]] = {
     "cascade510b": (("phi57b", "phi58b", "tau58b", "phi59b", "phi510b_f"), "Phi510b"),
 }
 
+# negative controls: the same cascade with the printed (typo'd) last factor
+CASCADE_CONTROLS: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "cascade510b_printed": (
+        ("phi57b", "phi58b", "tau58b", "phi59b", "phi510b_f_printed"), "Phi510b"),
+}
+
 
 @dataclass(frozen=True)
 class IndeterminacyPoint:
@@ -447,7 +453,7 @@ def verify_inverse(map_id: str, sampler: Sampler, samples: int = 50) -> CaseResu
 
 def verify_cascade(cascade_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
     """The factor composition equals the catalogued closed-form composite."""
-    factor_ids, composite_id = CASCADES[cascade_id]
+    factor_ids, composite_id = {**CASCADES, **CASCADE_CONTROLS}[cascade_id]
     composed = compose_maps([get_map(f) for f in factor_ids])
     closed = get_map(composite_id)
     return _maps_agree(

@@ -3,15 +3,18 @@
 The second-order reductions in the catalogue become the fifth Painlevé
 equation (PV) after simple Möbius changes of the dependent variable; each
 chart carries its own parameter quadruple (α₅, β₅, γ₅, δ₅) expressed in
-(n, N, α).  Sign-indexed Bäcklund transformations connect the quadruples,
-and fixed four-, two- and one-step compositions reproduce displayed
-closed-form maps.  All identities are certified by exact evaluation on
-order-2 jets that satisfy the source equation.
+(n, N, α).  One table, ``BRANCHES``, holds per chart the signed literal
+branches c, a and γ₅; the quadruple is (c²/2, −a²/2, γ₅, −1/2).
+Sign-indexed Bäcklund transformations connect the quadruples: the parameter
+half, ``backlund_step``, maps the literal branch state, and the jet half is
+the one expression ``BACKLUND_Y`` pushed through ``transform_jet``.  Fixed
+four-, two- and one-step compositions reproduce displayed closed-form maps.
+All identities are certified by exact evaluation on order-2 jets that
+satisfy the source equation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
@@ -31,10 +34,6 @@ a5s, b5s, g5s, d5s = syms("a5 b5 g5 d5")
 
 class PainleveError(Exception):
     pass
-
-
-class BranchError(PainleveError):
-    """A square root has no exact rational value; use float mode instead."""
 
 
 class SingularJetError(PainleveError, ZeroDivisionError):
@@ -104,36 +103,30 @@ class BacklundSigns:
 
 _HALF = Fraction(1, 2)
 
-# parameter quadruples, keyed by the reduction they govern
-_P_FIRST = PVParams(_HALF * n**2, -_HALF * al**2, al + n - 2 * NN - 1, Const(-_HALF))
-_P_SECOND = PVParams(
-    _HALF * (NN - n + 1) ** 2, -_HALF * (-al + NN + 1) ** 2, al + n + 1, Const(-_HALF)
-)
-_P_THIRD = PVParams(
-    _HALF * (NN - n + 1 - al) ** 2, -_HALF * (1 + NN) ** 2, -al + n + 1, Const(-_HALF)
-)
-# alternative quadruple for the reciprocal shift y -> -1 + 1/y of the same chart
-_P_FIRST_ALT = PVParams(_HALF * al**2, -_HALF * n**2, 1 + 2 * NN - n - al, Const(-_HALF))
-# alpha = 0 tilde chart
-_P_TILDE = PVParams(
-    _HALF * (NN - n + 1) ** 2, -_HALF * (NN + 1) ** 2, n + 1, Const(-_HALF)
-)
-# quadruple connecting the base (q, p) system to PV in earlier work
-_P_BASE = PVParams(
-    _HALF * (al - NN - 1) ** 2, -_HALF * (n - NN) ** 2, -(n + al), Const(-_HALF)
-)
+# one row per chart: the signed literal branches c, a (see BranchState) and
+# γ₅, in (n, N, alpha); the chart's quadruple is (c²/2, −a²/2, γ₅, −1/2)
+_FIRST = (n, al, al + n - 2 * NN - 1)
+_SECOND = (NN - n + 1, -al + NN + 1, al + n + 1)
+_THIRD = (NN - n + 1 - al, 1 + NN, -al + n + 1)
+BRANCHES: Dict[str, Tuple[Expr, Expr, Expr]] = {
+    "ode_U11": _FIRST,
+    "ode_v54": _FIRST,
+    "ode_V12": _FIRST,
+    "ode_U21": _SECOND,
+    "ode_V22": _SECOND,
+    "ode_U31": _THIRD,
+    "ode_V32": _THIRD,
+    # the reciprocal shift y -> -1 + 1/y of the first chart
+    "ode_U11_reciprocal": (al, n, 1 + 2 * NN - n - al),
+    # alpha = 0 tilde chart
+    "ode_tildeV22": (NN - n + 1, NN + 1, n + 1),
+    # the base (q, p) system, as connected to PV in earlier work
+    "original": (al - NN - 1, n - NN, -(n + al)),
+}
 
 PARAM_SETS: Dict[str, PVParams] = {
-    "ode_U11": _P_FIRST,
-    "ode_v54": _P_FIRST,
-    "ode_V12": _P_FIRST,
-    "ode_U21": _P_SECOND,
-    "ode_V22": _P_SECOND,
-    "ode_U31": _P_THIRD,
-    "ode_V32": _P_THIRD,
-    "ode_U11_reciprocal": _P_FIRST_ALT,
-    "ode_tildeV22": _P_TILDE,
-    "original": _P_BASE,
+    k: PVParams(_HALF * c**2, -_HALF * a**2, g5, Const(-_HALF))
+    for k, (c, a, g5) in BRANCHES.items()
 }
 
 
@@ -290,82 +283,6 @@ def mobius_reduce(reduction_id: str, sampler: Sampler, samples: int = 50) -> Cas
 # Bäcklund transformations
 # ---------------------------------------------------------------------------
 
-def _exact_sqrt(x: Fraction) -> Fraction:
-    if x < 0:
-        raise BranchError(f"negative radicand {x}; use float mode")
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise BranchError(f"{x} has no exact rational square root; use float mode")
-    return Fraction(rn, rd)
-
-
-def _sqrt(x: Scalar) -> Scalar:
-    if isinstance(x, float):
-        if x < 0:
-            raise BranchError(f"negative radicand {x}")
-        return math.sqrt(x)
-    return _exact_sqrt(Fraction(x))
-
-
-def _branch_values(p: PVParams) -> Tuple[Scalar, Scalar, Scalar]:
-    """Positive branches c = sqrt(2*a5), a = sqrt(-2*b5), k = sqrt(-2*d5)."""
-    pe = p.as_env()
-    if pe["d5"] == 0:
-        raise PainleveError("Bäcklund transformations require d5 != 0")
-    return _sqrt(2 * pe["a5"]), _sqrt(-2 * pe["b5"]), _sqrt(-2 * pe["d5"])
-
-
-def backlund_params(p: PVParams, s: BacklundSigns) -> PVParams:
-    """Parameter half of the sign-indexed Bäcklund transformation."""
-    c, a, k = _branch_values(p)
-    pe = p.as_env()
-    w = s.e3 * k * (1 - s.e2 * a - s.e1 * c)
-    return PVParams(
-        -(pe["g5"] + w) ** 2 / (16 * pe["d5"]),
-        (pe["g5"] - w) ** 2 / (16 * pe["d5"]),
-        s.e3 * k * (s.e2 * a - s.e1 * c),
-        pe["d5"],
-    )
-
-
-def backlund_apply(
-    j: PVJet,
-    p: PVParams,
-    s: BacklundSigns,
-    branches: Optional[Tuple[Scalar, Scalar]] = None,
-) -> Tuple[PVJet, PVParams]:
-    """Push a source-PV jet through one Bäcklund step; returns (jet, params).
-
-    ``branches`` supplies explicit (c, a) with c^2 = 2*a5, a^2 = -2*b5 when a
-    branch other than the nonnegative one is intended; the transformation
-    depends only on the products e1*c and e2*a.
-    """
-    if branches is None:
-        c, a, k = _branch_values(p)
-    else:
-        c, a = branches
-        _, _, k = _branch_values(PVParams(0, 0, 0, p.as_env()["d5"]))
-    pe = p.as_env()
-    den_val = (
-        j.t * j.yp - s.e1 * c * j.y**2
-        + (s.e1 * c - s.e2 * a + s.e3 * k * j.t) * j.y + s.e2 * a
-    )
-    if den_val == 0:
-        raise SingularJetError("vanishing Bäcklund denominator")
-    yppp = pv_third_derivative(j, p)
-    tj = Jet2.variable(j.t)
-    yj = Jet2(j.y, j.yp, j.ypp)
-    ypj = Jet2(j.yp, j.ypp, yppp)
-    denj = tj * ypj - s.e1 * c * yj**2 + (s.e1 * c - s.e2 * a + s.e3 * k * tj) * yj + s.e2 * a
-    y1 = 1 - (2 * s.e3 * k * tj * yj) / denj
-    return PVJet(j.t, y1.v, y1.d1, y1.d2), backlund_params(p, s)
-
-
-# ---------------------------------------------------------------------------
-# fixed compositions between the catalogued parameter sets
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class BranchState:
     """(γ₅, c, a) with c² = 2α₅, a² = −2β₅, δ₅ = −1/2 (hence k = 1).
@@ -381,12 +298,16 @@ class BranchState:
     a: Scalar
 
     def params(self) -> PVParams:
-        d5 = -0.5 if isinstance(self.g5, float) else Fraction(-1, 2)
-        return PVParams(self.c * self.c / 2, -self.a * self.a / 2, self.g5, d5)
+        return PVParams(self.c * self.c / 2, -self.a * self.a / 2, self.g5, -_HALF)
+
+
+def branch_state_for(params_id: str, env: Mapping[str, Scalar]) -> BranchState:
+    c, a, g5 = BRANCHES[params_id]
+    return BranchState(g5.evaluate(env), c.evaluate(env), a.evaluate(env))
 
 
 def backlund_step(state: BranchState, s: BacklundSigns) -> BranchState:
-    """One Bäcklund step on the literal branch state (k = 1, δ₅ = −1/2)."""
+    """Parameter half of one Bäcklund step on the literal branch state."""
     w = s.e3 * (1 - s.e2 * state.a - s.e1 * state.c)
     return BranchState(
         s.e3 * (s.e2 * state.a - s.e1 * state.c),
@@ -395,21 +316,25 @@ def backlund_step(state: BranchState, s: BacklundSigns) -> BranchState:
     )
 
 
-# literal (c, a) seeds per catalogued quadruple: the displayed squares are
-# (c²/2, −a²/2) with these signed literals
-LITERAL_BRANCHES: Dict[str, Tuple[Expr, Expr]] = {
-    "ode_U11": (n, al),
-    "ode_U21": (NN - n + 1, -al + NN + 1),
-    "ode_U31": (NN - n + 1 - al, 1 + NN),
-    "original": (al - NN - 1, n - NN),
-}
+# jet half of one Bäcklund step (k = 1): the image y₁ in (y, yp, t), the
+# signed branches e1c = ε₁c, e2a = ε₂a and the sign e3 = ε₃
+e1c, e2a, e3 = syms("e1c e2a e3")
+BACKLUND_Y: Expr = 1 - (2 * e3 * t * y) / (
+    t * yp - e1c * y**2 + (e1c - e2a + e3 * t) * y + e2a
+)
 
 
-def branch_state_for(params_id: str, env: Mapping[str, Scalar]) -> BranchState:
-    p = pv_params_for(params_id).evaluate(env)
-    c_e, a_e = LITERAL_BRANCHES[params_id]
-    return BranchState(p.g5, c_e.evaluate(env), a_e.evaluate(env))
+def backlund_apply(j: PVJet, state: BranchState, s: BacklundSigns
+                   ) -> Tuple[PVJet, BranchState]:
+    """Push a source-PV jet through one Bäcklund step; returns (jet, state)."""
+    signs = {"e1c": s.e1 * state.c, "e2a": s.e2 * state.a, "e3": s.e3}
+    return (transform_jet(BACKLUND_Y, j, state.params(), extra=signs),
+            backlund_step(state, s))
 
+
+# ---------------------------------------------------------------------------
+# fixed compositions between the catalogued parameter sets
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Composition:
@@ -458,12 +383,7 @@ COMPOSITIONS: Dict[str, Composition] = {
 
 
 def _draw_integer_params(rng) -> Dict[str, Fraction]:
-    """Integer 1 <= N <= 12, 0 <= n < N, rational alpha in (0, 1).
-
-    Positivity of alpha (together with n >= 0, N >= n) keeps every branch
-    literal (n, alpha, N-n+1, -alpha+N+1, N+1, ...) nonnegative, so the
-    positive square-root branch agrees with the literal at every chain step.
-    """
+    """Integer 1 <= N <= 12, 0 <= n < N, rational alpha in (0, 1)."""
     N_val = rng.randint(1, 12)
     n_val = rng.randint(0, N_val - 1)
     a_val = Fraction(rng.randint(1, 98), 99)
@@ -498,7 +418,6 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
     exactly, which certifies each single Bäcklund step.
     """
     comp = COMPOSITIONS[comp_id]
-    src = pv_params_for(comp.source_params)
     tgt = pv_params_for(comp.target_params)
 
     def draw():
@@ -509,18 +428,16 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
         return {**ipar, **point}
 
     def check(env):
-        p = src.evaluate(env)
-        j = complete_jet(env["t"], env["y"], env["yp"], p)
         st = branch_state_for(comp.source_params, env)
-        jf, pf = j, p
+        p = st.params()
+        j = jf = complete_jet(env["t"], env["y"], env["yp"], p)
         for s in comp.steps:
-            jf, pf = backlund_apply(jf, pf, s, branches=(st.c, st.a))
-            st = backlund_step(st, s)
-            pf = st.params()
+            jf, st = backlund_apply(jf, st, s)
             if jf.y in (0, 1):
                 raise SingularJetError("intermediate jet hit y in {0, 1}")
-            if pv_residual(jf, pf) != 0:
+            if pv_residual(jf, st.params()) != 0:
                 return ["intermediate jet violates its PV"]
+        pf = st.params()
         closed = transform_jet(
             comp.closed_form, j, p,
             extra={"n": env["n"], "N": env["N"], "alpha": env["alpha"]},

@@ -30,12 +30,14 @@ class UsageError(Exception):
 
 
 def check_window(from_t: float, to_t: float) -> None:
-    """An integration window needs finite from_t > 0 and to_t > 0."""
+    """An integration window needs finite from_t > 0 and to_t > 0 that differ."""
     if not all(math.isfinite(x) and x > 0 for x in (from_t, to_t)):
         raise UsageError(
             f"the integration window needs finite from_t > 0 and to_t > 0, "
             f"got {from_t} and {to_t}"
         )
+    if from_t == to_t:
+        raise UsageError(f"the integration window [{from_t}, {to_t}] has zero length")
 
 
 @dataclass(frozen=True)
@@ -88,21 +90,20 @@ class SuiteReport:
         return "PASS" if all(c.status != "FAIL" for c in self.cases) else "FAIL"
 
     def to_dict(self) -> Dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "cases": [
-                {
-                    "id": c.id,
-                    "status": c.status,
-                    "residual": c.residual,
-                    "samples": c.samples,
-                    "resamples": c.resamples,
-                }
-                for c in sorted(self.cases, key=lambda c: c.id)
-            ],
-            "overall": self.overall,
-        }
+        cases = []
+        for c in sorted(self.cases, key=lambda c: c.id):
+            row = {
+                "id": c.id,
+                "status": c.status,
+                "residual": c.residual,
+                "samples": c.samples,
+                "resamples": c.resamples,
+            }
+            if c.failures:
+                row["failures"] = c.failures
+            cases.append(row)
+        return {"suite": self.suite, "seed": self.seed, "cases": cases,
+                "overall": self.overall}
 
 
 def _sampler(cfg: RunConfig, case_id: str) -> Sampler:
@@ -110,15 +111,17 @@ def _sampler(cfg: RunConfig, case_id: str) -> Sampler:
 
 
 def _expect_fail(case: CaseResult) -> CaseResult:
-    """Wrap a non-degeneracy control: PASS iff the underlying check FAILs."""
+    """Wrap a non-degeneracy control: PASS iff the underlying check FAILs on samples."""
     out = CaseResult(
         f"control:{case.id}",
-        "PASS" if case.status == "FAIL" else "FAIL",
+        "PASS" if case.status == "FAIL" and case.samples > 0 else "FAIL",
         samples=case.samples,
         resamples=case.resamples,
     )
-    if out.status == "FAIL":
+    if case.status != "FAIL":
         out.failures.append("control check unexpectedly passed")
+    elif case.samples == 0:
+        out.failures += ["control check failed before any sample", *case.failures]
     return out
 
 
@@ -222,8 +225,11 @@ def _suite_transforms(cfg: RunConfig) -> List[CaseResult]:
     for cid in sorted(M.CASCADES):
         cases.append(M.verify_cascade(cid, _sampler(cfg, f"cascade:{cid}"), cfg.samples))
     # non-degeneracy controls: the typo'd variants must fail
+    for cid in sorted(M.CASCADE_CONTROLS):
+        cases.append(
+            _expect_fail(M.verify_cascade(cid, _sampler(cfg, f"cascade:{cid}"), 10))
+        )
     for src, mid, tgt in [
-        ("original", "phi11_hat", "UV21"),
         ("original_QP", "Phi54_tswap", "uv54"),
         ("uv510b", "psi11_hat_printed", "UV11"),
     ]:

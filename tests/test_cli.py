@@ -35,6 +35,14 @@ def test_oracle_suite_json(capsys):
     assert {"id", "status", "residual", "samples", "resamples"} <= set(report["cases"][0])
 
 
+def test_json_failures_carry_the_messages(capsys):
+    code, out, _ = run(capsys, "--suite", "toda", "--N", "2", "--tol", "1e-30")
+    assert code == 1
+    cases = json.loads(out)["cases"]
+    assert cases and all(c["status"] == "FAIL" for c in cases)
+    assert all(c["failures"] and c["failures"][0].startswith("residuals (") for c in cases)
+
+
 def test_text_format_ends_with_token(capsys):
     code, out, _ = run(capsys, "--suite", "oracle", "--N", "1", "--format", "text")
     assert code == 0
@@ -116,6 +124,8 @@ def test_integrate_unsupported_chart_is_usage_error(capsys):
     ("--suite", "oracle", "--N", "1", "--out", "/nonexistent-dir/r.json"),
     ("--dump-catalogue", "--out", "/nonexistent-dir/r.json"),
     ("--integrate", "original", "--N", "2", "--n", "1", "--out", "/nonexistent-dir/r.csv"),
+    ("--suite", "backlund", "--from-t", "1.5", "--to-t", "1.5"),
+    ("--integrate", "original", "--from-t", "1.5", "--to-t", "1.5"),
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,20 +1,23 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from krawpv import painleve
+from krawpv.expr import syms
 from krawpv.integrate import IntegrationError, Trajectory
 from krawpv.painleve import (
     COMPOSITIONS,
+    PARAM_SETS,
     REDUCTIONS,
     BacklundSigns,
-    BranchError,
+    BranchState,
     PainleveError,
     PVJet,
     PVParams,
     _trajectory_case,
     backlund_apply,
-    backlund_params,
     branch_state_for,
     backlund_step,
     complete_jet,
@@ -39,6 +42,55 @@ def F(a, b=1):
 
 
 ZERO_PARAMS = PVParams(F(0), F(0), F(0), F(0))
+
+# Reference data: each chart's quadruple (α₅, β₅, γ₅, δ₅) written as squares,
+# independently of the signed branch table the library builds them from.
+n, NN, al = syms("n N alpha")
+_H = Fraction(1, 2)
+_FIRST = (_H * n**2, -_H * al**2, al + n - 2 * NN - 1)
+_SECOND = (_H * (NN - n + 1) ** 2, -_H * (-al + NN + 1) ** 2, al + n + 1)
+_THIRD = (_H * (NN - n + 1 - al) ** 2, -_H * (1 + NN) ** 2, -al + n + 1)
+REFERENCE_QUADRUPLES = {
+    "ode_U11": _FIRST,
+    "ode_v54": _FIRST,
+    "ode_V12": _FIRST,
+    "ode_U21": _SECOND,
+    "ode_V22": _SECOND,
+    "ode_U31": _THIRD,
+    "ode_V32": _THIRD,
+    "ode_U11_reciprocal": (_H * al**2, -_H * n**2, 1 + 2 * NN - n - al),
+    "ode_tildeV22": (_H * (NN - n + 1) ** 2, -_H * (NN + 1) ** 2, n + 1),
+    "original": (_H * (al - NN - 1) ** 2, -_H * (n - NN) ** 2, -(n + al)),
+}
+
+
+def reference_quadruple(chart_id, env):
+    return tuple(e.evaluate(env) for e in REFERENCE_QUADRUPLES[chart_id]) + (F(-1, 2),)
+
+
+def _exact_sqrt(x):
+    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    assert x >= 0 and rn * rn == x.numerator and rd * rd == x.denominator
+    return Fraction(rn, rd)
+
+
+def reference_backlund_params(p, s):
+    """The parameter map on the positive roots c = √(2α₅), a = √(−2β₅), k = √(−2δ₅)."""
+    c, a, k = _exact_sqrt(2 * p.a5), _exact_sqrt(-2 * p.b5), _exact_sqrt(-2 * p.d5)
+    w = s.e3 * k * (1 - s.e2 * a - s.e1 * c)
+    return PVParams(
+        -(p.g5 + w) ** 2 / (16 * p.d5),
+        (p.g5 - w) ** 2 / (16 * p.d5),
+        s.e3 * k * (s.e2 * a - s.e1 * c),
+        p.d5,
+    )
+
+
+def quadruple(p):
+    return (p.a5, p.b5, p.g5, p.d5)
+
+
+ALL_SIGNS = [BacklundSigns(e1, e2, e3) for e1 in (1, -1) for e2 in (1, -1) for e3 in (1, -1)]
 
 
 def test_residual_zero_params_flat_jet():
@@ -68,30 +120,39 @@ def test_third_derivative_consistent_with_difference_quotient():
     assert abs((jp.ypp - jm.ypp) / (2 * h) - y3) < 1e-4
 
 
+@pytest.mark.parametrize("chart_id", sorted(REFERENCE_QUADRUPLES))
+def test_param_sets_match_the_squared_quadruples(chart_id):
+    assert sorted(PARAM_SETS) == sorted(REFERENCE_QUADRUPLES)
+    smp = sampler(f"quadruple:{chart_id}")
+    for _ in range(20):
+        env = smp.draw(["n", "N", "alpha"])
+        expect = reference_quadruple(chart_id, env)
+        assert quadruple(PARAM_SETS[chart_id].evaluate(env)) == expect
+        assert quadruple(branch_state_for(chart_id, env).params()) == expect
+
+
 def test_backlund_params_worked_example():
-    p = PVParams(F(1, 2), F(-1, 2), F(0), F(-1, 2))
-    q = backlund_params(p, BacklundSigns(1, 1, 1))
-    assert (q.a5, q.b5, q.g5, q.d5) == (F(1, 8), F(-1, 8), F(0), F(-1, 2))
-
-
-def test_backlund_preserves_d5():
-    p = PVParams(F(2), F(-9, 2), F(3), F(-1, 2))
-    for signs in [(1, 1, 1), (-1, 1, -1), (1, -1, 1)]:
-        q = backlund_params(p, BacklundSigns(*signs))
-        assert q.d5 == p.d5
+    # (1/2, -1/2, 0, -1/2) has c = a = 1
+    st = backlund_step(BranchState(F(0), F(1), F(1)), BacklundSigns(1, 1, 1))
+    assert quadruple(st.params()) == (F(1, 8), F(-1, 8), F(0), F(-1, 2))
 
 
 def test_backlund_image_satisfies_target_pv():
-    p = PVParams(F(1, 2), F(-1, 2), F(0), F(-1, 2))
-    j = complete_jet(F(1), F(3), F(1, 4), p)
-    j1, p1 = backlund_apply(j, p, BacklundSigns(1, 1, 1))
-    assert pv_residual(j1, p1) == 0
+    st = BranchState(F(0), F(1), F(1))
+    j = complete_jet(F(1), F(3), F(1, 4), st.params())
+    j1, st1 = backlund_apply(j, st, BacklundSigns(1, 1, 1))
+    assert st1 == backlund_step(st, BacklundSigns(1, 1, 1))
+    assert pv_residual(j1, st1.params()) == 0
 
 
-def test_branch_error_on_non_square_radicand():
-    p = PVParams(F(1), F(-1, 2), F(0), F(-1, 2))  # 2*a5 = 2 is not a square
-    with pytest.raises(BranchError):
-        backlund_params(p, BacklundSigns(1, 1, 1))
+@pytest.mark.parametrize("comp_id", sorted(COMPOSITIONS))
+def test_flipped_backlund_sign_fails_closed_forms(monkeypatch, comp_id):
+    # ε₂a -> -ε₂a in the jet half of the step
+    (e2a,) = syms("e2a")
+    monkeypatch.setattr(painleve, "BACKLUND_Y", painleve.BACKLUND_Y.subs({"e2a": -e2a}))
+    case = verify_closed_form(comp_id, sampler(f"flip:{comp_id}"), samples=10)
+    assert case.status == "FAIL" and case.samples == 10
+    assert {f.split(":")[0] for f in case.failures} == {f"sample {k}" for k in range(1, 11)}
 
 
 def test_invalid_sign_rejected():
@@ -106,14 +167,14 @@ def test_unknown_param_set():
 
 def test_branch_state_step_matches_backlund_params():
     # when the literal branches are the nonnegative roots, the literal-state
-    # step and the root-extraction step must agree
-    env = {"n": F(2), "N": F(3), "alpha": F(1, 2)}
-    st = branch_state_for("ode_U11", env)
-    p = st.params()
-    s = BacklundSigns(1, -1, 1)
-    st1 = backlund_step(st, s)
-    q = backlund_params(p, s)
-    assert (st1.params().a5, st1.params().b5, st1.params().g5) == (q.a5, q.b5, q.g5)
+    # step and the positive-root parameter map must agree
+    smp = sampler("positive roots")
+    for _ in range(20):
+        env = smp.draw(["g5", "c", "a"])
+        st = BranchState(env["g5"], abs(env["c"]), abs(env["a"]))
+        for s in ALL_SIGNS:
+            expect = reference_backlund_params(st.params(), s)
+            assert quadruple(backlund_step(st, s).params()) == quadruple(expect)
 
 
 @pytest.mark.parametrize("reduction_id", sorted(REDUCTIONS))

@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from krawpv import systems
+from krawpv.expr import syms
 from krawpv.sampling import Sampler
 from krawpv.systems import (
     CatalogueError,
@@ -112,3 +115,21 @@ def test_tilde_chart_has_pinned_alpha():
 def test_divisorless_chart_rejected_by_regularity_check():
     with pytest.raises(CatalogueError):
         check_regular_on_divisor("original", sampler("x"))
+
+
+def test_term_nonlinear_in_the_eliminated_coordinate_fails_soundness(monkeypatch):
+    # the elimination solves the equation for y as if it were linear in the
+    # eliminated coordinate; a quadratic term there must show as a FAIL
+    ode = get_ode2("ode_U11")
+    parent = get_system(ode.parent_id)
+    field = "rhs1_num" if parent.chart[0] == ode.reduce_coord else "rhs2_num"
+    (s,) = syms(ode.elim_coord)
+    bad_parent = dataclasses.replace(parent, **{field: getattr(parent, field) + s**2})
+    bad_ode = dataclasses.replace(ode, elimination=systems._derive_elimination(
+        bad_parent, ode.reduce_coord, ode.elim_coord))
+    monkeypatch.setitem(systems.registry(), parent.id, bad_parent)
+    monkeypatch.setitem(systems.ode2_registry(), ode.id, bad_ode)
+    case = check_reduction_soundness(ode.id, sampler("nonlinear"), samples=10)
+    assert case.status == "FAIL" and case.samples == 10
+    flow_failures = [f for f in case.failures if "elimination does not invert the flow" in f]
+    assert [f.split(":")[0] for f in flow_failures] == [f"sample {k}" for k in range(1, 11)]
