@@ -224,9 +224,14 @@ def compile_float(e: Expr, arg_names) -> Callable[..., float]:
     Used by the ODE integrator, where the per-call overhead of reading a
     binding dictionary would dominate the runtime.  Constant subtrees are
     folded exactly and rounded once, so the result is bit for bit what
-    ``evaluate`` gives with the same float bindings.
+    ``evaluate`` gives with the same float bindings.  The function is cached
+    on ``e`` by argument list, so a tree integrated again compiles once.
     """
-    position = {name: j for j, name in enumerate(arg_names)}
+    key = tuple(arg_names)
+    fns = vars(e).setdefault("_float_fns", {})  # on the instance, as evaluate's function
+    if key in fns:
+        return fns[key]
+    position = {name: j for j, name in enumerate(key)}
     slots = _schedule(e)
     names = []
     for i, slot in enumerate(slots):
@@ -239,8 +244,9 @@ def compile_float(e: Expr, arg_names) -> Callable[..., float]:
         else:
             names.append(f"v{i}")
     body = _operator_kernel(slots, names, check_unbound=False) + [f"return {names[-1]}"]
-    params = ", ".join(f"a{j}" for j in range(len(arg_names)))
-    return _define("compiled_float", params, body, _namespace(slots))
+    params = ", ".join(f"a{j}" for j in range(len(key)))
+    fn = fns[key] = _define("compiled_float", params, body, _namespace(slots))
+    return fn
 
 
 # --- the tree walk ---------------------------------------------------------
@@ -538,4 +544,4 @@ def _compile_evaluate(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
 def _define(name: str, params: str, body: List[str], namespace: Dict[str, object]):
     src = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(src, f"<krawpv.expr {name}>", "exec"), namespace)  # noqa: S102 - our own tree
-    return namespace[name]
+    return namespace.pop(name)  # the function keeps its globals; no cycle back to it

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -126,13 +128,15 @@ class _Step:
     """One accepted step and its quartic interpolant.
 
     The interpolant's coefficients are computed on its first call: most
-    steps are never interpolated.
+    steps are never interpolated.  Until then the stages they need, all but
+    the second, are kept unboxed: per component, its six stages in one array.
     """
 
     __slots__ = ("t_old", "h", "y_old", "stages", "_q")
 
-    def __init__(self, t_old: float, h: float, y_old: State, stages: tuple):
-        self.t_old, self.h, self.y_old, self.stages = t_old, h, y_old, stages
+    def __init__(self, t_old: float, h: float, y_old: State, K: tuple):
+        self.t_old, self.h, self.y_old = t_old, h, y_old
+        self.stages = array("d", chain.from_iterable(zip(K[0], *K[2:])))
         self._q = None
 
     def __call__(self, t: float) -> Tuple[float, ...]:
@@ -203,13 +207,12 @@ def _error_norm(K, h: float, y: State, y_new: State, rtol: float, atol: float) -
     )
 
 
-def _dense_coefficients(K) -> Tuple[Tuple[float, float, float, float], ...]:
+def _dense_coefficients(stages) -> Tuple[Tuple[float, float, float, float], ...]:
     """Q = Kᵀ P: per component, the coefficients of x, x², x³, x⁴ of the interpolant."""
-    k1, _, k3, k4, k5, k6, k7 = K
     return tuple(
         tuple(a * p1 + c * p3 + d * p4 + e * p5 + f * p6 + g * p7
               for p1, p3, p4, p5, p6, p7 in zip(*_P))
-        for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)
+        for a, c, d, e, f, g in (stages[j:j + 6] for j in range(0, len(stages), 6))
     )
 
 
@@ -380,9 +383,12 @@ def _run(rhs, t0: float, t1: float, state0, cfg: IntegratorConfig, events) -> Tr
     if sol.status == 0:
         return traj
     guard = f"denominator within {cfg.singular_guard} of zero near t = {traj.t1}"
-    exc = SingularGuardError(guard) if sol.status == 1 else IntegrationError(sol.message)
-    exc.trajectory = traj
-    raise exc
+    stop = SingularGuardError(guard) if sol.status == 1 else IntegrationError(sol.message)
+    stop.trajectory = traj
+    try:
+        raise stop
+    finally:  # the traceback holds this frame: unbind the error so they form no cycle
+        del stop
 
 
 def _guard_events(dens: Sequence, guard: float):
@@ -401,20 +407,15 @@ def integrate_planar(
     pf = _param_floats(params)
     names = list(system.chart) + ["t"] + sorted(pf)
     pvals = tuple(pf[k] for k in sorted(pf))
-    f1 = compile_float(system.rhs1, names)
-    f2 = compile_float(system.rhs2, names)
-    d1f = compile_float(system.rhs1_den, names)
-    d2f = compile_float(system.rhs2_den, names)
+    f1, f2, d1, d2 = (compile_float(e, names) for e in
+                      (system.rhs1, system.rhs2, system.rhs1_den, system.rhs2_den))
 
     def rhs(t, s):
         args = (s[0], s[1], t, *pvals)
         return (f1(*args), f2(*args))
 
-    def den_args(fn):
-        return lambda t, s: fn(s[0], s[1], t, *pvals)
-
-    events = _guard_events([den_args(d1f), den_args(d2f)], cfg.singular_guard)
-    return _run(rhs, float(t0), float(t1), state0, cfg, events)
+    dens = [lambda t, s, _den=den: _den(s[0], s[1], t, *pvals) for den in (d1, d2)]
+    return _run(rhs, float(t0), float(t1), state0, cfg, _guard_events(dens, cfg.singular_guard))
 
 
 def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequence[float],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 class OracleError(Exception):
@@ -231,29 +231,30 @@ def discrete_residuals(xy: XYTable, w: WeightParams, n: int) -> Tuple[Fraction, 
     return r1, r2
 
 
-def toda_residuals(w: WeightParams, n: int, h: Fraction) -> Tuple[float, float]:
+def toda_tables(w: WeightParams, nmax: int, offsets) -> Dict[Fraction, RecurrenceTable]:
+    """Recurrence tables up to ``nmax`` of w's N and alpha at t + s, keyed by each offset s."""
+    if not (w.t - max(abs(s) for s in offsets) > 0):
+        raise OracleError("t - h must stay positive")
+    return {s: stieltjes_recurrence(WeightParams(w.N, w.alpha, w.t + s), nmax) for s in offsets}
+
+
+def toda_residuals(w: WeightParams, n: int, h: Fraction,
+                   tables: Optional[Mapping] = None) -> Tuple[float, float]:
     """Central-difference Toda residuals at (w.t, n), exact tables floated at the end.
 
     First residual: d/dt a_n^2 - (a_n^2/t)(b_n - b_{n-1})  (n >= 1).
     Second residual: d/dt b_n - (a_{n+1}^2 - a_n^2)/t      (n >= 0, n+1 <= N).
+    ``tables``: ``toda_tables`` to n + 1 or beyond at offsets 0 and +-h (default: built here).
     """
     if n + 1 > w.N:
         raise OracleError("n+1 exceeds N; a_{n+1}^2 not defined on the support")
-    if not (w.t - h > 0):
-        raise OracleError("t - h must stay positive")
-    rp = stieltjes_recurrence(WeightParams(w.N, w.alpha, w.t + h), n + 1)
-    rm = stieltjes_recurrence(WeightParams(w.N, w.alpha, w.t - h), n + 1)
-    r0 = stieltjes_recurrence(w, n + 1)
+    if tables is None:
+        tables = toda_tables(w, n + 1, (h, -h, 0))
+    rp, rm, r0 = tables[h], tables[-h], tables[0]
     d_aa = (rp.aa[n] - rm.aa[n]) / (2 * h) if n >= 1 else Fraction(0)
     d_b = (rp.b[n] - rm.b[n]) / (2 * h)
-    if n >= 1:
-        rhs1 = (r0.aa[n] / w.t) * (r0.b[n] - r0.b[n - 1])
-        res1 = float(d_aa - rhs1)
-    else:
-        res1 = 0.0
-    rhs2 = (r0.aa[n + 1] - r0.aa[n]) / w.t
-    res2 = float(d_b - rhs2)
-    return res1, res2
+    res1 = float(d_aa - (r0.aa[n] / w.t) * (r0.b[n] - r0.b[n - 1])) if n >= 1 else 0.0
+    return res1, float(d_b - (r0.aa[n + 1] - r0.aa[n]) / w.t)
 
 
 def oracle_xy(w: WeightParams, nmax: int) -> XYTable:

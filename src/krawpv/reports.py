@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -65,18 +66,15 @@ class RunConfig:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise UsageError(f"tol must be finite and positive, got {self.tol}")
         check_window(self.from_t, self.to_t)
-        if next(self.sweep(), None) is None:
+        if next(self.weights(), None) is None:
             raise UsageError("the parameter sweep (N, n, alpha, t) is empty")
 
-    def sweep(self):
-        for N in self.Ns:
-            ns = self.ns if self.ns is not None else range(N)
-            for n in ns:
-                if not 0 <= n < N:
-                    continue
-                for a in self.alphas:
-                    for tv in self.ts:
-                        yield N, n, a, tv
+    def weights(self):
+        """Each weight (N, alpha, t) with a valid degree, and its degrees ``ns`` (0 <= n < N)."""
+        for N, a, tv in itertools.product(self.Ns, self.alphas, self.ts):
+            ns = tuple(n for n in (self.ns if self.ns is not None else range(N)) if 0 <= n < N)
+            if ns:
+                yield N, a, tv, ns
 
 
 @dataclass
@@ -134,68 +132,77 @@ def _fraction_str(x) -> str:
 # suite bodies
 # ---------------------------------------------------------------------------
 
-def _suite_oracle(cfg: RunConfig) -> List[CaseResult]:
-    from .oracle import WeightParams, initial_y0, iterate_discrete, oracle_xy
+def _weight_cases(cfg: RunConfig, name: str, tables: Callable, case: Callable) -> List[CaseResult]:
+    """One case per sweep point: ``tables(w, max(ns) + 1)`` once per weight, then ``case``.
+
+    ``case(cid, w, n, built)`` reads the prefix its ``n`` needs.  Stieltjes and the
+    iteration run forward, so that prefix is the table built to n + 1 alone.
+    """
+    from .oracle import WeightParams
 
     cases: List[CaseResult] = []
+    for N, a, tv, ns in cfg.weights():
+        w = WeightParams(N, a, tv)
+        built = tables(w, max(ns) + 1)
+        for n in ns:
+            cid = f"{name}_N{N}_n{n}_a{_fraction_str(a)}_t{_fraction_str(tv)}"
+            cases.append(case(cid, w, n, built))
+    return cases
+
+
+def _suite_oracle(cfg: RunConfig) -> List[CaseResult]:
+    from .oracle import WeightParams, initial_y0, iterate_discrete, oracle_xy
 
     # worked instance: N = 2, alpha = 0, t = 1
     w = WeightParams(2, Fraction(0), Fraction(1))
     got_y0 = initial_y0(w)
     got_x1 = iterate_discrete(w, 1).x[1]
-    c = CaseResult("oracle:worked_instance_N2_a0_t1", "PASS", samples=2)
+    worked = CaseResult("oracle:worked_instance_N2_a0_t1", "PASS", samples=2)
     if got_y0 != Fraction(-17, 7) or got_x1 != Fraction(69, 98):
-        c.status = "FAIL"
-        c.failures.append(f"y0 = {got_y0}, x1 = {got_x1}")
-    cases.append(c)
+        worked.status = "FAIL"
+        worked.failures.append(f"y0 = {got_y0}, x1 = {got_x1}")
 
-    for N, n, a, tv in cfg.sweep():
-        cid = f"oracle:dual_route_N{N}_n{n}_a{_fraction_str(a)}_t{_fraction_str(tv)}"
-        c = CaseResult(cid, "PASS")
-        w = WeightParams(N, a, tv)
-        up_to = n + 1
-        it = iterate_discrete(w, up_to)
-        st = oracle_xy(w, up_to)
-        c.samples = up_to + 1
-        for k in range(up_to + 1):
+    def dual_route(cid, w, n, tables):
+        it, st = tables
+        c = CaseResult(cid, "PASS", samples=n + 2)
+        for k in range(n + 2):
             if it.x[k] != st.x[k] or it.y[k] != st.y[k]:
                 c.status = "FAIL"
                 c.failures.append(
                     f"k = {k}: iterated ({it.x[k]}, {it.y[k]}) != "
                     f"stieltjes ({st.x[k]}, {st.y[k]})"
                 )
-        cases.append(c)
-    return cases
+        return c
+
+    return [worked] + _weight_cases(
+        cfg, "oracle:dual_route",
+        lambda w, nmax: (iterate_discrete(w, nmax), oracle_xy(w, nmax)), dual_route,
+    )
 
 
 def _suite_discrete(cfg: RunConfig) -> List[CaseResult]:
-    from .oracle import WeightParams, discrete_residuals, oracle_xy
+    from .oracle import discrete_residuals, oracle_xy
 
-    cases: List[CaseResult] = []
-    for N, n, a, tv in cfg.sweep():
-        cid = f"discrete:residuals_N{N}_n{n}_a{_fraction_str(a)}_t{_fraction_str(tv)}"
+    def residuals(cid, w, n, xy):
         c = CaseResult(cid, "PASS", samples=1)
-        w = WeightParams(N, a, tv)
-        xy = oracle_xy(w, n + 1)
         r1, r2 = discrete_residuals(xy, w, n)
         if r1 != 0 or r2 != 0:
             c.status = "FAIL"
             c.residual = str(max(abs(r1), abs(r2)))
             c.failures.append(f"residuals ({r1}, {r2})")
-        cases.append(c)
-    return cases
+        return c
+
+    return _weight_cases(cfg, "discrete:residuals", oracle_xy, residuals)
 
 
 def _suite_toda(cfg: RunConfig) -> List[CaseResult]:
-    from .oracle import WeightParams, toda_residuals
+    from .oracle import toda_residuals, toda_tables
 
     h = Fraction(1, 10000)
-    cases: List[CaseResult] = []
-    for N, n, a, tv in cfg.sweep():
-        cid = f"toda:residuals_N{N}_n{n}_a{_fraction_str(a)}_t{_fraction_str(tv)}"
+
+    def residuals(cid, w, n, tables):
         c = CaseResult(cid, "PASS", samples=2)
-        w = WeightParams(N, a, tv)
-        r1, r2 = toda_residuals(w, n, h)
+        r1, r2 = toda_residuals(w, n, h, tables)
         worst = max(abs(r1), abs(r2))
         c.residual = repr(worst)
         if worst >= cfg.tol:
@@ -203,13 +210,17 @@ def _suite_toda(cfg: RunConfig) -> List[CaseResult]:
             c.failures.append(f"residuals ({r1}, {r2}) at h = {h}")
         # central differences are second order: halving h divides the error
         # by about 4; require at least a factor 2 unless already at noise
-        r1h, r2h = toda_residuals(w, n, h / 2)
+        r1h, r2h = toda_residuals(w, n, h / 2, tables)
         worst_h = max(abs(r1h), abs(r2h))
         if worst > 1e-12 and worst_h > worst / 2:
             c.status = "FAIL"
             c.failures.append(f"no second-order decay: {worst} -> {worst_h}")
-        cases.append(c)
-    return cases
+        return c
+
+    return _weight_cases(
+        cfg, "toda:residuals",
+        lambda w, nmax: toda_tables(w, nmax, (0, h, -h, h / 2, -h / 2)), residuals,
+    )
 
 
 def _suite_transforms(cfg: RunConfig) -> List[CaseResult]:

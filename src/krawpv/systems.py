@@ -28,13 +28,6 @@ class CatalogueError(KeyError):
     pass
 
 
-class SingularLocusError(ZeroDivisionError):
-    """A catalogued denominator vanished at the evaluation point."""
-
-    def __init__(self, system_id: str, which: str):
-        super().__init__(f"system {system_id}: denominator of {which} vanishes")
-
-
 @dataclass(frozen=True)
 class PlanarSystem:
     id: str
@@ -50,23 +43,18 @@ class PlanarSystem:
     # parameter constraint: alpha pinned to this value (the alpha=0 chart)
     alpha_fixed: Optional[Fraction] = None
 
-    @property
+    # the quotients are built once per system, so their compiled functions are reused
+    @functools.cached_property
     def rhs1(self) -> Expr:
         return Div(self.rhs1_num, self.rhs1_den)
 
-    @property
+    @functools.cached_property
     def rhs2(self) -> Expr:
         return Div(self.rhs2_num, self.rhs2_den)
 
     def evaluate_rhs(self, env) -> Tuple:
-        """Exact (or float) time-derivatives of the chart coordinates."""
-        d1 = self.rhs1_den.evaluate(env)
-        d2 = self.rhs2_den.evaluate(env)
-        if d1 == 0:
-            raise SingularLocusError(self.id, f"{self.chart[0]}'")
-        if d2 == 0:
-            raise SingularLocusError(self.id, f"{self.chart[1]}'")
-        return self.rhs1_num.evaluate(env) / d1, self.rhs2_num.evaluate(env) / d2
+        """Exact (or float) time-derivatives; a zero denominator raises ``EvaluationDivisionError``."""
+        return self.rhs1.evaluate(env), self.rhs2.evaluate(env)
 
 
 @dataclass(frozen=True)
@@ -531,10 +519,8 @@ def check_regular_on_divisor(system_id: str, sampler, samples: int = 50):
         fixed["alpha"] = sys.alpha_fixed
 
     def reject(env):
-        if env["t"] == 0 or env["N"] == 0:
-            return True
-        probe = dict(env)
-        return any(e.evaluate(probe) == 0 for e in sys.divisor_exclusions)
+        return (env["t"] == 0 or env["N"] == 0
+                or any(e.evaluate(env) == 0 for e in sys.divisor_exclusions))
 
     def check(env):
         # a singular evaluation here is the failure, not a point to redraw

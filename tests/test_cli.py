@@ -126,6 +126,7 @@ def test_integrate_unsupported_chart_is_usage_error(capsys):
     ("--integrate", "original", "--N", "2", "--n", "1", "--out", "/nonexistent-dir/r.csv"),
     ("--suite", "backlund", "--from-t", "1.5", "--to-t", "1.5"),
     ("--integrate", "original", "--from-t", "1.5", "--to-t", "1.5"),
+    ("--suite", "oracle", "--N", "1", "--N", "2", "--n", "2"),  # an empty sweep
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

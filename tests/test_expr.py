@@ -1,5 +1,7 @@
+import gc
 import operator
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -117,6 +119,21 @@ def test_compile_float_matches_exact():
     env = {"x": Fraction(3, 2), "y": Fraction(1, 3)}
     exact = e.evaluate(env)
     assert abs(f(1.5, 1 / 3) - float(exact)) < 1e-15
+    assert compile_float(e, ("x", "y")) is f  # cached on the tree by argument list
+    assert compile_float(e, ["y", "x"]) is not f
+
+
+def test_compiled_functions_die_with_their_tree():
+    # a tree built for one check must free its functions without the cycle collector
+    e = (x**3 - 2) / (y + 5)
+    e.evaluate({"x": Fraction(1), "y": Fraction(2)})
+    refs = [weakref.ref(e._evaluator), weakref.ref(compile_float(e, ["x", "y"]))]
+    gc.disable()
+    try:
+        del e
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_to_prefix_deterministic():

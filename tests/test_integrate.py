@@ -1,14 +1,17 @@
+import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import krawpv
-from krawpv import integrate
+from krawpv import expr, integrate
 from krawpv.expr import ONE, ZERO, syms
 from krawpv.integrate import (
     IntegrationError,
@@ -97,6 +100,21 @@ def test_singular_guard_trips():
     assert str(exc.value) == f"denominator within 0.001 of zero near t = {stop.t1}"
 
 
+def test_stopped_run_is_freed_without_the_cycle_collector():
+    # a stopped run can hold thousands of steps; the error must not keep it in a cycle
+    system = get_system("original")
+    gc.disable()
+    try:
+        try:
+            integrate_planar(system, (0.5, -0.45), 1.0, 2.0, PARAMS,
+                             IntegratorConfig(singular_guard=1e-3))
+        except SingularGuardError as exc:
+            stop = weakref.ref(exc.trajectory)
+        assert stop() is None
+    finally:
+        gc.enable()
+
+
 def test_zero_length_interval():
     system = get_system("original")
     traj = integrate_planar(system, oracle_point(1), 1.0, 1.0, PARAMS)
@@ -134,6 +152,23 @@ def test_csv_header_and_precision():
     first = lines[1].split(",")
     assert len(first) == 3
     assert float(first[0]) == 1.0
+
+
+def test_integrated_trees_compile_once(monkeypatch):
+    # trees built anew, so that no earlier run has compiled them
+    base, ode = get_system("original"), get_ode2("ode_U11")
+    system = dataclasses.replace(base, **{
+        f: getattr(base, f).subs({}) for f in ("rhs1_num", "rhs1_den", "rhs2_num", "rhs2_den")})
+    ode = dataclasses.replace(ode, rhs=ode.rhs.subs({}))
+    defined = []
+    define = expr._define
+    monkeypatch.setattr(expr, "_define", lambda *args: defined.append(args[0]) or define(*args))
+    for _ in range(2):
+        integrate_planar(system, oracle_point(1), 1.0, 1.2, PARAMS)
+    assert len(defined) == 4  # both quotients and both guarded denominators
+    for _ in range(2):
+        integrate_ode2(ode, 2.0, 0.25, 1.0, 1.5, {"n": 1, "N": 3, "alpha": 0.5})
+    assert len(defined) == 5
 
 
 # --- the solver against scipy's RK45, and on its own -------------------------

@@ -14,8 +14,10 @@ from krawpv.oracle import (
     oracle_xy,
     stieltjes_recurrence,
     toda_residuals,
+    toda_tables,
     weight_values,
 )
+from krawpv.reports import RunConfig
 
 
 def test_weight_positive_on_support():
@@ -97,3 +99,25 @@ def test_toda_residuals_second_order():
     r1h, r2h = toda_residuals(w, 1, h / 2)
     worst, worst_h = max(abs(r1), abs(r2)), max(abs(r1h), abs(r2h))
     assert worst_h < worst / 2
+
+
+def test_tables_are_prefix_stable_on_the_default_sweep():
+    # the oracle suites build each weight's tables once and read prefixes of them
+    for N, a, tv, _ in RunConfig().weights():
+        w = WeightParams(N, a, tv)
+        r, it = stieltjes_recurrence(w, N), iterate_discrete(w, N)
+        for n in range(N + 1):
+            rn, itn = stieltjes_recurrence(w, n), iterate_discrete(w, n)
+            assert (rn.aa, rn.b) == (r.aa[:n + 1], r.b[:n + 1])
+            assert (itn.x, itn.y) == (it.x[:n + 1], it.y[:n + 1])
+
+
+def test_toda_residuals_read_shared_tables():
+    w = WeightParams(4, Fraction(1, 2), Fraction(3))
+    h = Fraction(1, 10000)
+    tables = toda_tables(w, 4, (0, h, -h, h / 2, -h / 2))
+    for n in range(4):
+        assert toda_residuals(w, n, h, tables) == toda_residuals(w, n, h)
+        assert toda_residuals(w, n, h / 2, tables) == toda_residuals(w, n, h / 2)
+    with pytest.raises(OracleError, match="t - h"):
+        toda_tables(WeightParams(2, Fraction(0), h), 1, (0, h, -h))

@@ -1,5 +1,10 @@
 import json
+from collections import Counter
+from fractions import Fraction
 
+import pytest
+
+from krawpv import oracle
 from krawpv.reports import RunConfig, SuiteReport, _expect_fail, emit_report, run_suite
 from krawpv.sampling import CaseResult
 
@@ -32,3 +37,47 @@ def test_every_control_fails_on_sampled_points():
         controls = [c for c in cases if c.id.startswith("control:")]
         assert len(controls) == 3
         assert all(c.status == "PASS" and c.samples == 10 for c in controls), controls
+
+
+def _product(cfg):
+    """The sweep points (N, n, alpha, t) as the nested product over the config's lists."""
+    for N in cfg.Ns:
+        for n in cfg.ns if cfg.ns is not None else range(N):
+            if 0 <= n < N:
+                for a in cfg.alphas:
+                    for tv in cfg.ts:
+                        yield N, n, a, tv
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    # repeated N and n, an n out of range on both sides
+    {"Ns": (3, 1, 3), "ns": (2, 2, 0, 5, -1), "alphas": (Fraction(0), Fraction(0))},
+    # N = 1 has no valid n
+    {"Ns": (1, 4), "ns": (2,), "ts": (Fraction(1),)},
+])
+def test_weights_yield_the_sweep_points(kwargs):
+    cfg = RunConfig(**kwargs)
+    weights = list(cfg.weights())
+    assert all(ns and all(0 <= n < N for n in ns) for N, _, _, ns in weights)
+    points = [(N, n, a, tv) for N, a, tv, ns in weights for n in ns]
+    assert Counter(points) == Counter(_product(cfg))
+
+
+@pytest.mark.parametrize("suite, stieltjes, iterations", [
+    ("oracle", 9, 10),  # the worked instance iterates once more
+    ("discrete", 9, 0),
+    ("toda", 45, 0),  # t, t +- h and t +- h/2
+])
+def test_each_weight_builds_its_tables_once(monkeypatch, suite, stieltjes, iterations):
+    calls = Counter()
+    for name in ("stieltjes_recurrence", "iterate_discrete"):
+        def spy(*args, _name=name, _f=getattr(oracle, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(oracle, name, spy)
+    report = run_suite(suite, RunConfig(Ns=(3,)))  # 9 weights, 27 points
+    assert report.overall == "PASS"
+    assert len(report.cases) == 27 + (suite == "oracle")
+    assert calls["stieltjes_recurrence"] == stieltjes
+    assert calls["iterate_discrete"] == iterations

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from krawpv import systems
-from krawpv.expr import syms
+from krawpv.expr import EvaluationDivisionError, syms
 from krawpv.sampling import Sampler
 from krawpv.systems import (
     CatalogueError,
-    SingularLocusError,
     alpha_zero_divisor_degeneracy,
     check_reduction_soundness,
     check_regular_on_divisor,
@@ -43,8 +42,9 @@ def test_original_singular_at_p_plus_q_zero():
     s = get_system("original")
     env = {"q": Fraction(1), "p": Fraction(-1), "t": Fraction(1),
            "n": Fraction(1), "N": Fraction(2), "alpha": Fraction(0)}
-    with pytest.raises(SingularLocusError):
+    with pytest.raises(EvaluationDivisionError) as excinfo:
         s.evaluate_rhs(env)
+    assert excinfo.value.subtree == s.rhs1_den
 
 
 def test_UV11_at_origin():
