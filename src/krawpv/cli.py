@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-t", type=float, default=2.0,
                    help="integration window end (default 2)")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="float-mode tolerance (default 1e-6)")
+                   help="tolerance of the pv and backlund trajectory cases (default 1e-6)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--dump-catalogue", action="store_true",

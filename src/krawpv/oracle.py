@@ -10,9 +10,11 @@ system iteration, and residual checks for the discrete and Toda-type systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Tuple, Union
+
+from .jets import Jet1, value
 
 
 class OracleError(Exception):
@@ -23,14 +25,14 @@ class OracleError(Exception):
 class WeightParams:
     N: int
     alpha: Fraction
-    t: Fraction
+    t: Union[Fraction, Jet1]  # a Jet1 carries d/dt through the oracle; guards read its value
 
     def __post_init__(self):
         if self.N < 1:
             raise OracleError("N must be a positive integer")
         if not self.alpha < 1:
             raise OracleError("weight requires alpha < 1")
-        if not self.t > 0:
+        if not value(self.t) > 0:
             raise OracleError("weight requires t > 0")
 
 
@@ -99,7 +101,7 @@ def hankel_determinant(m: MomentTable, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """Monic three-term recurrence data: aa[k] = a_k^2 (aa[0] = 0), b[k] = b_k."""
+    """Monic three-term recurrence data: aa[k] = a_k^2 (aa[0] = 0), b[k] = b_k; Jet1s for a jet t."""
 
     aa: Tuple[Fraction, ...]
     b: Tuple[Fraction, ...]
@@ -120,12 +122,12 @@ def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
     p_prev = [Fraction(0)] * (w.N + 1)
     p_cur = [Fraction(1)] * (w.N + 1)
     norm_prev = None
-    norm_cur = sum(wx for wx in wv)
+    norm_cur = sum(wv)
 
-    aa = [Fraction(0)]
+    aa = [0 * norm_cur]
     b: List[Fraction] = []
     for k in range(nmax + 1):
-        if norm_cur == 0:
+        if value(norm_cur) == 0:
             raise OracleError(f"vanishing norm <P_{k},P_{k}>")
         bk = sum(x * pv * pv * wx for x, pv, wx in zip(xs, p_cur, wv)) / norm_cur
         b.append(bk)
@@ -133,9 +135,8 @@ def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
             aa.append(norm_cur / norm_prev)
         if k == nmax:
             break
-        ak2 = aa[k] if k >= 1 else Fraction(0)
         p_next = [
-            (x - bk) * pc - ak2 * pp for x, pc, pp in zip(xs, p_cur, p_prev)
+            (x - bk) * pc - aa[k] * pp for x, pc, pp in zip(xs, p_cur, p_prev)
         ]
         p_prev, p_cur = p_cur, p_next
         norm_prev = norm_cur
@@ -231,26 +232,34 @@ def discrete_residuals(xy: XYTable, w: WeightParams, n: int) -> Tuple[Fraction, 
     return r1, r2
 
 
-def toda_tables(w: WeightParams, nmax: int, offsets) -> Dict[Fraction, RecurrenceTable]:
-    """Recurrence tables up to ``nmax`` of w's N and alpha at t + s, keyed by each offset s."""
-    if not (w.t - max(abs(s) for s in offsets) > 0):
-        raise OracleError("t - h must stay positive")
-    return {s: stieltjes_recurrence(WeightParams(w.N, w.alpha, w.t + s), nmax) for s in offsets}
+def jet_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
+    """``stieltjes_recurrence`` with t carried as a ``Jet1``: each entry is (value, d/dt)."""
+    return stieltjes_recurrence(WeightParams(w.N, w.alpha, Jet1.variable(w.t)), nmax)
 
 
-def toda_residuals(w: WeightParams, n: int, h: Fraction,
-                   tables: Optional[Mapping] = None) -> Tuple[float, float]:
+def toda_exact_residuals(r: RecurrenceTable, w: WeightParams, n: int) -> Tuple[Fraction, Fraction]:
+    """LHS - RHS of both Toda equations (see ``toda_residuals``) from a ``jet_recurrence`` table.
+
+    The first vanishes at n = 0, where a_0^2 = 0.  Exact zeros certify the flow at (w.t, n).
+    """
+    aa, b, t = r.aa, r.b, w.t
+    r1 = aa[n].d1 - (aa[n].v / t) * (b[n].v - b[n - 1].v) if n >= 1 else Fraction(0)
+    return r1, b[n].d1 - (aa[n + 1].v - aa[n].v) / t
+
+
+def toda_residuals(w: WeightParams, n: int, h: Fraction) -> Tuple[float, float]:
     """Central-difference Toda residuals at (w.t, n), exact tables floated at the end.
 
+    The float reference for ``toda_exact_residuals``.
     First residual: d/dt a_n^2 - (a_n^2/t)(b_n - b_{n-1})  (n >= 1).
     Second residual: d/dt b_n - (a_{n+1}^2 - a_n^2)/t      (n >= 0, n+1 <= N).
-    ``tables``: ``toda_tables`` to n + 1 or beyond at offsets 0 and +-h (default: built here).
     """
     if n + 1 > w.N:
         raise OracleError("n+1 exceeds N; a_{n+1}^2 not defined on the support")
-    if tables is None:
-        tables = toda_tables(w, n + 1, (h, -h, 0))
-    rp, rm, r0 = tables[h], tables[-h], tables[0]
+    if not w.t - h > 0:
+        raise OracleError("t - h must stay positive")
+    rp, rm, r0 = (stieltjes_recurrence(WeightParams(w.N, w.alpha, w.t + s), n + 1)
+                  for s in (h, -h, 0))
     d_aa = (rp.aa[n] - rm.aa[n]) / (2 * h) if n >= 1 else Fraction(0)
     d_b = (rp.b[n] - rm.b[n]) / (2 * h)
     res1 = float(d_aa - (r0.aa[n] / w.t) * (r0.b[n] - r0.b[n - 1])) if n >= 1 else 0.0

@@ -180,47 +180,31 @@ def _suite_oracle(cfg: RunConfig) -> List[CaseResult]:
     )
 
 
-def _suite_discrete(cfg: RunConfig) -> List[CaseResult]:
-    from .oracle import discrete_residuals, oracle_xy
-
-    def residuals(cid, w, n, xy):
-        c = CaseResult(cid, "PASS", samples=1)
-        r1, r2 = discrete_residuals(xy, w, n)
+def _exact_pair(residuals: Callable, samples: int) -> Callable:
+    """A ``_weight_cases`` case: PASS iff both exact ``residuals(table, w, n)`` are zero."""
+    def case(cid, w, n, table):
+        c = CaseResult(cid, "PASS", samples=samples)
+        r1, r2 = residuals(table, w, n)
         if r1 != 0 or r2 != 0:
             c.status = "FAIL"
             c.residual = str(max(abs(r1), abs(r2)))
             c.failures.append(f"residuals ({r1}, {r2})")
         return c
 
-    return _weight_cases(cfg, "discrete:residuals", oracle_xy, residuals)
+    return case
+
+
+def _suite_discrete(cfg: RunConfig) -> List[CaseResult]:
+    from .oracle import discrete_residuals, oracle_xy
+
+    return _weight_cases(cfg, "discrete:residuals", oracle_xy, _exact_pair(discrete_residuals, 1))
 
 
 def _suite_toda(cfg: RunConfig) -> List[CaseResult]:
-    from .oracle import toda_residuals, toda_tables
+    from .oracle import jet_recurrence, toda_exact_residuals
 
-    h = Fraction(1, 10000)
-
-    def residuals(cid, w, n, tables):
-        c = CaseResult(cid, "PASS", samples=2)
-        r1, r2 = toda_residuals(w, n, h, tables)
-        worst = max(abs(r1), abs(r2))
-        c.residual = repr(worst)
-        if worst >= cfg.tol:
-            c.status = "FAIL"
-            c.failures.append(f"residuals ({r1}, {r2}) at h = {h}")
-        # central differences are second order: halving h divides the error
-        # by about 4; require at least a factor 2 unless already at noise
-        r1h, r2h = toda_residuals(w, n, h / 2, tables)
-        worst_h = max(abs(r1h), abs(r2h))
-        if worst > 1e-12 and worst_h > worst / 2:
-            c.status = "FAIL"
-            c.failures.append(f"no second-order decay: {worst} -> {worst_h}")
-        return c
-
-    return _weight_cases(
-        cfg, "toda:residuals",
-        lambda w, nmax: toda_tables(w, nmax, (0, h, -h, h / 2, -h / 2)), residuals,
-    )
+    # one sample per Toda equation, as the float check counted them
+    return _weight_cases(cfg, "toda:residuals", jet_recurrence, _exact_pair(toda_exact_residuals, 2))
 
 
 def _suite_transforms(cfg: RunConfig) -> List[CaseResult]:
@@ -377,10 +361,11 @@ def emit_report(report: SuiteReport, fmt: str = "json") -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "status", "residual", "samples", "resamples"])
+        writer.writerow(["id", "status", "residual", "samples", "resamples", "failures"])
         for c in sorted(report.cases, key=lambda c: c.id):
-            writer.writerow([c.id, c.status, c.residual, c.samples, c.resamples])
-        writer.writerow(["overall", report.overall, "", "", ""])
+            writer.writerow([c.id, c.status, c.residual, c.samples, c.resamples,
+                             "; ".join(c.failures)])
+        writer.writerow(["overall", report.overall, "", "", "", ""])
         return buf.getvalue()
     if fmt == "text":
         lines = [f"suite: {report.suite}", f"seed: {report.seed}"]

@@ -1,8 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from krawpv.jets import Jet2, JetDivisionError
+from krawpv.jets import Jet1, Jet2, JetDivisionError
 
 
 def F(a, b=1):
@@ -55,3 +58,37 @@ def test_composition_chain_rule():
     assert f.d1 == F(0)
     # f'' = d/dt [2(t+1)/t - (t+1)^2/t^2] = 2/t - 2(t+1)/t^2 - ... = 2 at t=1
     assert f.d2 == F(2)
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+@given(a=st.tuples(fractions, fractions), b=st.tuples(fractions, fractions),
+       s=fractions, d2=fractions, k=st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_jet1_is_the_truncation_of_jet2(a, b, s, d2, k):
+    j1a, j1b, j2a, j2b = Jet1(*a), Jet1(*b), Jet2(*a, d2), Jet2(*b, -d2)
+    pairs = [((j1a, j1b), (j2a, j2b)), ((j1a, s), (j2a, s)), ((s, j1b), (s, j2b))]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for one, two in pairs:
+            try:
+                want = op(*two)
+            except JetDivisionError:
+                with pytest.raises(JetDivisionError):
+                    op(*one)
+                continue
+            got = op(*one)
+            assert (got.v, got.d1) == (want.v, want.d1)
+    for got, want in [(-j1a, -j2a), (j1a**k, j2a**k)]:
+        assert (got.v, got.d1) == (want.v, want.d1)
+
+
+@given(j=st.tuples(fractions, fractions), d1=fractions, s=fractions)
+@settings(max_examples=50, deadline=None)
+def test_jet1_division_by_zero_value_slot(j, d1, s):
+    zero = Jet1(F(0), d1)
+    for num in (Jet1(*j), s):
+        with pytest.raises(JetDivisionError):
+            _ = num / zero
+    with pytest.raises(JetDivisionError):
+        _ = Jet1(*j) / F(0)

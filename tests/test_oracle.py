@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from krawpv.jets import Jet1, value
 from krawpv.oracle import (
     OracleError,
     WeightParams,
@@ -10,11 +11,12 @@ from krawpv.oracle import (
     hyp1f1_terminating,
     initial_y0,
     iterate_discrete,
+    jet_recurrence,
     moments,
     oracle_xy,
     stieltjes_recurrence,
+    toda_exact_residuals,
     toda_residuals,
-    toda_tables,
     weight_values,
 )
 from krawpv.reports import RunConfig
@@ -32,6 +34,8 @@ def test_invalid_parameters_rejected():
         WeightParams(2, Fraction(2), Fraction(1))
     with pytest.raises(OracleError):
         WeightParams(2, Fraction(0), Fraction(-1))
+    with pytest.raises(OracleError):
+        WeightParams(2, Fraction(0), Jet1.variable(Fraction(-1)))
 
 
 def test_moments_match_direct_sum():
@@ -112,12 +116,30 @@ def test_tables_are_prefix_stable_on_the_default_sweep():
             assert (itn.x, itn.y) == (it.x[:n + 1], it.y[:n + 1])
 
 
-def test_toda_residuals_read_shared_tables():
-    w = WeightParams(4, Fraction(1, 2), Fraction(3))
+def test_toda_residuals_reject_a_step_past_zero():
     h = Fraction(1, 10000)
-    tables = toda_tables(w, 4, (0, h, -h, h / 2, -h / 2))
-    for n in range(4):
-        assert toda_residuals(w, n, h, tables) == toda_residuals(w, n, h)
-        assert toda_residuals(w, n, h / 2, tables) == toda_residuals(w, n, h / 2)
     with pytest.raises(OracleError, match="t - h"):
-        toda_tables(WeightParams(2, Fraction(0), h), 1, (0, h, -h))
+        toda_residuals(WeightParams(2, Fraction(0), h), 0, h)
+
+
+def test_jet_table_carries_the_plain_table_in_its_value_slot():
+    for N, a, tv, _ in RunConfig().weights():
+        w = WeightParams(N, a, tv)
+        r, jr = stieltjes_recurrence(w, N), jet_recurrence(w, N)
+        assert [value(x) for x in jr.aa] == list(r.aa)
+        assert [value(x) for x in jr.b] == list(r.b)
+
+
+def test_toda_exact_residuals_vanish_and_detect_a_doubled_t():
+    # negative control: the right table read with 2t in place of t
+    points = zeros = first_off = second_off = 0
+    for N, a, tv, ns in RunConfig().weights():
+        w, doubled = WeightParams(N, a, tv), WeightParams(N, a, 2 * tv)
+        table = jet_recurrence(w, max(ns) + 1)
+        for n in ns:
+            points += 1
+            zeros += toda_exact_residuals(table, w, n) == (0, 0)
+            r1, r2 = toda_exact_residuals(table, doubled, n)
+            first_off += r1 != 0
+            second_off += r2 != 0
+    assert (points, zeros, first_off, second_off) == (189, 189, 135, 189)

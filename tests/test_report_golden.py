@@ -15,10 +15,10 @@ GOLDEN_ROWS_SHA256 = "cd1270cf87a69cd22ded5de7762537634914f64f1d973060d12c0f0b8b
 # systems, the reciprocal charts and renamed charts included.
 GOLDEN_CATALOGUE_SHA256 = "59626fca469934766e7687b7aacb98be29a12efb7fb8364e3a2c2ca3273bdf0b"
 
-# sha256 of the whole `toda` JSON report on N = 1..4, float residual strings
-# included: every weight's exact tables are built once and shared by its
-# degrees, and the residuals must not move by a bit.
-GOLDEN_TODA_SHA256 = "1749fe31be7e25c8cf5654e5376b3dce4a563960207f0ba5b9d5b58e6144e7b2"
+# sha256 of the whole `toda` JSON report on N = 1..4, residual strings
+# included: each weight's jet table is built once and shared by its degrees,
+# and every residual is the exact "0".
+GOLDEN_TODA_SHA256 = "51b636ccab59cda7ef44218978e7644f6588cf70eb629e81da5e5251e3483bde"
 
 
 def test_all_suite_verdict_rows_match_golden():
