@@ -12,9 +12,10 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
-from typing import Callable, ContextManager, Optional, Sequence, TextIO
+from typing import Callable, ContextManager, List, Optional, Sequence, TextIO
 
 from .integrate import IntegrationError, integrate_planar, trajectory_csv
 from .oracle import OracleError, WeightParams, oracle_xy
@@ -22,6 +23,9 @@ from .reports import SUITE_NAMES, RunConfig, UsageError, check_window, emit_repo
 from .systems import CatalogueError, get_system, system_ids
 
 SEED_ENV_VAR = "KRAWPV_SEED"
+# argparse reads a token that starts with '-' as an option unless it is a plain
+# integer or decimal, so "--alpha -1/3" or "--from-t -1e-3" would lose its value
+NEGATIVE_NUMBER = re.compile(r"-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)")
 
 
 def _fraction(text: str) -> Fraction:
@@ -29,6 +33,18 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """``--opt -1/3`` as ``--opt=-1/3``: a negative number after a long option is its value."""
+    out: List[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and NEGATIVE_NUMBER.fullmatch(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,6 +125,9 @@ def _integration(system_id: str, args) -> Callable[[], str]:
         )
     check_window(args.from_t, args.to_t)
     t0 = Fraction(args.from_t).limit_denominator(10**6)
+    if t0 == 0:
+        raise UsageError(f"--from-t {args.from_t} rounds to t = 0 as a rational with "
+                         f"denominator at most 10**6; the weight requires t > 0")
     weight = WeightParams(N, alpha, t0)  # rejects a bad N with its own message first
     if not 0 <= n < N:
         raise UsageError(f"--n must satisfy 0 <= n < N, got n={n}, N={N}")
@@ -130,7 +149,7 @@ def _open_out(out: Optional[str]) -> ContextManager[TextIO]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.dump_catalogue:
             text = _dump_catalogue()

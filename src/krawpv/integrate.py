@@ -508,23 +508,3 @@ def trajectory_csv(traj: Trajectory) -> str:
         lines.append(",".join(format(float(x), ".17g") for x in row))
     return "\n".join(lines) + "\n"
 
-
-def convergence_errors(
-    system: PlanarSystem,
-    state0: Sequence[Scalar],
-    t0: float,
-    t1: float,
-    params: Mapping[str, Scalar],
-    rtols: Sequence[float] = (1e-5, 1e-7, 1e-9),
-    ref_rtol: float = 1e-12,
-) -> List[float]:
-    """Endpoint errors against a tight reference run, one per tolerance rung."""
-    ref = integrate_planar(system, state0, t0, t1, params,
-                           IntegratorConfig(rtol=ref_rtol, atol=ref_rtol * 1e-2))
-    ref_end = ref.endpoint()
-    errs = []
-    for rt in rtols:
-        traj = integrate_planar(system, state0, t0, t1, params,
-                                IntegratorConfig(rtol=rt, atol=rt * 1e-2))
-        errs.append(_nan_max([abs(a - b) for a, b in zip(traj.endpoint(), ref_end)]))
-    return errs

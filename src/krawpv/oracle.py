@@ -9,6 +9,7 @@ system iteration, and residual checks for the discrete and Toda-type systems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,40 +108,73 @@ class RecurrenceTable:
     b: Tuple[Fraction, ...]
 
 
+def _slots(x) -> Tuple:
+    """The slots of a scalar or of a ``Jet1``."""
+    return (x.v, x.d1) if isinstance(x, Jet1) else (x,)
+
+
+def _each_slot(f, x):
+    """f applied to every slot of a scalar or of a ``Jet1``."""
+    return Jet1(f(x.v), f(x.d1)) if isinstance(x, Jet1) else f(x)
+
+
+def _quotient(p, q):
+    """p/q as a ``Fraction``, or as a ``Jet1`` of ``Fraction``s, for integer(-slotted) p, q."""
+    if isinstance(q, Jet1):
+        return Jet1(Fraction(p.v, q.v), Fraction(p.d1 * q.v - p.v * q.d1, q.v * q.v))
+    return Fraction(p, q)
+
+
 def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
     """a_k^2 and b_k for k <= nmax by discrete Stieltjes on the N+1 support points.
 
     b_k = <x P_k, P_k>/<P_k, P_k>, a_k^2 = <P_k, P_k>/<P_{k-1}, P_{k-1}>, with
     inner products as finite sums over the support.  Requires nmax <= N.
+
+    The recurrence runs on integers.  Both ratios are unchanged when the
+    weight is scaled by a positive constant, so the weight is scaled by the
+    lcm of its denominators.  P_k on the support is held as an integer vector
+    q over one integer d, divided by its content after each step; only each
+    degree's a_k^2 and b_k become ``Fraction``s.  For a ``Jet1`` t the entries
+    of q are ``Jet1``s with integer slots, and d stays an integer because the
+    new vector is multiplied by the conjugate (u_0 - u_1 e) of its jet factor
+    u, with (u_0 + u_1 e)(u_0 - u_1 e) = u_0^2.
     """
     if nmax > w.N:
         raise OracleError("nmax exceeds the number of support points minus one")
     wv = weight_values(w)
-    xs = [Fraction(x) for x in range(w.N + 1)]
+    # gcd and lcm fold pairwise: a star-argument tuple of varying length per call
+    # would fill CPython's tuple free lists, which only a full collection empties
+    scale = functools.reduce(math.lcm, (s.denominator for wx in wv for s in _slots(wx)))
+    wi = [_each_slot(lambda s: s.numerator * (scale // s.denominator), wx) for wx in wv]
+    xs = range(w.N + 1)
 
-    # P_k values on the support, maintained for k-1 and k.
-    p_prev = [Fraction(0)] * (w.N + 1)
-    p_cur = [Fraction(1)] * (w.N + 1)
-    norm_prev = None
-    norm_cur = sum(wv)
-
-    aa = [0 * norm_cur]
+    # P_{k-1} = q_prev/d_prev and P_k = q/d; norm = d^2 <P_k, P_k> on the scaled weight
+    q_prev, d_prev, norm_prev = [0] * (w.N + 1), 1, 1
+    q, d = [1] * (w.N + 1), 1
+    aa: List[Fraction] = []
     b: List[Fraction] = []
     for k in range(nmax + 1):
-        if value(norm_cur) == 0:
+        qqw = [qx * qx * wx for qx, wx in zip(q, wi)]
+        norm = sum(qqw)
+        if value(norm) == 0:
             raise OracleError(f"vanishing norm <P_{k},P_{k}>")
-        bk = sum(x * pv * pv * wx for x, pv, wx in zip(xs, p_cur, wv)) / norm_cur
-        b.append(bk)
-        if k >= 1:
-            aa.append(norm_cur / norm_prev)
+        moment = sum(x * v for x, v in zip(xs, qqw))
+        b.append(_quotient(moment, norm))
+        aa.append(_quotient(norm * d_prev * d_prev, norm_prev * d * d) if k else 0 * b[0])
         if k == nmax:
             break
-        p_next = [
-            (x - bk) * pc - aa[k] * pp for x, pc, pp in zip(xs, p_cur, p_prev)
-        ]
-        p_prev, p_cur = p_cur, p_next
-        norm_prev = norm_cur
-        norm_cur = sum(pv * pv * wx for pv, wx in zip(p_cur, wv))
+        # P_{k+1} = (x - b_k) P_k - a_k^2 P_{k-1} over u d^2, u = norm norm_prev; both
+        # terms times conj(u), so that the denominator is u_0^2 d^2
+        u = norm * norm_prev
+        conj = Jet1(u.v, -u.d1) if isinstance(u, Jet1) else 1
+        lead = norm_prev * d * conj
+        slope, shift, tail = norm * lead, moment * lead, norm * norm * d_prev * conj
+        q_next = [(x * slope - shift) * qx - tail * px for x, qx, px in zip(xs, q, q_prev)]
+        d_next = value(u * conj) * d * d
+        g = functools.reduce(math.gcd, (s for qx in q_next for s in _slots(qx)), d_next)
+        q_prev, d_prev, norm_prev = q, d, norm
+        q, d = [_each_slot(lambda s: s // g, qx) for qx in q_next], d_next // g
     return RecurrenceTable(tuple(aa), tuple(b))
 
 

@@ -137,6 +137,30 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("krawpv: error: ")
 
 
+def test_negative_rationals_reach_their_options(capsys):
+    # argparse alone reads "-1/3" as an option and exits 2: "expected one argument"
+    code, out, _ = run(capsys, "--suite", "discrete", "--N", "2", "--alpha", "-1/3",
+                       "--format", "text")
+    assert code == 0
+    assert out.strip().split()[-1] == "PASS"
+    assert out == run(capsys, "--suite", "discrete", "--N", "2", "--alpha=-1/3",
+                      "--format", "text")[1]
+    code, out, _ = run(capsys, "--integrate", "original", "--N", "2", "--alpha", "-1/3")
+    assert code == 0 and out.startswith("t,coord1,coord2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--suite", "discrete", "--N", "2", "--t", "-1/3"), "t > 0"),
+    (("--integrate", "original", "--from-t", "1e-7"), "--from-t 1e-07 rounds to t = 0"),
+])
+def test_a_value_out_of_range_names_its_bound(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("krawpv: error: ") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ("--suite", "all"),
     ("--integrate", "original", "--N", "2", "--n", "1"),

@@ -18,7 +18,6 @@ from krawpv.integrate import (
     IntegratorConfig,
     SingularGuardError,
     compare_trajectories,
-    convergence_errors,
     integrate_ode2,
     integrate_planar,
     trajectory_csv,
@@ -127,6 +126,17 @@ def test_zero_length_interval():
 def test_invalid_config_rejected():
     with pytest.raises(IntegrationError):
         IntegratorConfig(rtol=0.0)
+
+
+def convergence_errors(system, state0, t0, t1, params, rtols=(1e-5, 1e-7, 1e-9)):
+    """Endpoint errors against a reference run at rtol 1e-12, one per tolerance rung."""
+    def endpoint(rtol):
+        cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2)
+        return integrate_planar(system, state0, t0, t1, params, cfg).endpoint()
+
+    ref_end = endpoint(1e-12)
+    return [integrate._nan_max([abs(a - b) for a, b in zip(endpoint(rt), ref_end)])
+            for rt in rtols]
 
 
 def test_convergence_trend():

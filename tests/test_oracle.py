@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,3 +145,71 @@ def test_toda_exact_residuals_vanish_and_detect_a_doubled_t():
             first_off += r1 != 0
             second_off += r2 != 0
     assert (points, zeros, first_off, second_off) == (189, 189, 135, 189)
+
+
+def _reference_stieltjes(w, nmax):
+    """Discrete Stieltjes on Fractions (Jet1s of them for a Jet1 t): the reference kernel."""
+    wv = weight_values(w)
+    xs = [Fraction(x) for x in range(w.N + 1)]
+    p_prev, p_cur = [Fraction(0)] * (w.N + 1), [Fraction(1)] * (w.N + 1)
+    norm_prev, norm_cur = None, sum(wv)
+    aa, b = [0 * norm_cur], []
+    for k in range(nmax + 1):
+        bk = sum(x * pv * pv * wx for x, pv, wx in zip(xs, p_cur, wv)) / norm_cur
+        b.append(bk)
+        if k >= 1:
+            aa.append(norm_cur / norm_prev)
+        if k == nmax:
+            break
+        p_next = [(x - bk) * pc - aa[k] * pp for x, pc, pp in zip(xs, p_cur, p_prev)]
+        p_prev, p_cur = p_cur, p_next
+        norm_prev, norm_cur = norm_cur, sum(pv * pv * wx for pv, wx in zip(p_cur, wv))
+    return aa, b
+
+
+def _jet_slots(entries):
+    return [(x.v, x.d1) for x in entries]
+
+
+def _rational(rng, lo, hi, digits):
+    """A seeded rational in [lo, hi) whose denominator has ``digits`` decimal digits."""
+    q = rng.randint(10 ** (digits - 1), 10**digits - 1)
+    return Fraction(rng.randint(math.ceil(lo * q), math.ceil(hi * q) - 1), q)
+
+
+def _draw(rng, digits):
+    return (_rational(rng, Fraction(-3), Fraction(1), digits),
+            _rational(rng, Fraction(1, 4), Fraction(8), digits))
+
+
+def test_integer_kernel_equals_the_fraction_loop():
+    rng = random.Random(1968)
+    for N in range(1, 13):
+        for digits in (1, 2, 3):
+            a, tv = _draw(rng, digits)
+            w = WeightParams(N, a, tv)
+            r = stieltjes_recurrence(w, N)
+            assert [list(r.aa), list(r.b)] == list(_reference_stieltjes(w, N))
+            jr = jet_recurrence(w, N)
+            ref_aa, ref_b = _reference_stieltjes(WeightParams(N, a, Jet1.variable(tv)), N)
+            assert _jet_slots(jr.aa) == _jet_slots(ref_aa)
+            assert _jet_slots(jr.b) == _jet_slots(ref_b)
+
+
+def test_norm_ratios_are_hankel_ratios_at_three_digit_heights():
+    # a_k^2 = D_k D_{k-2} / D_{k-1}^2; here D[j] holds D_{j-1}, with D_{-1} = 1
+    a, tv = _draw(random.Random(2004), 3)
+    w = WeightParams(8, a, tv)
+    r = stieltjes_recurrence(w, 8)
+    m = moments(w, 16)
+    D = [Fraction(1)] + [hankel_determinant(m, k) for k in range(9)]
+    assert all(r.aa[k] == D[k + 1] * D[k - 1] / D[k] ** 2 for k in range(1, 9))
+
+
+def test_a_doubled_derivative_slot_doubles_every_derivative():
+    rng = random.Random(2)
+    for N, digits in ((4, 1), (7, 2), (10, 3)):
+        a, tv = _draw(rng, digits)
+        one = stieltjes_recurrence(WeightParams(N, a, Jet1.variable(tv)), N)
+        two = stieltjes_recurrence(WeightParams(N, a, Jet1(tv, Fraction(2))), N)
+        assert _jet_slots(two.aa + two.b) == [(v, 2 * d) for v, d in _jet_slots(one.aa + one.b)]
