@@ -114,6 +114,11 @@ def _dump_catalogue() -> str:
 
 def _integration(system_id: str, args) -> Callable[[], str]:
     """Check the ``--integrate`` arguments; return the run that makes the trajectory CSV."""
+    for option, given in (("--N", args.Ns), ("--n", args.ns), ("--alpha", args.alphas)):
+        if given and len(given) > 1:
+            raise UsageError(f"--integrate takes one {option}, got {len(given)}")
+    if args.ts:
+        raise UsageError("--integrate takes no --t; --from-t sets the start")
     N = args.Ns[0] if args.Ns else 2
     n = args.ns[0] if args.ns else min(1, N - 1)
     alpha = args.alphas[0] if args.alphas else Fraction(0)

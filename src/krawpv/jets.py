@@ -3,7 +3,9 @@
 Arithmetic follows the Leibniz/quotient rules truncated at order 2 (``Jet2``)
 or order 1 (``Jet1``), so evaluating any rational expression with jet-valued
 inputs yields the value and the first (and second) t-derivative of that
-expression along the curve.
+expression along the curve.  ``Jet1`` carries the oracle's exact Toda check
+and the flow checks of ``maps`` and ``systems``: binding each chart
+coordinate to (value, right-hand side) makes the curve a flow line.
 """
 
 from __future__ import annotations
@@ -205,3 +207,8 @@ class Jet1:
 def value(x):
     """The value slot of a jet; a scalar is its own value.  Guards compare this."""
     return x.v if isinstance(x, (Jet1, Jet2)) else x
+
+
+def rate(x):
+    """The d/dt slot of a jet; a scalar is constant, so its rate is a zero of its type."""
+    return x.d1 if isinstance(x, (Jet1, Jet2)) else 0 * x

@@ -85,7 +85,7 @@ class SuiteReport:
 
     @property
     def overall(self) -> str:
-        return "PASS" if all(c.status != "FAIL" for c in self.cases) else "FAIL"
+        return "PASS" if all(c.status == "PASS" for c in self.cases) else "FAIL"
 
     def to_dict(self) -> Dict:
         cases = []

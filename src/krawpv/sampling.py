@@ -67,7 +67,7 @@ class CaseResult:
     """One verification case inside a suite."""
 
     id: str
-    status: str  # PASS | FAIL | SKIP
+    status: str  # PASS | FAIL
     residual: str = "0"
     samples: int = 0
     resamples: int = 0

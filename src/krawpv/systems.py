@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .expr import Const, Div, Expr, Sym, syms
+from .jets import Jet1, rate
 from .sampling import run_case
 
 t, n, NN, al = syms("t n N alpha")
@@ -55,6 +56,18 @@ class PlanarSystem:
     def evaluate_rhs(self, env) -> Tuple:
         """Exact (or float) time-derivatives; a zero denominator raises ``EvaluationDivisionError``."""
         return self.rhs1.evaluate(env), self.rhs2.evaluate(env)
+
+    def along_flow(self, env) -> Dict:
+        """``env`` with t and the chart coordinates bound to ``Jet1``s along this flow.
+
+        Each coordinate carries (value, rhs) and t carries (t, 1), so any
+        expression evaluated there yields its value and its d/dt along the
+        flow line through the point.
+        """
+        r1, r2 = self.evaluate_rhs(env)
+        c1, c2 = self.chart
+        return {**env, "t": Jet1.variable(env["t"]),
+                c1: Jet1(env[c1], r1), c2: Jet1(env[c2], r2)}
 
 
 @dataclass(frozen=True)
@@ -459,31 +472,13 @@ def _add_reciprocal_charts(reg: Dict[str, PlanarSystem]) -> None:
     and denominator are recovered with as_num_den for indeterminacy work.
     """
     base = reg["original"]
-    q, p, Q, P = syms("q p Q P")
-    rq = base.rhs1
-    rp = base.rhs2
-
-    # (q, P): p = 1/P
-    rq_qP = rq.subs({"p": 1 / P})
-    rp_qP = -(P**2) * rp.subs({"p": 1 / P})
-    n1, d1 = rq_qP.as_num_den()
-    n2, d2 = rp_qP.as_num_den()
-    reg["original_qP"] = PlanarSystem("original_qP", ("q", "P"), n1, d1, n2, d2)
-
-    # (Q, p): q = 1/Q
-    rq_Qp = -(Q**2) * rq.subs({"q": 1 / Q})
-    rp_Qp = rp.subs({"q": 1 / Q})
-    n1, d1 = rq_Qp.as_num_den()
-    n2, d2 = rp_Qp.as_num_den()
-    reg["original_Qp"] = PlanarSystem("original_Qp", ("Q", "p"), n1, d1, n2, d2)
-
-    # (Q, P)
-    sub = {"q": 1 / Q, "p": 1 / P}
-    rq_QP = -(Q**2) * rq.subs(sub)
-    rp_QP = -(P**2) * rp.subs(sub)
-    n1, d1 = rq_QP.as_num_den()
-    n2, d2 = rp_QP.as_num_den()
-    reg["original_QP"] = PlanarSystem("original_QP", ("Q", "P"), n1, d1, n2, d2)
+    for chart in (("q", "P"), ("Q", "p"), ("Q", "P")):
+        sub = {old: 1 / Sym(new) for old, new in zip("qp", chart) if new != old}
+        rates = [r.subs(sub) if new == old else -(Sym(new)**2) * r.subs(sub)
+                 for old, new, r in zip("qp", chart, (base.rhs1, base.rhs2))]
+        (n1, d1), (n2, d2) = (r.as_num_den() for r in rates)
+        sys_id = "original_" + "".join(chart)
+        reg[sys_id] = PlanarSystem(sys_id, chart, n1, d1, n2, d2)
 
 
 def get_system(system_id: str) -> PlanarSystem:
@@ -692,20 +687,14 @@ def check_reduction_soundness(ode_id: str, sampler, samples: int = 50):
     """The scalar reduction reproduces the parent planar flow exactly.
 
     Draw (y, y', t, params), recover the eliminated coordinate from the
-    elimination formula, evaluate the parent system there, and differentiate
-    the parent's equation for y along the flow:
-
-        y'' = d(rhs_y)/d(c1) * c1' + d(rhs_y)/d(c2) * c2' + d(rhs_y)/dt.
-
-    This must equal the catalogued second-order rhs at every sampled point.
+    elimination formula and evaluate on the parent's flow jets there
+    (``PlanarSystem.along_flow``): the rate of the reduced coordinate is y',
+    and the rate of the parent's equation for y is y''.  Both must equal the
+    drawn y' and the catalogued second-order rhs at every sampled point.
     """
     ode = get_ode2(ode_id)
     parent = get_system(ode.parent_id)
-    c1, c2 = parent.chart
     rhs_y = parent.rhs1 if parent.chart[0] == ode.reduce_coord else parent.rhs2
-    d_c1 = rhs_y.diff(c1)
-    d_c2 = rhs_y.diff(c2)
-    d_t = rhs_y.diff("t")
 
     names = ["y", "yp", "t", "n", "N"] + ([] if ode.alpha_fixed is not None else ["alpha"])
     fixed = {"alpha": ode.alpha_fixed} if ode.alpha_fixed is not None else None
@@ -714,15 +703,10 @@ def check_reduction_soundness(ode_id: str, sampler, samples: int = 50):
         chart_env = dict(env)
         chart_env[ode.reduce_coord] = env["y"]
         chart_env[ode.elim_coord] = ode.elimination.evaluate(env)
-        r1, r2 = parent.evaluate_rhs(chart_env)
-        flow = {c1: r1, c2: r2}
-        ypp = (
-            d_c1.evaluate(chart_env) * flow[c1]
-            + d_c2.evaluate(chart_env) * flow[c2]
-            + d_t.evaluate(chart_env)
-        )
+        flow = parent.along_flow(chart_env)
+        y_rate = rate(flow[ode.reduce_coord])
+        ypp = rate(rhs_y.evaluate(flow))
         expect = ode.rhs.evaluate(env)
-        y_rate = flow[ode.reduce_coord]
         failures = []
         if y_rate != env["yp"]:
             failures.append(f"elimination does not invert the flow ({y_rate} != {env['yp']})")

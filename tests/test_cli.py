@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from krawpv import cli
 from krawpv.cli import main
+from krawpv.oracle import WeightParams, oracle_xy
 
 
 def run(capsys, *argv):
@@ -100,6 +102,29 @@ def test_integrate_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "t,coord1,coord2"
     assert len(lines) > 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--N", "2", "--N", "3"), "--integrate takes one --N, got 2"),
+    (("--N", "3", "--n", "1", "--n", "2"), "--integrate takes one --n, got 2"),
+    (("--alpha", "0", "--alpha", "1/2"), "--integrate takes one --alpha, got 2"),
+    (("--t", "5"), "--integrate takes no --t; --from-t sets the start"),
+], ids=["N", "n", "alpha", "t"])
+def test_integrate_rejects_a_second_value_or_a_sweep_t(capsys, argv, message):
+    code, out, err = run(capsys, "--integrate", "original", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"krawpv: error: {message}\n"
+
+
+def test_integrate_takes_one_value_of_each_weight_option(capsys):
+    code, out, _ = run(capsys, "--integrate", "original", "--N", "3", "--n", "2",
+                       "--alpha", "1/2", "--from-t", "1.5", "--to-t", "1.6")
+    assert code == 0
+    xy = oracle_xy(WeightParams(3, Fraction(1, 2), Fraction(3, 2)), 2)
+    assert out.splitlines()[1].split(",")[0] == "1.5"
+    assert [float(c) for c in out.splitlines()[1].split(",")[1:]] == [
+        float(xy.x[2]), float(xy.y[2])]
 
 
 def test_integrate_unsupported_chart_is_usage_error(capsys):

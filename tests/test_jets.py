@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krawpv.jets import Jet1, Jet2, JetDivisionError
+from krawpv.jets import Jet1, Jet2, JetDivisionError, rate
 
 
 def F(a, b=1):
@@ -15,6 +15,13 @@ def F(a, b=1):
 def test_variable_jet():
     t = Jet2.variable(F(3))
     assert (t.v, t.d1, t.d2) == (F(3), F(1), F(0))
+
+
+def test_rate_is_the_d1_slot_and_zero_for_scalars():
+    assert rate(Jet1(F(2), F(-3, 4))) == F(-3, 4)
+    assert rate(Jet2(F(2), F(5), F(7))) == F(5)
+    assert rate(F(7, 3)) == 0 and type(rate(F(7, 3))) is Fraction
+    assert rate(2.5) == 0 and type(rate(2.5)) is float
 
 
 def test_product_rule():

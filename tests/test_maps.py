@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from krawpv import systems
+from krawpv.expr import syms
 from krawpv.maps import (
     BRIDGE_RENAMES,
     CASCADES,
@@ -70,6 +73,21 @@ def test_printed_reciprocal_variant_fails_pushforward():
         "uv510b", "psi11_hat_printed", "UV11", sampler("printed"), samples=10
     )
     assert case.status == "FAIL"
+
+
+@pytest.mark.parametrize("triple", [
+    ("original", "phi11", "uv11"),
+    ("original_QP", "Phi54", "uv54"),  # F depends on t
+])
+def test_target_field_off_by_t_fails_every_sample(monkeypatch, triple):
+    src, mid, tgt = triple
+    target = systems.get_system(tgt)
+    (t,) = syms("t")
+    bad = dataclasses.replace(target, rhs2_num=target.rhs2_num + t * target.rhs2_den)
+    monkeypatch.setitem(systems.registry(), tgt, bad)
+    case = pushforward_check(src, mid, tgt, sampler(f"off:{mid}"), samples=10)
+    assert case.status == "FAIL" and case.samples == 10
+    assert [f.split(":")[0] for f in case.failures] == [f"sample {k}" for k in range(1, 11)]
 
 
 @pytest.mark.parametrize("map_id", ["Phi54", "Phi54b", "Phi510b"])

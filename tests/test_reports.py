@@ -33,6 +33,12 @@ def test_csv_failures_column_carries_the_messages():
     assert overall == ["overall", "FAIL", "", "", "", ""]
 
 
+def test_overall_passes_only_when_every_case_passes():
+    assert SuiteReport("x", 1, [CaseResult("a", "PASS", samples=3)]).overall == "PASS"
+    report = SuiteReport("x", 1, [CaseResult("a", "PASS", samples=3), CaseResult("b", "SKIP")])
+    assert report.overall == "FAIL"
+
+
 def test_control_passes_only_when_its_check_fails_on_samples():
     sampled = _expect_fail(CaseResult("c", "FAIL", samples=10, failures=["sample 1: x"]))
     assert (sampled.id, sampled.status, sampled.samples) == ("control:c", "PASS", 10)

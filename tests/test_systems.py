@@ -133,3 +133,24 @@ def test_term_nonlinear_in_the_eliminated_coordinate_fails_soundness(monkeypatch
     assert case.status == "FAIL" and case.samples == 10
     flow_failures = [f for f in case.failures if "elimination does not invert the flow" in f]
     assert [f.split(":")[0] for f in flow_failures] == [f"sample {k}" for k in range(1, 11)]
+
+
+def test_catalogued_rhs_off_by_t_fails_every_sample(monkeypatch):
+    ode = get_ode2("ode_V12")
+    (t,) = syms("t")
+    monkeypatch.setitem(systems.ode2_registry(), ode.id, dataclasses.replace(ode, rhs=ode.rhs + t))
+    case = check_reduction_soundness(ode.id, sampler("off_by_t"), samples=10)
+    assert case.status == "FAIL" and case.samples == 10
+    assert [f.split(":")[0] for f in case.failures] == [f"sample {k}" for k in range(1, 11)]
+    assert all("y'' = " in f for f in case.failures)
+
+
+def test_along_flow_binds_rates_and_keeps_the_point():
+    s = get_system("UV12")
+    env = {"U12": Fraction(2), "V12": Fraction(-1, 3), "t": Fraction(5, 2),
+           "n": Fraction(1), "N": Fraction(3), "alpha": Fraction(1, 2)}
+    flow = s.along_flow(env)
+    assert (flow["t"].v, flow["t"].d1) == (env["t"], 1)
+    assert (flow["U12"].v, flow["U12"].d1) == (env["U12"], s.rhs1.evaluate(env))
+    assert (flow["V12"].v, flow["V12"].d1) == (env["V12"], s.rhs2.evaluate(env))
+    assert flow["N"] is env["N"] and type(env["t"]) is Fraction
