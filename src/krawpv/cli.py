@@ -56,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verification suite to run")
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (overrides ${SEED_ENV_VAR}; default 20260823)")
-    p.add_argument("--samples", type=int, default=50,
-                   help="random points per identity check")
+    p.add_argument("--samples", type=int,
+                   help=f"random points per identity check (default {RunConfig.samples})")
     p.add_argument("--N", type=int, action="append", dest="Ns", metavar="N",
                    help="restrict the parameter sweep to this N (repeatable)")
     p.add_argument("--n", type=int, action="append", dest="ns", metavar="n",
@@ -66,13 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the sweep to this rational alpha (repeatable)")
     p.add_argument("--t", type=_fraction, action="append", dest="ts",
                    help="restrict the sweep to this rational t (repeatable)")
-    p.add_argument("--from-t", type=float, default=1.0,
+    p.add_argument("--from-t", type=float,
                    help="integration window start (default 1)")
-    p.add_argument("--to-t", type=float, default=2.0,
+    p.add_argument("--to-t", type=float,
                    help="integration window end (default 2)")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float,
                    help="tolerance of the pv and backlund trajectory cases (default 1e-6)")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    p.add_argument("--format", choices=("json", "csv", "text"),
+                   help="report format (default json)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--dump-catalogue", action="store_true",
                    help="emit the system registry as JSON and exit")
@@ -80,6 +81,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integrate a catalogued system from oracle initial "
                         "data and emit a trajectory CSV")
     return p
+
+
+# the options only a suite run reads, and the sweep and window options, which
+# --integrate reads too; the defaults fill in whatever was not given
+_SUITE_OPTIONS = (("--suite", "suite"), ("--samples", "samples"), ("--tol", "tol"),
+                  ("--format", "format"))
+_SWEEP_OPTIONS = (("--N", "Ns"), ("--n", "ns"), ("--alpha", "alphas"), ("--t", "ts"),
+                  ("--from-t", "from_t"), ("--to-t", "to_t"))
+_DEFAULTS = {"samples": RunConfig.samples, "tol": RunConfig.tol, "format": "json",
+             "from_t": RunConfig.from_t, "to_t": RunConfig.to_t}
+
+
+def _check_mode(args) -> None:
+    """Usage errors: both modes together, or an option the chosen mode would ignore."""
+    if args.dump_catalogue and args.integrate:
+        raise UsageError("--dump-catalogue and --integrate are separate runs; give one")
+    if args.dump_catalogue:
+        mode, ignored = "--dump-catalogue", _SUITE_OPTIONS + _SWEEP_OPTIONS
+    elif args.integrate:
+        mode, ignored = "--integrate", _SUITE_OPTIONS
+    else:
+        return
+    for option, dest in ignored:
+        if getattr(args, dest) is not None:
+            raise UsageError(f"{mode} takes no {option}")
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
@@ -156,6 +182,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        _check_mode(args)
+        vars(args).update({k: v for k, v in _DEFAULTS.items() if getattr(args, k) is None})
         if args.dump_catalogue:
             text = _dump_catalogue()
             with _open_out(args.out) as fh:

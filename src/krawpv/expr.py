@@ -28,9 +28,14 @@ slot order:
   exactly a ``Fraction``: it carries unreduced integer numerator/denominator
   pairs, takes no gcd per node and builds one ``Fraction`` at the end;
 * the operator kernel, for every other binding (int, float, ``Jet2`` or a
-  mix): it applies Python's operators to the bound values, with constants
-  bound as ``Fraction`` objects, exactly as a recursive tree walk would, so
-  int and float semantics are unchanged.
+  mix): it applies Python's operators to the bound values exactly as a
+  recursive tree walk would, so int and float semantics are unchanged.  Its
+  constants are chosen per call: rounded to float when every symbol is bound
+  to a float or to a ``Jet2`` of three floats, ``Fraction`` objects otherwise.
+  A ``Fraction`` met by a float computes ``float(c) op x``, so rounding ``c``
+  first gives the same bits, and a float lifted to a ``Jet2`` gets the +0.0
+  slots that ``Fraction(0)`` acted as.  This spares the float checks a
+  ``Fraction`` conversion at every operation.
 
 The rational kernel returns the same rational number a recursive tree walk
 computes: both work in exact rational arithmetic and only the time of
@@ -424,17 +429,24 @@ def _make_slot(node: Expr, args: Tuple[int, ...], slots: List[_Slot]) -> _Slot:
 
 
 def _namespace(slots: List[_Slot]) -> Dict[str, object]:
-    """Globals of a generated function: helpers, constants and denominators to report."""
+    """Globals of a generated function: helpers and the denominators to report."""
     ns: Dict[str, object] = {
         "_F": Fraction, "_MISSING": _MISSING,
         "_Unbound": UnboundSymbolError, "_DivErr": EvaluationDivisionError,
     }
     for i, slot in enumerate(slots):
-        if slot.kind == "const":
-            ns[f"c{i}"] = slot.value
-        elif isinstance(slot.node, Div):
+        if slot.kind != "const" and isinstance(slot.node, Div):
             ns[f"den{i}"] = slot.node.b
     return ns
+
+
+def _floaty(*values) -> bool:
+    """Whether every value is a float or a ``Jet2`` of three floats."""
+    for v in values:
+        if type(v) is not float and not (type(v) is Jet2 and type(v.v) is float
+                                         and type(v.d1) is float and type(v.d2) is float):
+            return False
+    return True
 
 
 _MISSING = object()
@@ -536,9 +548,20 @@ def _compile_evaluate(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
     exact = " and ".join(f"type(s{i}) is _F" for i in sym_slots) or "True"
     body.append(f"if {exact}:")
     body += ["    " + line for line in _rational_kernel(slots, names)]
+    ns = _namespace(slots)
+    consts = [i for i, slot in enumerate(slots) if slot.kind == "const"]
+    if consts and sym_slots:  # the operator kernel's constants, chosen per call
+        as_fractions = tuple(slots[i].value for i in consts)
+        try:
+            as_floats = tuple(float(c) for c in as_fractions)
+        except OverflowError:  # no float holds it: a float binding meets the Fraction, as before
+            as_floats = as_fractions
+        ns.update(_XC=as_fractions, _FC=as_floats, _floaty=_floaty)
+        body.append(f"{', '.join(names[i] for i in consts)}, = "
+                    f"_FC if _floaty({', '.join(f's{i}' for i in sym_slots)}) else _XC")
     body += _operator_kernel(slots, names, check_unbound=True)
     body.append(f"return {names[-1]}")
-    return _define("evaluate", "env", body, _namespace(slots))
+    return _define("evaluate", "env", body, ns)
 
 
 def _define(name: str, params: str, body: List[str], namespace: Dict[str, object]):

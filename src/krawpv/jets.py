@@ -24,7 +24,12 @@ class JetDivisionError(ZeroDivisionError):
 def _coerce(x) -> "Jet2":
     if isinstance(x, Jet2):
         return x
-    if isinstance(x, (int, Fraction, float)):
+    if isinstance(x, float):
+        # +0.0, what a Fraction(0) slot is in float arithmetic (nan for an infinite
+        # x), so a float constant lifts to the bits a Fraction constant did
+        zero = abs(0 * x)
+        return Jet2(x, zero, zero)
+    if isinstance(x, (int, Fraction)):
         return Jet2(x, 0 * x, 0 * x)
     return NotImplemented
 

@@ -37,19 +37,15 @@ class WeightParams:
             raise OracleError("weight requires t > 0")
 
 
-def pochhammer(b: Fraction, s: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(s):
-        out *= b + i
-    return out
-
-
 def weight_values(w: WeightParams) -> List[Fraction]:
-    """w(x) for x = 0..N; all positive for alpha < 1, t > 0."""
-    return [
-        Fraction(math.comb(w.N, x)) * w.t**x / pochhammer(1 - w.alpha, x)
-        for x in range(w.N + 1)
-    ]
+    """w(x) for x = 0..N; all positive for alpha < 1, t > 0.
+
+    A running product: w(0) = 1 and w(x+1) = w(x) t (N - x)/((x + 1)(1 - alpha + x)).
+    """
+    out = [Fraction(1) * w.t**0]  # 1, as a Jet1 (1, 0) for a jet t
+    for x in range(w.N):
+        out.append(out[-1] * w.t * Fraction(w.N - x, x + 1) / (1 - w.alpha + x))
+    return out
 
 
 @dataclass(frozen=True)
@@ -195,14 +191,13 @@ def hyp1f1_terminating(a: int, bparam: Fraction, z: Fraction) -> Fraction:
     """M(a, b, z) = sum_{s=0}^{|a|} (a)_s/((b)_s s!) z^s for nonpositive integer a."""
     if a > 0:
         raise OracleError("terminating 1F1 requires a nonpositive integer a")
-    out = Fraction(0)
-    term_num = Fraction(1)  # (a)_s z^s
-    for s in range(-a + 1):
-        bs = pochhammer(bparam, s)
-        if bs == 0:
-            raise OracleError(f"vanishing Pochhammer (b)_{s} in 1F1")
-        out += term_num / (bs * math.factorial(s))
-        term_num *= (a + s) * z
+    out = term = Fraction(1)
+    for s in range(-a):
+        # term s+1 = term s * (a + s) z/((b + s)(s + 1)); (b)_{s+1} vanishes with b + s
+        if bparam + s == 0:
+            raise OracleError(f"vanishing Pochhammer (b)_{s + 1} in 1F1")
+        term = term * (a + s) * z / ((bparam + s) * (s + 1))
+        out += term
     return out
 
 

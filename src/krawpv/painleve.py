@@ -71,6 +71,14 @@ class PVParams:
 
         return PVParams(val(self.a5), val(self.b5), val(self.g5), val(self.d5))
 
+    def floats(self) -> "PVParams":
+        """The evaluated quadruple as floats, the constant δ₅ = −1/2 included.
+
+        A float PV check then binds floats only, so ``Expr.evaluate`` takes its
+        float constants; rounding a ``Fraction`` first gives the same bits.
+        """
+        return PVParams(*(float(x) for x in (self.a5, self.b5, self.g5, self.d5)))
+
     def as_env(self) -> Dict[str, Scalar]:
         out = {}
         for key, x in (("a5", self.a5), ("b5", self.b5), ("g5", self.g5), ("d5", self.d5)):
@@ -505,8 +513,8 @@ def verify_trajectory(
     env = {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": alpha_val}
     fenv = {k: float(v) for k, v in env.items()}
     src = pv_params_for(comp.source_params).evaluate(env)
-    tgt_f = pv_params_for(comp.target_params).evaluate(fenv)
-    src_f = PVParams(*(float(x) for x in (src.a5, src.b5, src.g5, src.d5)))
+    tgt_f = pv_params_for(comp.target_params).evaluate(fenv).floats()
+    src_f = src.floats()
 
     def residual(tv, yv, ypv):
         j = complete_jet(tv, yv, ypv, src_f)
@@ -541,7 +549,7 @@ def verify_reduction_trajectory(
     if ode.alpha_fixed is not None:
         env["alpha"] = ode.alpha_fixed
     fenv = {k: float(v) for k, v in env.items()}
-    params = pv_params_for(red.params_id).evaluate(fenv)
+    params = pv_params_for(red.params_id).evaluate(fenv).floats()
 
     # chart-side initial data from the PV-side jet
     j0 = complete_jet(t0, y0, yp0, params)

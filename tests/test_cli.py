@@ -117,6 +117,39 @@ def test_integrate_rejects_a_second_value_or_a_sweep_t(capsys, argv, message):
     assert err == f"krawpv: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--integrate", "original", "--suite", "toda"), "--integrate takes no --suite"),
+    (("--integrate", "original", "--samples", "7"), "--integrate takes no --samples"),
+    (("--integrate", "original", "--tol", "nan"), "--integrate takes no --tol"),
+    (("--integrate", "original", "--format", "json"), "--integrate takes no --format"),
+    (("--dump-catalogue", "--suite", "all"), "--dump-catalogue takes no --suite"),
+    (("--dump-catalogue", "--samples", "0"), "--dump-catalogue takes no --samples"),
+    (("--dump-catalogue", "--tol", "1e-6"), "--dump-catalogue takes no --tol"),
+    (("--dump-catalogue", "--format", "csv"), "--dump-catalogue takes no --format"),
+    (("--dump-catalogue", "--N", "2"), "--dump-catalogue takes no --N"),
+    (("--dump-catalogue", "--n", "0"), "--dump-catalogue takes no --n"),
+    (("--dump-catalogue", "--alpha", "-1/3"), "--dump-catalogue takes no --alpha"),
+    (("--dump-catalogue", "--t", "1"), "--dump-catalogue takes no --t"),
+    (("--dump-catalogue", "--from-t", "1"), "--dump-catalogue takes no --from-t"),
+    (("--dump-catalogue", "--to-t", "2"), "--dump-catalogue takes no --to-t"),
+    (("--dump-catalogue", "--integrate", "original"),
+     "--dump-catalogue and --integrate are separate runs; give one"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_an_option_the_mode_ignores_is_a_usage_error(capsys, argv, message):
+    # the value given is the default or a valid one: only its presence is wrong
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"krawpv: error: {message}\n"
+
+
+def test_plain_modes_still_run(capsys):
+    code, out, _ = run(capsys, "--dump-catalogue")
+    assert code == 0 and json.loads(out)
+    code, out, _ = run(capsys, "--integrate", "original")
+    assert code == 0 and out.startswith("t,coord1,coord2")
+
+
 def test_integrate_takes_one_value_of_each_weight_option(capsys):
     code, out, _ = run(capsys, "--integrate", "original", "--N", "3", "--n", "2",
                        "--alpha", "1/2", "--from-t", "1.5", "--to-t", "1.6")

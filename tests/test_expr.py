@@ -1,5 +1,7 @@
 import gc
+import math
 import operator
+import random
 import re
 import weakref
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krawpv import painleve, systems
 from krawpv.expr import (
     Add,
     Const,
@@ -339,6 +342,90 @@ def test_exact_bindings_take_exact_arithmetic():
     assert e.evaluate({"x": Fraction(1), "y": Fraction(3)}) == Fraction(1, 3)
     assert e.evaluate({"x": 1, "y": 3}) == 1 / 3
     assert type(e.evaluate({"x": 1, "y": 3})) is float
+
+
+# --- float constants for float bindings ------------------------------------
+
+def _catalogue_trees():
+    """The trees the float PV checks evaluate, by name."""
+    trees = {"PV_RHS": painleve.PV_RHS, "PV_RHS_DY": painleve._PV_RHS_DY,
+             "PV_RHS_DYP": painleve._PV_RHS_DYP, "PV_RHS_DT": painleve._PV_RHS_DT,
+             "BACKLUND_Y": painleve.BACKLUND_Y}
+    trees.update({f"closed_form:{k}": c.closed_form for k, c in painleve.COMPOSITIONS.items()})
+    trees.update({f"ode2:{k}": systems.get_ode2(k).rhs for k in systems.ode2_ids()})
+    return trees
+
+
+CATALOGUE_TREES = _catalogue_trees()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_TREES))
+def test_float_bindings_give_the_bits_of_fraction_constants(name):
+    # float constants in place of Fraction ones: float(c) op x is what a Fraction computed
+    e = CATALOGUE_TREES[name]
+    names = sorted(e.symbols())
+    fn = compile_float(e, names)
+    rng = random.Random(f"float constants:{name}")
+    for _ in range(25):
+        values = [rng.uniform(-3, 3) for _ in names]
+        env = dict(zip(names, values))
+        want = _outcome(reference_evaluate, e, env)
+        _assert_same_outcome(_outcome(e.evaluate, env), want)
+        _assert_same_outcome(_outcome(fn, *values), want)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_TREES))
+def test_float_jet_bindings_give_the_bits_of_fraction_constants(name):
+    # the transform_jet shape (t, y, yp jets, parameters floats), then every symbol a jet
+    e = CATALOGUE_TREES[name]
+    rng = random.Random(f"float jet constants:{name}")
+    for jets in (("t", "y", "yp"), e.symbols()):
+        for _ in range(10):
+            env = {nm: Jet2(*(rng.uniform(-3, 3) for _ in range(3))) if nm in jets
+                   else rng.uniform(-3, 3) for nm in e.symbols()}
+            _assert_same_outcome(_outcome(e.evaluate, env), _outcome(reference_evaluate, e, env))
+
+
+def test_a_float_constant_lifts_to_the_zero_slots_of_a_fraction_constant():
+    # 0 * c is -0.0 for a negative float c; the lifted slots are +0.0, as Fraction(0) acts
+    got = (Const(Fraction(-1)) * x).evaluate({"x": Jet2(1.0, 0.0, 0.0)})
+    assert repr(got) == repr(Jet2(-1.0, 0.0, 0.0))
+    inf = Jet2(1.0, 0.0, 0.0) * float("inf")
+    assert inf.v == float("inf") and math.isnan(inf.d1) and math.isnan(inf.d2)
+
+
+def test_mixed_and_exact_bindings_meet_fraction_constants():
+    # x - c is exactly -10**-30 only when c stays a Fraction; in float it is 0.0 and y/0.0 raises
+    c = Fraction(1, 3) + Fraction(1, 10**30)
+    e = y / (x - Const(c))
+    env = {"x": Fraction(1, 3), "y": 2.0}
+    assert e.evaluate(env) == reference_evaluate(e, env) == 2.0 / float(Fraction(1, 3) - c)
+    with pytest.raises(EvaluationDivisionError):
+        e.evaluate({"x": float(Fraction(1, 3)), "y": 2.0})
+    # an exact jet keeps Fraction slots
+    j = (x * Const(Fraction(1, 3)) - 2 * y).evaluate(
+        {"x": Jet2(Fraction(1), Fraction(2), Fraction(3)), "y": Jet2.variable(Fraction(5))})
+    assert (j.v, j.d1, j.d2) == (Fraction(-29, 3), Fraction(-4, 3), Fraction(1))
+    assert all(type(s) is Fraction for s in (j.v, j.d1, j.d2))
+
+
+def test_a_constant_beyond_float_range_still_evaluates_exactly():
+    # no float constant exists for it: exact bindings work, a float meets the Fraction
+    e = Const(Fraction(10) ** 400) * x
+    assert e.evaluate({"x": Fraction(1, 10**399)}) == 10
+    with pytest.raises(OverflowError):
+        e.evaluate({"x": 1.0})
+
+
+def test_a_float_zero_denominator_names_its_subtree():
+    den = y - Const(Fraction(2))
+    for zero in (2.0, Jet2(2.0, 1.0, 0.0)):
+        with pytest.raises(EvaluationDivisionError) as exc:
+            (x / den).evaluate({"x": 1.5, "y": zero})
+        assert exc.value.subtree == den
+    with pytest.raises(EvaluationDivisionError) as exc:
+        (x / Const(Fraction(0)) + x).evaluate({"x": Jet2(1.0, 2.0, 3.0)})
+    assert exc.value.subtree == Const(Fraction(0))
 
 
 def test_structural_equality_and_hash():

@@ -71,6 +71,35 @@ def test_hyp1f1_terminating_small_case():
     assert hyp1f1_terminating(-1, Fraction(3), Fraction(2)) == 1 - Fraction(2, 3)
 
 
+def _rising(b, s):
+    """(b)_s = b (b + 1) ... (b + s - 1), term by term."""
+    return math.prod((b + i for i in range(s)), start=Fraction(1))
+
+
+@pytest.mark.parametrize("N, alpha, t", [
+    (1, Fraction(0), Fraction(1)), (5, Fraction(-1, 3), Fraction(3, 2)),
+    (12, Fraction(-997, 113), Fraction(989, 113)), (18, Fraction(7, 9), Fraction(1, 4)),
+])
+def test_running_products_match_the_closed_forms(N, alpha, t):
+    # w(x) = C(N, x) t^x/(1 - alpha)_x and M(a, b, z) = sum (a)_s z^s/((b)_s s!)
+    want = [math.comb(N, x) * t**x / _rising(1 - alpha, x) for x in range(N + 1)]
+    assert weight_values(WeightParams(N, alpha, t)) == want
+    jets = weight_values(WeightParams(N, alpha, Jet1.variable(t)))
+    assert [j.v for j in jets] == want
+    assert [j.d1 for j in jets] == [x * wx / t for x, wx in enumerate(want)]
+    for a, b in ((-N, 1 - alpha), (-N + 1, 2 - alpha)):
+        assert hyp1f1_terminating(a, b, -t) == sum(
+            _rising(a, s) * (-t) ** s / (_rising(b, s) * math.factorial(s))
+            for s in range(-a + 1))
+
+
+def test_vanishing_pochhammer_names_its_index():
+    # (-2)_s vanishes from s = 3 on; a series that stops at s = 2 never meets it
+    assert hyp1f1_terminating(-2, Fraction(-2), Fraction(1)) == 1 + 1 + Fraction(1, 2)
+    with pytest.raises(OracleError, match=r"\(b\)_3 "):
+        hyp1f1_terminating(-3, Fraction(-2), Fraction(1))
+
+
 def test_worked_instance():
     w = WeightParams(2, Fraction(0), Fraction(1))
     assert initial_y0(w) == Fraction(-17, 7)
