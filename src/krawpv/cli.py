@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the options only a suite run reads, and the sweep and window options, which
 # --integrate reads too; the defaults fill in whatever was not given
-_SUITE_OPTIONS = (("--suite", "suite"), ("--samples", "samples"), ("--tol", "tol"),
-                  ("--format", "format"))
+_SUITE_OPTIONS = (("--suite", "suite"), ("--seed", "seed"), ("--samples", "samples"),
+                  ("--tol", "tol"), ("--format", "format"))
 _SWEEP_OPTIONS = (("--N", "Ns"), ("--n", "ns"), ("--alpha", "alphas"), ("--t", "ts"),
                   ("--from-t", "from_t"), ("--to-t", "to_t"))
 _DEFAULTS = {"samples": RunConfig.samples, "tol": RunConfig.tol, "format": "json",
@@ -183,6 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_mode(args)
+        seed = _resolve_seed(args.seed)  # a malformed $KRAWPV_SEED is an error in every mode
         vars(args).update({k: v for k, v in _DEFAULTS.items() if getattr(args, k) is None})
         if args.dump_catalogue:
             text = _dump_catalogue()
@@ -203,7 +204,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("krawpv: error: --suite is required", file=sys.stderr)
             return 2
         cfg = RunConfig(
-            seed=_resolve_seed(args.seed),
+            seed=seed,
             samples=args.samples,
             tol=args.tol,
             Ns=tuple(args.Ns) if args.Ns else RunConfig.Ns,

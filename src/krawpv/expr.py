@@ -4,8 +4,8 @@ Nodes are constants, symbols, sums, differences, negations, products,
 quotients and nonnegative integer powers.  There is no simplification and no
 normal form: semantic identities are established elsewhere by exact
 evaluation at random rational points.  Evaluation is generic in the bound
-values, so the same tree evaluates over Fractions, ints, floats or order-2
-jets.
+values, so the same tree evaluates over Fractions, ints, floats or jets of
+either order.
 
 Every operation on a tree runs on one walk, ``_walk``: it visits each node
 object once, iteratively in post-order with a quotient's denominator before
@@ -27,15 +27,15 @@ slot order:
 * the rational kernel, taken only when every symbol of the tree is bound to
   exactly a ``Fraction``: it carries unreduced integer numerator/denominator
   pairs, takes no gcd per node and builds one ``Fraction`` at the end;
-* the operator kernel, for every other binding (int, float, ``Jet2`` or a
-  mix): it applies Python's operators to the bound values exactly as a
-  recursive tree walk would, so int and float semantics are unchanged.  Its
-  constants are chosen per call: rounded to float when every symbol is bound
-  to a float or to a ``Jet2`` of three floats, ``Fraction`` objects otherwise.
-  A ``Fraction`` met by a float computes ``float(c) op x``, so rounding ``c``
-  first gives the same bits, and a float lifted to a ``Jet2`` gets the +0.0
-  slots that ``Fraction(0)`` acted as.  This spares the float checks a
-  ``Fraction`` conversion at every operation.
+* the operator kernel, for every other binding (int, float, ``Jet1``,
+  ``Jet2`` or a mix): it applies Python's operators to the bound values
+  exactly as a recursive tree walk would, so int and float semantics are
+  unchanged.  Its constants are chosen per call: rounded to float when every
+  slot of every binding is a float (a float, or a jet of either order with
+  float slots), ``Fraction`` objects otherwise.  A ``Fraction`` met by a
+  float computes ``float(c) op x``, and a jet meets a constant slot by slot
+  without lifting it, so rounding ``c`` first gives the same bits.  This
+  spares the float checks a ``Fraction`` conversion at every operation.
 
 The rational kernel returns the same rational number a recursive tree walk
 computes: both work in exact rational arithmetic and only the time of
@@ -59,9 +59,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from .jets import Jet2
+from .jets import Jet1, Jet2, slots
 
-Value = Union[int, Fraction, float, Jet2]
+Value = Union[int, Fraction, float, Jet1, Jet2]
 
 
 class ExprError(Exception):
@@ -441,12 +441,8 @@ def _namespace(slots: List[_Slot]) -> Dict[str, object]:
 
 
 def _floaty(*values) -> bool:
-    """Whether every value is a float or a ``Jet2`` of three floats."""
-    for v in values:
-        if type(v) is not float and not (type(v) is Jet2 and type(v.v) is float
-                                         and type(v.d1) is float and type(v.d2) is float):
-            return False
-    return True
+    """Whether every slot of every value is a float (a scalar is its own one slot)."""
+    return all(type(s) is float for v in values for s in slots(v))
 
 
 _MISSING = object()

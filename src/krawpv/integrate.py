@@ -474,8 +474,12 @@ def tolerance_case(case_id: str, ts: Sequence[float], deviation: Callable[[float
     """The float verdict: PASS iff ``deviation(t) < tol`` at every ``t``, which NaN never is.
 
     The residual is the worst deviation, or ``nan`` if any deviation is NaN.
+    A case with no times checks nothing, so it FAILs.
     """
     devs = [deviation(tv) for tv in ts]
+    if not devs:
+        return CaseResult(case_id, "FAIL", residual="nan",
+                          failures=[f"no sample times: the {what} was checked nowhere"])
     case = CaseResult(case_id, "PASS", residual=repr(_nan_max(devs)), samples=len(devs))
     for tv, dev in zip(ts, devs):
         if not dev < tol:

@@ -4,13 +4,19 @@ Arithmetic follows the Leibniz/quotient rules truncated at order 2 (``Jet2``)
 or order 1 (``Jet1``), so evaluating any rational expression with jet-valued
 inputs yields the value and the first (and second) t-derivative of that
 expression along the curve.  ``Jet1`` carries the oracle's exact Toda check
-and the flow checks of ``maps`` and ``systems``: binding each chart
-coordinate to (value, right-hand side) makes the curve a flow line.
+and the flow checks of ``maps``, ``systems`` and ``painleve``: binding each
+coordinate to (value, rate) makes the curve a flow line, so y''' of a PV
+solution is the rate of y'' = PV_RHS on the jets (y, y') and (y', y'').
+``Jet2`` carries ``painleve``'s order-2 transports of PV jets.
+
+Both orders treat a scalar the same way: it is a constant, mixes in without
+being lifted to a jet, meets the value slot alone in a sum and scales every
+slot in a product or quotient.  No zero slot is made for it, so the float
+bits are those of the slotwise operations on the bound values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -21,24 +27,18 @@ class JetDivisionError(ZeroDivisionError):
     """Division by a jet whose value slot is zero."""
 
 
-def _coerce(x) -> "Jet2":
-    if isinstance(x, Jet2):
-        return x
-    if isinstance(x, float):
-        # +0.0, what a Fraction(0) slot is in float arithmetic (nan for an infinite
-        # x), so a float constant lifts to the bits a Fraction constant did
-        zero = abs(0 * x)
-        return Jet2(x, zero, zero)
-    if isinstance(x, (int, Fraction)):
-        return Jet2(x, 0 * x, 0 * x)
-    return NotImplemented
+_SCALARS = (int, Fraction, float)
 
 
-@dataclass(frozen=True)
 class Jet2:
-    v: ScalarLike
-    d1: ScalarLike
-    d2: ScalarLike
+    """Order-2 jet ``(v, d1, d2)``: a value and its first two t-derivatives."""
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v: ScalarLike, d1: ScalarLike, d2: ScalarLike):
+        self.v = v
+        self.d1 = d1
+        self.d2 = d2
 
     @staticmethod
     def constant(v: ScalarLike) -> "Jet2":
@@ -47,93 +47,95 @@ class Jet2:
     @staticmethod
     def variable(v: ScalarLike) -> "Jet2":
         """Jet of the curve parameter itself: (v, 1, 0)."""
-        if isinstance(v, float):
-            return Jet2(v, 1.0, 0.0)
-        return Jet2(v, Fraction(1), Fraction(0))
+        one = 1.0 if isinstance(v, float) else Fraction(1)
+        return Jet2(v, one, 0 * one)
+
+    def __repr__(self) -> str:
+        return f"Jet2(v={self.v!r}, d1={self.d1!r}, d2={self.d2!r})"
 
     def __neg__(self) -> "Jet2":
         return Jet2(-self.v, -self.d1, -self.d2)
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+    def __add__(self, o):
+        if isinstance(o, Jet2):
+            return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+        if isinstance(o, _SCALARS):
+            return Jet2(self.v + o, self.d1, self.d2)
+        return NotImplemented
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+    def __sub__(self, o):
+        if isinstance(o, Jet2):
+            return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+        if isinstance(o, _SCALARS):
+            return Jet2(self.v - o, self.d1, self.d2)
+        return NotImplemented
 
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
+    def __rsub__(self, o):
+        if isinstance(o, _SCALARS):
+            return Jet2(o - self.v, -self.d1, -self.d2)
+        return NotImplemented
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet2(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2 * self.d1 * o.d1 + self.v * o.d2,
-        )
+    def __mul__(self, o):
+        if isinstance(o, Jet2):
+            return Jet2(
+                self.v * o.v,
+                self.d1 * o.v + self.v * o.d1,
+                self.d2 * o.v + 2 * self.d1 * o.d1 + self.v * o.d2,
+            )
+        if isinstance(o, _SCALARS):
+            return Jet2(self.v * o, self.d1 * o, self.d2 * o)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.v == 0:
-            raise JetDivisionError("jet division by zero value slot")
-        q0 = self.v / o.v
-        q1 = (self.d1 - q0 * o.d1) / o.v
-        q2 = (self.d2 - q0 * o.d2 - 2 * q1 * o.d1) / o.v
-        return Jet2(q0, q1, q2)
+    def __truediv__(self, o):
+        if isinstance(o, Jet2):
+            if o.v == 0:
+                raise JetDivisionError("jet division by zero value slot")
+            q0 = self.v / o.v
+            q1 = (self.d1 - q0 * o.d1) / o.v
+            return Jet2(q0, q1, (self.d2 - q0 * o.d2 - 2 * q1 * o.d1) / o.v)
+        if isinstance(o, _SCALARS):
+            if o == 0:
+                raise JetDivisionError("jet division by zero value slot")
+            return Jet2(self.v / o, self.d1 / o, self.d2 / o)
+        return NotImplemented
 
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
+    def __rtruediv__(self, o):
+        if not isinstance(o, _SCALARS):
             return NotImplemented
-        return o / self
+        if self.v == 0:
+            raise JetDivisionError("jet division by zero value slot")
+        q0 = o / self.v
+        q1 = -q0 * self.d1 / self.v
+        return Jet2(q0, q1, (-q0 * self.d2 - 2 * q1 * self.d1) / self.v)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if isinstance(self.v, float):
-            result = Jet2(1.0, 0.0, 0.0)
-        else:
-            result = Jet2(Fraction(1), Fraction(0), Fraction(0))
-        base = self
-        e = k
-        while e > 0:
-            if e & 1:
+        one = 1.0 if isinstance(self.v, float) else Fraction(1)
+        result, base = Jet2(one, 0 * one, 0 * one), self
+        while k:  # repeated squaring
+            if k & 1:
                 result = result * base
-            base = base * base
-            e >>= 1
+            base, k = base * base, k >> 1
         return result
 
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.v == o.v and self.d1 == o.d1 and self.d2 == o.d2
-
-
-_SCALARS = (int, Fraction, float)
+    def __eq__(self, o):
+        if isinstance(o, Jet2):
+            return self.v == o.v and self.d1 == o.d1 and self.d2 == o.d2
+        if isinstance(o, _SCALARS):
+            return self.v == o and self.d1 == 0 and self.d2 == 0
+        return NotImplemented
 
 
 class Jet1:
     """Order-1 jet (dual number): the truncation of ``Jet2`` to ``(v, d1)``.
 
     For code that needs only d/dt: a product costs three multiplications,
-    against six for ``Jet2``.  Scalars mix in without being lifted to jets.
+    against six for ``Jet2``.
     """
 
     __slots__ = ("v", "d1")
@@ -217,3 +219,10 @@ def value(x):
 def rate(x):
     """The d/dt slot of a jet; a scalar is constant, so its rate is a zero of its type."""
     return x.d1 if isinstance(x, (Jet1, Jet2)) else 0 * x
+
+
+def slots(x) -> tuple:
+    """The slots of a jet, ``(v, d1)`` or ``(v, d1, d2)``; a scalar is its own one slot."""
+    if isinstance(x, Jet1):
+        return (x.v, x.d1)
+    return (x.v, x.d1, x.d2) if isinstance(x, Jet2) else (x,)

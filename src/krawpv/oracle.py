@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .jets import Jet1, value
+from .jets import Jet1, slots, value
 
 
 class OracleError(Exception):
@@ -104,11 +104,6 @@ class RecurrenceTable:
     b: Tuple[Fraction, ...]
 
 
-def _slots(x) -> Tuple:
-    """The slots of a scalar or of a ``Jet1``."""
-    return (x.v, x.d1) if isinstance(x, Jet1) else (x,)
-
-
 def _each_slot(f, x):
     """f applied to every slot of a scalar or of a ``Jet1``."""
     return Jet1(f(x.v), f(x.d1)) if isinstance(x, Jet1) else f(x)
@@ -141,7 +136,7 @@ def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
     wv = weight_values(w)
     # gcd and lcm fold pairwise: a star-argument tuple of varying length per call
     # would fill CPython's tuple free lists, which only a full collection empties
-    scale = functools.reduce(math.lcm, (s.denominator for wx in wv for s in _slots(wx)))
+    scale = functools.reduce(math.lcm, (s.denominator for wx in wv for s in slots(wx)))
     wi = [_each_slot(lambda s: s.numerator * (scale // s.denominator), wx) for wx in wv]
     xs = range(w.N + 1)
 
@@ -168,7 +163,7 @@ def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
         slope, shift, tail = norm * lead, moment * lead, norm * norm * d_prev * conj
         q_next = [(x * slope - shift) * qx - tail * px for x, qx, px in zip(xs, q, q_prev)]
         d_next = value(u * conj) * d * d
-        g = functools.reduce(math.gcd, (s for qx in q_next for s in _slots(qx)), d_next)
+        g = functools.reduce(math.gcd, (s for qx in q_next for s in slots(qx)), d_next)
         q_prev, d_prev, norm_prev = q, d, norm
         q, d = [_each_slot(lambda s: s // g, qx) for qx in q_next], d_next // g
     return RecurrenceTable(tuple(aa), tuple(b))

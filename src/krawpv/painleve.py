@@ -10,7 +10,9 @@ half, ``backlund_step``, maps the literal branch state, and the jet half is
 the one expression ``BACKLUND_Y`` pushed through ``transform_jet``.  Fixed
 four-, two- and one-step compositions reproduce displayed closed-form maps.
 All identities are certified by exact evaluation on order-2 jets that
-satisfy the source equation.
+satisfy the source equation.  Such a jet fixes y''' as well: it is the rate of
+y'' = PV_RHS along the flow, read from one evaluation on ``Jet1`` flow jets,
+as in the flow checks of ``maps`` and ``systems``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 from . import integrate
 from .expr import Const, Expr, syms
 from .integrate import IntegrationError, tolerance_case
-from .jets import Jet2
+from .jets import Jet1, Jet2, rate
 from .sampling import CaseResult, Sampler, run_case
 from .systems import get_ode2
 
@@ -48,12 +50,6 @@ PV_RHS: Expr = (
     + g5s * y / t
     + d5s * y * (y + 1) / (y - 1)
 )
-
-# total t-derivative of PV_RHS along a solution gives y''' in terms of
-# (y, yp, ypp, t); used to complete jets of y' when transporting solutions
-_PV_RHS_DY = PV_RHS.diff("y")
-_PV_RHS_DYP = PV_RHS.diff("yp")
-_PV_RHS_DT = PV_RHS.diff("t")
 
 
 @dataclass(frozen=True)
@@ -149,26 +145,22 @@ def pv_residual(j: PVJet, p: PVParams) -> Scalar:
     """y'' minus the PV right-hand side; exact zero certifies the jet."""
     if j.t == 0 or j.y == 0 or j.y == 1:
         raise SingularJetError("PV residual needs t != 0 and y outside {0, 1}")
-    env: Dict[str, Scalar] = {"t": j.t, "y": j.y, "yp": j.yp}
-    env.update(p.as_env())
-    return j.ypp - PV_RHS.evaluate(env)
+    return j.ypp - PV_RHS.evaluate({"t": j.t, "y": j.y, "yp": j.yp, **p.as_env()})
 
 
 def pv_third_derivative(j: PVJet, p: PVParams) -> Scalar:
-    """y''' obtained by differentiating the PV equation along the solution."""
-    env: Dict[str, Scalar] = {"t": j.t, "y": j.y, "yp": j.yp}
-    env.update(p.as_env())
-    return (
-        _PV_RHS_DY.evaluate(env) * j.yp
-        + _PV_RHS_DYP.evaluate(env) * j.ypp
-        + _PV_RHS_DT.evaluate(env)
-    )
+    """y''' as the rate of y'' = PV_RHS along the solution.
+
+    One evaluation on the flow jets t, (y, y') and (y', y'') gives the total
+    t-derivative of PV_RHS, exactly for a ``Fraction`` jet.
+    """
+    return rate(PV_RHS.evaluate({"t": Jet1.variable(j.t), "y": Jet1(j.y, j.yp),
+                                 "yp": Jet1(j.yp, j.ypp), **p.as_env()}))
 
 
 def complete_jet(t_val: Scalar, y_val: Scalar, yp_val: Scalar, p: PVParams) -> PVJet:
     """Fill in y'' from the PV equation itself."""
-    env: Dict[str, Scalar] = {"t": t_val, "y": y_val, "yp": yp_val}
-    env.update(p.as_env())
+    env = {"t": t_val, "y": y_val, "yp": yp_val, **p.as_env()}
     return PVJet(t_val, y_val, yp_val, PV_RHS.evaluate(env))
 
 
@@ -179,12 +171,8 @@ def transform_jet(expr: Expr, j: PVJet, p: PVParams,
     The input jet must satisfy the source PV with parameters ``p`` so that
     y''' (needed for the derivative of yp) is well defined.
     """
-    yppp = pv_third_derivative(j, p)
-    env: Dict[str, object] = dict(extra or {})
-    env["t"] = Jet2.variable(j.t)
-    env["y"] = Jet2(j.y, j.yp, j.ypp)
-    env["yp"] = Jet2(j.yp, j.ypp, yppp)
-    out = expr.evaluate(env)
+    out = expr.evaluate({**(extra or {}), "t": Jet2.variable(j.t), "y": Jet2(j.y, j.yp, j.ypp),
+                         "yp": Jet2(j.yp, j.ypp, pv_third_derivative(j, p))})
     if not isinstance(out, Jet2):
         out = Jet2.constant(out)
     return PVJet(j.t, out.v, out.d1, out.d2)

@@ -122,10 +122,12 @@ def test_integrate_rejects_a_second_value_or_a_sweep_t(capsys, argv, message):
     (("--integrate", "original", "--samples", "7"), "--integrate takes no --samples"),
     (("--integrate", "original", "--tol", "nan"), "--integrate takes no --tol"),
     (("--integrate", "original", "--format", "json"), "--integrate takes no --format"),
+    (("--integrate", "original", "--seed", "5"), "--integrate takes no --seed"),
     (("--dump-catalogue", "--suite", "all"), "--dump-catalogue takes no --suite"),
     (("--dump-catalogue", "--samples", "0"), "--dump-catalogue takes no --samples"),
     (("--dump-catalogue", "--tol", "1e-6"), "--dump-catalogue takes no --tol"),
     (("--dump-catalogue", "--format", "csv"), "--dump-catalogue takes no --format"),
+    (("--dump-catalogue", "--seed", "5"), "--dump-catalogue takes no --seed"),
     (("--dump-catalogue", "--N", "2"), "--dump-catalogue takes no --N"),
     (("--dump-catalogue", "--n", "0"), "--dump-catalogue takes no --n"),
     (("--dump-catalogue", "--alpha", "-1/3"), "--dump-catalogue takes no --alpha"),
@@ -141,6 +143,19 @@ def test_an_option_the_mode_ignores_is_a_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"krawpv: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "oracle", "--N", "1"),
+    ("--dump-catalogue",),
+    ("--integrate", "original"),
+], ids=lambda v: " ".join(v))
+def test_a_malformed_env_seed_is_a_usage_error_in_every_mode(capsys, monkeypatch, argv):
+    monkeypatch.setenv("KRAWPV_SEED", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "krawpv: error: $KRAWPV_SEED is not an integer: 'abc'\n"
 
 
 def test_plain_modes_still_run(capsys):

@@ -1,5 +1,4 @@
 import gc
-import math
 import operator
 import random
 import re
@@ -22,10 +21,11 @@ from krawpv.expr import (
     Sub,
     Sym,
     UnboundSymbolError,
+    _floaty,
     compile_float,
     syms,
 )
-from krawpv.jets import Jet2
+from krawpv.jets import Jet1, Jet2, slots
 
 x, y = syms("x y")
 
@@ -183,8 +183,8 @@ def _same_value(a, b):
     """Equal and of the same type, slot by slot for jets; floats bit for bit."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, Jet2):
-        return all(_same_value(p, q) for p, q in ((a.v, b.v), (a.d1, b.d1), (a.d2, b.d2)))
+    if isinstance(a, (Jet1, Jet2)):
+        return all(_same_value(p, q) for p, q in zip(slots(a), slots(b)))
     if isinstance(a, float):
         return repr(a) == repr(b)  # also nan == nan and the sign of zero
     return a == b
@@ -348,9 +348,7 @@ def test_exact_bindings_take_exact_arithmetic():
 
 def _catalogue_trees():
     """The trees the float PV checks evaluate, by name."""
-    trees = {"PV_RHS": painleve.PV_RHS, "PV_RHS_DY": painleve._PV_RHS_DY,
-             "PV_RHS_DYP": painleve._PV_RHS_DYP, "PV_RHS_DT": painleve._PV_RHS_DT,
-             "BACKLUND_Y": painleve.BACKLUND_Y}
+    trees = {"PV_RHS": painleve.PV_RHS, "BACKLUND_Y": painleve.BACKLUND_Y}
     trees.update({f"closed_form:{k}": c.closed_form for k, c in painleve.COMPOSITIONS.items()})
     trees.update({f"ode2:{k}": systems.get_ode2(k).rhs for k in systems.ode2_ids()})
     return trees
@@ -376,22 +374,48 @@ def test_float_bindings_give_the_bits_of_fraction_constants(name):
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE_TREES))
 def test_float_jet_bindings_give_the_bits_of_fraction_constants(name):
-    # the transform_jet shape (t, y, yp jets, parameters floats), then every symbol a jet
+    # the transform_jet shape (t, y, yp jets of either order, parameters floats),
+    # then every symbol a jet
     e = CATALOGUE_TREES[name]
     rng = random.Random(f"float jet constants:{name}")
-    for jets in (("t", "y", "yp"), e.symbols()):
-        for _ in range(10):
-            env = {nm: Jet2(*(rng.uniform(-3, 3) for _ in range(3))) if nm in jets
-                   else rng.uniform(-3, 3) for nm in e.symbols()}
-            _assert_same_outcome(_outcome(e.evaluate, env), _outcome(reference_evaluate, e, env))
+    for order in (Jet2, Jet1):
+        for jets in (("t", "y", "yp"), e.symbols()):
+            for _ in range(10):
+                env = {nm: order(*(rng.uniform(-3, 3) for _ in order.__slots__)) if nm in jets
+                       else rng.uniform(-3, 3) for nm in e.symbols()}
+                _assert_same_outcome(_outcome(e.evaluate, env),
+                                     _outcome(reference_evaluate, e, env))
 
 
-def test_a_float_constant_lifts_to_the_zero_slots_of_a_fraction_constant():
-    # 0 * c is -0.0 for a negative float c; the lifted slots are +0.0, as Fraction(0) acts
-    got = (Const(Fraction(-1)) * x).evaluate({"x": Jet2(1.0, 0.0, 0.0)})
-    assert repr(got) == repr(Jet2(-1.0, 0.0, 0.0))
-    inf = Jet2(1.0, 0.0, 0.0) * float("inf")
-    assert inf.v == float("inf") and math.isnan(inf.d1) and math.isnan(inf.d2)
+def test_a_fraction_constant_and_its_float_give_the_same_bits_on_float_jets():
+    # a scalar scales every slot and makes no zero slot, so 0.0 * c and -0.0 * c keep
+    # the signs float(c) gives them, and evaluate's float constants change no bit
+    signed = [Jet1(1.0, 0.0), Jet1(-0.0, -2.5), Jet2(1.0, -0.0, 0.0), Jet2(-2.0, 0.0, 0.5)]
+    for c in (Fraction(-1), Fraction(1, 3), Fraction(-2, 7), Fraction(0)):
+        for e in (Const(c) * x, x * Const(c), x + Const(c), Const(c) - x, x / Const(c),
+                  Const(c) / x, (x - Const(c)) * (x + Const(c))):
+            for jet in signed:
+                env = {"x": jet}
+                _assert_same_outcome(_outcome(e.evaluate, env),
+                                     _outcome(reference_evaluate, e, env))
+        for jet in signed:
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                for pair in ((jet, c), (c, jet)):
+                    _assert_same_outcome(_outcome(op, *pair),
+                                         _outcome(op, *(float(s) if s is c else s for s in pair)))
+            if isinstance(jet, Jet2):  # Jet2.constant(c) is c by value; zero signs may differ
+                assert Jet2.constant(float(c)) == float(c) and Jet2.constant(c) == c
+                for op in (operator.add, operator.sub, operator.mul):
+                    assert op(jet, Jet2.constant(float(c))) == op(jet, float(c))
+                    assert op(Jet2.constant(c), jet) == op(c, jet)
+
+
+def test_float_constants_are_taken_when_every_slot_is_a_float():
+    # one rule for scalars and both jet orders
+    assert _floaty(1.0, Jet1(1.0, 2.0), Jet2(1.0, 2.0, 3.0)) and _floaty()
+    for other in (Fraction(1), 1, Jet1(1.0, Fraction(2)), Jet2(Fraction(1), 2.0, 3.0),
+                  Jet2(1.0, 2.0, 3)):
+        assert not _floaty(1.0, other)
 
 
 def test_mixed_and_exact_bindings_meet_fraction_constants():

@@ -20,6 +20,7 @@ from krawpv.integrate import (
     compare_trajectories,
     integrate_ode2,
     integrate_planar,
+    tolerance_case,
     trajectory_csv,
 )
 from krawpv.oracle import WeightParams, oracle_xy
@@ -74,6 +75,17 @@ def test_compare_against_nan_reference_fails():
     assert case.status == "FAIL"
     assert case.residual == "nan"
     assert case.samples == 2 and len(case.failures) == 2
+
+
+def test_a_case_with_no_times_fails():
+    # zero samples prove nothing: neither entry point may PASS vacuously
+    system = get_system("original")
+    traj = integrate_planar(system, oracle_point(1), 1.0, 2.0, PARAMS)
+    for case, what in [(compare_trajectories(traj, lambda t: traj(t), 1e-6, times=[]),
+                        "relative deviation"),
+                       (tolerance_case("x", [], lambda t: 0.0, 1e-6, "residual"), "residual")]:
+        assert case.status == "FAIL" and case.samples == 0 and case.residual == "nan"
+        assert case.failures == [f"no sample times: the {what} was checked nowhere"]
 
 
 def test_nan_in_a_later_component_fails():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krawpv.jets import Jet1, Jet2, JetDivisionError, rate
+from krawpv.jets import Jet1, Jet2, JetDivisionError, rate, slots
 
 
 def F(a, b=1):
@@ -55,6 +55,20 @@ def test_scalar_mixing():
     assert 2 * j == Jet2(F(2), F(4), F(6))
     assert j - 1 == Jet2(F(0), F(2), F(3))
     assert 1 - j == Jet2(F(0), F(-2), F(-3))
+
+
+def test_scalars_mix_in_without_a_lift():
+    # a scalar meets the value slot, or scales each slot; derivative slots keep their bits
+    j = Jet2(-0.0, 2.0, -0.0)
+    for got, want in [(j + 1.0, (1.0, 2.0, -0.0)), (j - 1.0, (-1.0, 2.0, -0.0)),
+                      (1.0 - j, (1.0, -2.0, 0.0)), (j * -1.0, (0.0, -2.0, 0.0)),
+                      (j / -2.0, (0.0, -1.0, 0.0))]:
+        assert repr(slots(got)) == repr(want)
+    with pytest.raises(JetDivisionError):
+        _ = Jet2(F(1), F(2), F(3)) / 0
+    assert repr(Jet2(F(1, 2), 2.0, 3)) == "Jet2(v=Fraction(1, 2), d1=2.0, d2=3)"
+    assert Jet2.constant(F(3)) == 3 and Jet2(F(3), F(0), F(1)) != 3
+    assert slots(Jet1(1, 2)) == (1, 2) and slots(F(5)) == (F(5),)
 
 
 def test_composition_chain_rule():

@@ -120,6 +120,29 @@ def test_third_derivative_consistent_with_difference_quotient():
     assert abs((jp.ypp - jm.ypp) / (2 * h) - y3) < 1e-4
 
 
+# the chain rule over three diff trees that the flow-jet y''' replaced:
+# y''' = R_y y' + R_yp y'' + R_t with R = PV_RHS
+_PV_RHS_PARTIALS = tuple(painleve.PV_RHS.diff(v) for v in ("y", "yp", "t"))
+
+
+def reference_third_derivative(j, p):
+    env = {"t": j.t, "y": j.y, "yp": j.yp, **p.as_env()}
+    r_y, r_yp, r_t = (d.evaluate(env) for d in _PV_RHS_PARTIALS)
+    return r_y * j.yp + r_yp * j.ypp + r_t
+
+
+@pytest.mark.parametrize("params_id", sorted(PARAM_SETS))
+def test_third_derivative_is_the_chain_rule_exactly(params_id):
+    s = sampler(f"third derivative:{params_id}")
+    for _ in range(10):
+        env = s.draw(["t", "y", "yp", "n", "N", "alpha"],
+                     reject=lambda e: e["t"] == 0 or e["y"] in (0, 1))
+        p = PARAM_SETS[params_id].evaluate(env)
+        j = complete_jet(env["t"], env["y"], env["yp"], p)
+        got = pv_third_derivative(j, p)
+        assert type(got) is Fraction and got == reference_third_derivative(j, p)
+
+
 @pytest.mark.parametrize("chart_id", sorted(REFERENCE_QUADRUPLES))
 def test_param_sets_match_the_squared_quadruples(chart_id):
     assert sorted(PARAM_SETS) == sorted(REFERENCE_QUADRUPLES)
