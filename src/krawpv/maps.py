@@ -3,10 +3,11 @@
 Maps are stored in the blow-up convention: the forward data expresses the
 *source* chart coordinates as rational expressions in the *target* chart
 coordinates (plus t and parameters), e.g. q = center + u*v, p = center + v.
-Composition is iterated substitution; correctness of each map is certified
-by the pushforward check in its forward form: the map, evaluated on first-order
-jets along the target flow, must move at the source field's velocity, exactly
-at random rational points.  No Jacobian is inverted.
+Maps compose by evaluation: ``apply_chain`` carries a point through a chain
+map by map, and no substituted expression is built.  Correctness of each map
+is certified by the pushforward check in its forward form: the map, evaluated
+on first-order jets along the target flow, must move at the source field's
+velocity, exactly at random rational points.  No Jacobian is inverted.
 """
 
 from __future__ import annotations
@@ -57,29 +58,26 @@ def apply_map(m: BirationalMap, env: Mapping[str, Fraction]) -> Dict[str, Fracti
     return {name: e.evaluate(env) for name, e in m.forward.items()}
 
 
-def compose_maps(maps: Sequence[BirationalMap]) -> BirationalMap:
-    """Iterated substitution; maps are listed in substitution order.
+def apply_chain(chain: Sequence[BirationalMap], env: Mapping[str, Fraction]) -> Dict[str, Fraction]:
+    """Image of a point under ``chain``, listed in substitution order.
 
-    maps[0] expresses the outermost coordinates; each subsequent map must
-    have its source chart equal to the previous map's target chart (twists
-    reuse the same chart names on both sides).
+    Each map's source chart must be the previous map's target chart.  The maps
+    run innermost first; each one's target coords then leave the point, as
+    substitution removes them, so a symbol the chain does not bind stays unbound.
     """
-    if not maps:
-        raise MapError("empty composition")
-    cur = dict(maps[0].forward)
-    for prev, m in zip(maps, maps[1:]):
+    if not chain:
+        raise MapError("empty chain")
+    for prev, m in zip(chain, chain[1:]):
         if tuple(prev.target_coords) != tuple(m.source_coords):
             raise ChartMismatchError(
-                f"cannot compose {prev.id} -> {m.id}: "
-                f"{prev.target_coords} vs {m.source_coords}"
-            )
-        cur = {k: e.subs(m.forward) for k, e in cur.items()}
-    return BirationalMap(
-        "*".join(m.id for m in maps),
-        maps[0].source_coords,
-        maps[-1].target_coords,
-        cur,
-    )
+                f"cannot compose {prev.id} -> {m.id}: {prev.target_coords} vs {m.source_coords}")
+    point = dict(env)
+    for m in reversed(chain):
+        image = apply_map(m, point)
+        for c in m.target_coords:
+            del point[c]
+        point.update(image)
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +409,21 @@ def pushforward_check(
 
 
 def verify_inverse(map_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
-    """forward∘inverse and inverse∘forward are the identity at random points."""
+    """inverse∘forward is the identity at random target points.
+
+    That one direction suffices.  A map with a left inverse has a
+    two-dimensional image, so it is dominant, and then forward∘inverse is
+    the identity too: it fixes every point forward(z), and those points are
+    Zariski-dense in the source chart.
+    """
     m = get_map(map_id)
     if m.inverse is None:
         raise MapError(f"{map_id} has no catalogued inverse")
+    m_inv = BirationalMap(f"{map_id}^-1", m.target_coords, m.source_coords, m.inverse)
 
     def check(env):
-        src = apply_map(m, env)
-        back_env = dict(env)
-        for k in m.target_coords:
-            del back_env[k]
-        back_env.update(src)
-        tgt = {k: e.evaluate(back_env) for k, e in m.inverse.items()}
-        # and the other direction, from the recovered target point
-        fwd_env = dict(env)
-        fwd_env.update(tgt)
-        src2 = apply_map(m, fwd_env)
-        if all(tgt[k] == env[k] for k in m.target_coords) and src2 == src:
-            return []
-        return ["round-trip mismatch"]
+        back = apply_chain([m_inv, m], env)
+        return [] if all(back[c] == env[c] for c in m.target_coords) else ["round-trip mismatch"]
 
     return run_case(
         f"inverse:{map_id}", sampler, samples,
@@ -437,36 +431,25 @@ def verify_inverse(map_id: str, sampler: Sampler, samples: int = 50) -> CaseResu
     )
 
 
+def _chains_agree(case_id, left, right, sampler, samples) -> CaseResult:
+    """Two chains between the same charts agree exactly at random target points."""
+    charts = tuple(left[0].source_coords), tuple(left[-1].target_coords)
+    if charts != (tuple(right[0].source_coords), tuple(right[-1].target_coords)):
+        raise ChartMismatchError(f"{case_id}: the two chains join different charts")
+
+    def check(env):
+        a, b = apply_chain(left, env), apply_chain(right, env)
+        return [] if a == b else [f"{a} != {b}"]
+
+    return run_case(case_id, sampler, samples, lambda: sampler.draw(PARAMS + charts[1]), check)
+
+
 def verify_cascade(cascade_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
     """The factor composition equals the catalogued closed-form composite."""
     factor_ids, composite_id = {**CASCADES, **CASCADE_CONTROLS}[cascade_id]
-    composed = compose_maps([get_map(f) for f in factor_ids])
-    closed = get_map(composite_id)
-    return _maps_agree(
-        f"cascade:{cascade_id}=={composite_id}", composed, closed, sampler, samples
-    )
-
-
-def _maps_agree(case_id, m1, m2, sampler, samples, rename=None) -> CaseResult:
-    """Exact agreement of two maps' forward data at random target points.
-
-    ``rename`` translates m1's target coords into m2's before evaluating m2.
-    """
-    if tuple(m1.source_coords) != tuple(m2.source_coords) and rename is None:
-        raise ChartMismatchError(f"{case_id}: source charts differ")
-
-    def check(env):
-        env2 = {rename.get(k, k): val for k, val in env.items()} if rename else env
-        a = {k: e.evaluate(env) for k, e in m1.forward.items()}
-        b = {k: e.evaluate(env2) for k, e in m2.forward.items()}
-        keys = set(a) & set(b) if rename else set(a)
-        if any(a[k] != b[k] for k in keys):
-            return [f"{a} != {b}"]
-        return []
-
-    return run_case(
-        case_id, sampler, samples,
-        lambda: sampler.draw(PARAMS + tuple(m1.target_coords)), check,
+    return _chains_agree(
+        f"cascade:{cascade_id}=={composite_id}",
+        [get_map(f) for f in factor_ids], [get_map(composite_id)], sampler, samples,
     )
 
 
@@ -479,25 +462,31 @@ DECOMPOSITIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
                      ("phi_QP", "Phi54b", "phi55b", "phi56b", "Phi510b", "psi11_hat")),
 }
 
-# the extra blow-up factors of the qP route equal the bridge maps after renaming
-BRIDGE_RENAMES: Dict[str, Tuple[str, str, Dict[str, str]]] = {
-    "phi43a==varphi11_hat": ("phi43a", "varphi11_hat", {"u43a": "U11", "v43a": "V11"}),
-    "phi43b==varphi21_hat": ("phi43b", "varphi21_hat", {"u43b": "U21", "v43b": "V21"}),
-    "phi43c==varphi31_hat": ("phi43c", "varphi31_hat", {"u43c": "U31", "v43c": "V31"}),
+
+# the extra blow-up factors of the qP route equal the bridge maps followed by
+# the renaming of the bridge's target coords (U, V) into the factor's (u, v)
+BRIDGE_RENAMES: Dict[str, Tuple[str, str, BirationalMap]] = {
+    f"{a}=={b}": (a, b, BirationalMap(f"rename:{U},{V}", (U, V), (u, v), {U: Sym(u), V: Sym(v)}))
+    for a, b, (U, V), (u, v) in (
+        ("phi43a", "varphi11_hat", ("U11", "V11"), ("u43a", "v43a")),
+        ("phi43b", "varphi21_hat", ("U21", "V21"), ("u43b", "v43b")),
+        ("phi43c", "varphi31_hat", ("U31", "V31"), ("u43c", "v43c")),
+    )
 }
 
 
 def verify_decomposition(name: str, sampler: Sampler, samples: int = 50) -> CaseResult:
     lhs_id, chain = DECOMPOSITIONS[name]
-    composite = compose_maps([get_map(f) for f in chain])
-    lhs = get_map(lhs_id)
-    return _maps_agree(f"decomposition:{name}", lhs, composite, sampler, samples)
+    return _chains_agree(
+        f"decomposition:{name}", [get_map(lhs_id)], [get_map(f) for f in chain],
+        sampler, samples,
+    )
 
 
 def verify_bridge_rename(name: str, sampler: Sampler, samples: int = 50) -> CaseResult:
-    a_id, b_id, rename = BRIDGE_RENAMES[name]
-    return _maps_agree(
-        f"bridge:{name}", get_map(a_id), get_map(b_id), sampler, samples, rename=rename
+    a_id, b_id, renaming = BRIDGE_RENAMES[name]
+    return _chains_agree(
+        f"bridge:{name}", [get_map(a_id)], [get_map(b_id), renaming], sampler, samples
     )
 
 

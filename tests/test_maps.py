@@ -4,17 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from krawpv import systems
-from krawpv.expr import syms
+from krawpv import maps, systems
+from krawpv.expr import Sym, syms
 from krawpv.maps import (
     BRIDGE_RENAMES,
+    CASCADE_CONTROLS,
     CASCADES,
     DECOMPOSITIONS,
     INDETERMINACY_POINTS,
+    PARAMS,
     PUSHFORWARD_TRIPLES,
+    ChartMismatchError,
     MapError,
+    apply_chain,
     apply_map,
-    compose_maps,
     get_map,
     pushforward_check,
     verify_bridge_rename,
@@ -43,10 +46,35 @@ def test_apply_map_simple_point():
     assert set(out) == {"q", "p"}
 
 
-def test_compose_two_maps_is_substitution():
-    comp = compose_maps([get_map("phi_qP"), get_map("phi41_hat")])
-    assert tuple(comp.source_coords) == ("q", "p")
-    assert tuple(comp.target_coords) == ("U41", "V41")
+CHAINS = {
+    **{cid: factors for cid, (factors, _) in {**CASCADES, **CASCADE_CONTROLS}.items()},
+    **{name: chain for name, (_, chain) in DECOMPOSITIONS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_chain_evaluation_is_substitution(name):
+    """apply_chain equals the chain composed by iterated substitution."""
+    chain = [get_map(m) for m in CHAINS[name]]
+    composite = dict(chain[0].forward)
+    for m in chain[1:]:
+        composite = {k: e.subs(m.forward) for k, e in composite.items()}
+    rng = sampler(f"chain:{name}")
+    checked = 0
+    for _ in range(30):
+        env = rng.draw(PARAMS + tuple(chain[-1].target_coords))
+        try:
+            expected = {k: e.evaluate(env) for k, e in composite.items()}
+        except ZeroDivisionError:
+            continue
+        assert apply_chain(chain, env) == expected
+        checked += 1
+    assert checked >= 25
+
+
+def test_chain_with_unjoined_charts_raises():
+    with pytest.raises(ChartMismatchError, match="phi_qP -> phi11"):
+        apply_chain([get_map("phi_qP"), get_map("phi11")], {})
 
 
 @pytest.mark.parametrize("triple", PUSHFORWARD_TRIPLES, ids=lambda t: "-".join(t))
@@ -112,6 +140,35 @@ def test_decompositions(name):
 def test_bridge_renames(name):
     case = verify_bridge_rename(name, sampler(f"br:{name}"), samples=20)
     assert case.passed, case.failures[:3]
+
+
+def _fails_most_samples(case, samples):
+    # a sample can agree by chance (psi11_hat_printed agrees wherever U*V = +-1)
+    return case.status == "FAIL" and case.samples == samples and len(case.failures) > samples // 2
+
+
+def test_swapped_inverse_fails_round_trip(monkeypatch):
+    wrong = dataclasses.replace(get_map("Phi54"), inverse=get_map("Phi54_tswap").inverse)
+    monkeypatch.setitem(maps.map_registry(), "Phi54", wrong)
+    case = verify_inverse("Phi54", sampler("inv:swapped"), samples=10)
+    assert _fails_most_samples(case, 10), case
+
+
+def test_printed_last_factor_fails_decomposition(monkeypatch):
+    lhs, chain = DECOMPOSITIONS["hat11_via_QP"]
+    assert chain[-1] == "psi11_hat"
+    monkeypatch.setitem(DECOMPOSITIONS, "hat11_via_QP", (lhs, chain[:-1] + ("psi11_hat_printed",)))
+    case = verify_decomposition("hat11_via_QP", sampler("dec:printed"), samples=10)
+    assert _fails_most_samples(case, 10), case
+
+
+def test_bridge_with_swapped_renaming_fails(monkeypatch):
+    name = "phi43a==varphi11_hat"
+    a_id, b_id, renaming = BRIDGE_RENAMES[name]
+    swapped = dataclasses.replace(renaming, forward={"U11": Sym("v43a"), "V11": Sym("u43a")})
+    monkeypatch.setitem(BRIDGE_RENAMES, name, (a_id, b_id, swapped))
+    case = verify_bridge_rename(name, sampler("br:swapped"), samples=10)
+    assert _fails_most_samples(case, 10), case
 
 
 @pytest.mark.parametrize("point", INDETERMINACY_POINTS, ids=lambda p: p.id)
