@@ -21,29 +21,44 @@ global cache; an equal tree built elsewhere compiles again).  The generator
 takes the nodes in the walk's order, gives structurally equal subtrees one
 slot (common subexpression elimination, CSE) and folds constant subtrees
 exactly, so each unique subtree costs one statement and deep trees hit no
-parenthesis limit.  The function holds two kernels generated from that one
-slot order:
+parenthesis limit.  Kernels generated from that one slot order:
 
-* the rational kernel, taken only when every symbol of the tree is bound to
-  exactly a ``Fraction``: it carries unreduced integer numerator/denominator
-  pairs, takes no gcd per node and builds one ``Fraction`` at the end;
-* the operator kernel, for every other binding (int, float, ``Jet1``,
-  ``Jet2`` or a mix): it applies Python's operators to the bound values
+* the rational kernel, for exact bindings.  It runs on unreduced integers,
+  takes no gcd per node and builds one ``Fraction`` per output slot at the
+  end.  When every symbol is bound to exactly a ``Fraction`` (jet order 0)
+  each slot is an integer numerator/denominator pair, in the function
+  itself.  When the symbols are bound to ``Fraction``s and to jets of one
+  order k (``Jet1``, k = 1, or ``Jet2``, k = 2) whose slots are all
+  ``Fraction``s, a slot that depends on a jet symbol is k + 1 integer
+  numerators over one shared denominator, and every other slot stays a pair;
+  there is one such kernel per binding shape (the jet order of each
+  symbol).  The Leibniz rule is expanded when the kernel is generated, and a
+  quotient by a jet multiplies by its conjugate (b·c a scalar, b₀^(k+1)).
+  It returns what the operator kernel would: a jet of ``Fraction``s;
+* the operator kernel, for every other binding (int, float, jets of floats,
+  or a mix): it applies Python's operators to the bound values
   exactly as a recursive tree walk would, so int and float semantics are
-  unchanged.  Its constants are chosen per call: rounded to float when every
-  slot of every binding is a float (a float, or a jet of either order with
-  float slots), ``Fraction`` objects otherwise.  A ``Fraction`` met by a
-  float computes ``float(c) op x``, and a jet meets a constant slot by slot
-  without lifting it, so rounding ``c`` first gives the same bits.  This
-  spares the float checks a ``Fraction`` conversion at every operation.
+  unchanged.  When every slot of every binding is a float (a float, or a
+  jet of either order with float slots) it is ``compile_float``'s function
+  for the symbols in schedule order, whose constants are rounded to float;
+  otherwise it is generated on first use with ``Fraction`` constants.  A
+  ``Fraction`` met by a float computes ``float(c) op x``, and a jet meets a
+  constant slot by slot without lifting it, so rounding ``c`` first gives
+  the same bits.  This spares the float checks a ``Fraction`` conversion at
+  every operation.
 
-The rational kernel returns the same rational number a recursive tree walk
-computes: both work in exact rational arithmetic and only the time of
-reduction moves.  No arithmetic domain changes, so an identity certified at a
-random rational point keeps the same Schwartz-Zippel error bound.  The first
-error raised is the walk's too (``tests/test_expr.py`` keeps that walk as the
-reference), because the first occurrence of each subtree runs at its
-post-order position: a vanishing denominator raises
+The function itself reads the bindings and runs the scalar rational kernel;
+every other kernel is generated on first use and cached on the instance
+beside it, so a tree compiles only the kernels its bindings need.
+
+The rational kernel returns the same rational numbers, slot for slot, that a
+recursive tree walk computes: both work in exact rational arithmetic and only
+the time of reduction moves.  No arithmetic domain changes, for scalars or
+for jets, so an identity certified at a random rational point keeps the same
+Schwartz-Zippel error bound.  The first error raised is the walk's too
+(``tests/test_expr.py`` keeps that walk as the reference), because in every
+kernel the first occurrence of each subtree runs at its post-order position:
+a vanishing denominator (for a jet, its value slot) raises
 ``EvaluationDivisionError`` carrying that denominator's subtree, and a symbol
 missing from the bindings raises ``UnboundSymbolError`` where the walk would
 have read it.  ``compile_float`` uses the same generator with positional
@@ -52,6 +67,7 @@ float arguments and float constants for the ODE integrator.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -145,7 +161,7 @@ class Expr:
         if fn is None:
             fn = _compile_evaluate(self)
             object.__setattr__(self, "_evaluator", fn)
-        return fn(env)
+        return fn(env, self)
 
     def diff(self, name: str) -> "Expr":
         return _walk(self, partial(_diff, name))
@@ -227,10 +243,10 @@ def compile_float(e: Expr, arg_names) -> Callable[..., float]:
     """Compile an expression to a float-mode callable of the given arguments.
 
     Used by the ODE integrator, where the per-call overhead of reading a
-    binding dictionary would dominate the runtime.  Constant subtrees are
-    folded exactly and rounded once, so the result is bit for bit what
-    ``evaluate`` gives with the same float bindings.  The function is cached
-    on ``e`` by argument list, so a tree integrated again compiles once.
+    binding dictionary would dominate the runtime, and by ``evaluate`` for
+    float bindings.  Constant subtrees are folded exactly and rounded once.
+    The function is cached on ``e`` by argument list, so a tree integrated
+    again compiles once.
     """
     key = tuple(arg_names)
     fns = vars(e).setdefault("_float_fns", {})  # on the instance, as evaluate's function
@@ -472,19 +488,31 @@ def _operator_kernel(slots: List[_Slot], names: List[str], check_unbound: bool) 
     return lines
 
 
-def _rational_kernel(slots: List[_Slot], names: List[str]) -> List[str]:
-    """Statements on unreduced integer pairs (n_i, d_i), ending in one Fraction.
+def _rational_kernel(slots: List[_Slot], names: List[str], order: int = 0,
+                     jets: frozenset = frozenset()) -> List[str]:
+    """Statements on unreduced integers, ending in one Fraction per output slot.
 
+    Each slot is a list of integer numerators over one shared denominator: one
+    numerator for a scalar, ``order + 1`` (value, d/dt, d²/dt²) for a slot
+    that depends on a symbol slot in ``jets``.  A scalar symbol slot reads the
+    numerator and denominator of the Fraction bound to ``names[i]``; a jet
+    symbol slot reads the Fraction slots of the ``Jet1`` (order 1) or ``Jet2``
+    (order 2) bound there over the lcm of their denominators.  A product
+    expands the Leibniz rule here, and a quotient by a jet b multiplies by its
+    conjugate c, for which b·c = s is the scalar b₀^(order+1):
+    c = (b₀, −b₁) at order 1 and (b₀², −b₀b₁, 2b₁² − b₀b₂) at order 2.
     A denominator known to be 1 is left out (None) instead of multiplied in.
-    A symbol slot reads the numerator and denominator of the Fraction bound
-    to ``names[i]``.
+    At order 0 this is the scalar kernel.
     """
     lines: List[str] = []
-    num: List[str] = []
+    num: List[List[str]] = []
     den: List[Optional[str]] = []
 
     def times(x: Optional[str], y: Optional[str]) -> Optional[str]:
-        return y if x is None else x if y is None else f"{x} * {y}"
+        """x·y, leaving out a factor known to be 1 (None); a sum x is parenthesized."""
+        if x is None or y is None:
+            return y if x is None else x
+        return f"({x}) * {y}" if " + " in x or " - " in x else f"{x} * {y}"
 
     def bind(var: str, expr: Optional[str]) -> Optional[str]:
         if expr is None or expr.isidentifier() or _INT_LITERAL.fullmatch(expr):
@@ -492,72 +520,168 @@ def _rational_kernel(slots: List[_Slot], names: List[str]) -> List[str]:
         lines.append(f"{var} = {expr}")
         return var
 
+    def leibniz(a: List[str], b: List[str]) -> List[str]:
+        """Numerators of the product of two slots; a scalar scales each jet slot."""
+        if len(a) == 1:
+            return [times(a[0], y) for y in b]
+        if len(b) == 1:
+            return [times(x, b[0]) for x in a]
+        out = [f"{a[0]} * {b[0]}", f"{a[1]} * {b[0]} + {a[0]} * {b[1]}"]
+        if order == 2:
+            out.append(f"{a[2]} * {b[0]} + 2 * {a[1]} * {b[1]} + {a[0]} * {b[2]}")
+        return out
+
     for i, slot in enumerate(slots):
         node = slot.node
         if slot.kind == "const":
             value = slot.value
-            num.append(f"({value.numerator})")
+            num.append([f"({value.numerator})"])
             den.append(None if value.denominator == 1 else f"({value.denominator})")
+            continue
+        if slot.kind == "sym" and i in jets:
+            parts = [f"{names[i]}.{field}" for field in ("v", "d1", "d2")[:order + 1]]
+            lines += [f"n{i}_{m}, e{i}_{m} = {p}.as_integer_ratio()" for m, p in enumerate(parts)]
+            lines.append(f"d{i} = _lcm({', '.join(f'e{i}_{m}' for m in range(order + 1))})")
+            lines += [f"n{i}_{m} *= d{i} // e{i}_{m}" for m in range(order + 1)]
+            num.append([f"n{i}_{m}" for m in range(order + 1)])
+            den.append(f"d{i}")
             continue
         if slot.kind == "sym":
             lines += [f"n{i} = {names[i]}.numerator", f"d{i} = {names[i]}.denominator"]
-            num.append(f"n{i}")
+            num.append([f"n{i}"])
             den.append(f"d{i}")
             continue
         if slot.kind == "raise":
             lines.append(f"raise _DivErr(den{i})")
-            num.append(f"n{i}")
+            num.append([f"n{i}"])
             den.append(None)
             continue
-        na, da = num[slot.args[0]], den[slot.args[0]]
+        a, da = num[slot.args[0]], den[slot.args[0]]
+        k = getattr(node, "k", None)
         if isinstance(node, Neg):
-            n, d = f"-{na}", da
+            n, d = [f"-{x}" for x in a], da
+        elif isinstance(node, Pow) and len(a) == 1:
+            n, d = [f"{a[0]} ** {k}"], None if da is None else f"{da} ** {k}"
+        elif isinstance(node, Pow) and k < 2:
+            n, d = (a, da) if k else (["(1)"] + ["(0)"] * order, None)
         elif isinstance(node, Pow):
-            n, d = f"{na} ** {node.k}", None if da is None else f"{da} ** {node.k}"
+            # (f^k)' = k f^(k-1) f' and (f^k)'' = k f^(k-1) f'' + k(k-1) f^(k-2) f'^2
+            q = None if k == 2 else a[0] if k == 3 else bind(f"q{i}", f"{a[0]} ** {k - 2}")
+            p = bind(f"p{i}", times(q, a[0]))
+            n = [f"{p} * {a[0]}", f"{k} * {p} * {a[1]}"]
+            if order == 2:
+                n.append(f"{k} * {p} * {a[2]} + {k * (k - 1)} * {times(q, a[1])} * {a[1]}")
+            d = f"{da} ** {k}" if da else None
         else:
-            nb, db = num[slot.args[1]], den[slot.args[1]]
+            b, db = num[slot.args[1]], den[slot.args[1]]
             if isinstance(node, Mul):
-                n, d = f"{na} * {nb}", times(da, db)
+                n, d = leibniz(a, b), times(da, db)
             elif isinstance(node, Div):
                 divisor = slots[slot.args[1]]
                 if divisor.kind != "const":
-                    lines.append(f"if {nb} == 0: raise _DivErr(den{i})")
+                    lines.append(f"if {b[0]} == 0: raise _DivErr(den{i})")
                 elif divisor.value == 0:  # a symbolic numerator kept this from folding
                     lines.append(f"raise _DivErr(den{i})")
-                n, d = times(na, db), times(da, nb)
+                if len(b) == 1:
+                    n, d = [times(x, db) for x in a], times(da, b[0])
+                else:  # a/b = a·c/s with b·c = s = b₀^(order+1)
+                    sq = bind(f"p{i}", f"{b[0]} * {b[0]}")
+                    if order == 1:
+                        conj = [b[0], bind(f"c{i}_1", f"-{b[1]}")]
+                    else:
+                        conj = [sq, bind(f"c{i}_1", f"-{b[0]} * {b[1]}"),
+                                bind(f"c{i}_2", f"2 * {b[1]} * {b[1]} - {b[0]} * {b[2]}")]
+                        sq = f"{sq} * {b[0]}"
+                    n = [times(x, db) for x in leibniz(a, conj)]
+                    d = times(da, sq)
             else:
-                n = f"{times(na, db)} {_INFIX[type(node)]} {times(nb, da)}"
+                op = _INFIX[type(node)]
+                n = [f"{times(a[0], db)} {op} {times(b[0], da)}"]
+                for m in range(1, max(len(a), len(b))):  # a scalar has no rate slots
+                    x = times(a[m], db) if len(a) > 1 else None
+                    y = times(b[m], da) if len(b) > 1 else None
+                    if y is None:
+                        n.append(x)
+                    elif x is None:
+                        n.append(y if op == "+" else f"-{y}")
+                    else:
+                        n.append(f"{x} {op} {y}")
                 d = times(da, db)
-        num.append(bind(f"n{i}", n))
+        num.append([bind(f"n{i}" if len(n) == 1 else f"n{i}_{m}", x) for m, x in enumerate(n)])
         den.append(bind(f"d{i}", d))
     d = den[-1]
-    lines.append(f"return _F({num[-1]})" if d is None else f"return _F({num[-1]}, {d})")
+    out = [f"_F({x})" if d is None else f"_F({x}, {d})" for x in num[-1]]
+    lines.append(f"return {out[0]}" if len(out) == 1 else f"return _J({', '.join(out)})")
     return lines
 
 
-def _compile_evaluate(e: Expr) -> Callable[[Mapping[str, Value]], Value]:
+def _exact_jet_orders(*values) -> Optional[Tuple[int, ...]]:
+    """Each value's jet order (0 for a ``Fraction``) when every value is a
+    ``Fraction`` or a jet with ``Fraction`` slots and the jets share one order;
+    None otherwise."""
+    orders = tuple(map(_ORDERS.get, map(type, values)))
+    if None in orders or len(set(orders) - {0}) != 1:
+        return None
+    jet_slots = [s for v in values if type(v) is not Fraction for s in slots(v)]
+    return orders if set(map(type, jet_slots)) == {Fraction} else None
+
+
+_ORDERS = {Fraction: 0, Jet1: 1, Jet2: 2}
+
+
+def _kernel(e: Expr, orders: Optional[Tuple[int, ...]]) -> Callable[..., Value]:
+    """The kernel of ``e`` for one binding shape, generated on first use.
+
+    ``orders`` holds each symbol slot's jet order for exact bindings
+    (``_exact_jet_orders``), giving the rational kernel of that order, and is
+    None for any other binding, giving the operator kernel with ``Fraction``
+    constants.  Each is cached on the instance, as ``compile_float`` caches
+    by argument list, and takes the bound values of the symbol slots in
+    schedule order.
+    """
+    fns = vars(e).setdefault("_kernels", {})
+    fn = fns.get(orders)
+    if fn is not None:
+        return fn
     slots = _schedule(e)
     sym_slots = [i for i, slot in enumerate(slots) if slot.kind == "sym"]
-    names = [f"c{i}" if slot.kind == "const" else f"s{i}" if slot.kind == "sym" else f"v{i}"
-             for i, slot in enumerate(slots)]
+    ns = _namespace(slots)
+    if orders is None:
+        ns.update({f"c{i}": slot.value for i, slot in enumerate(slots) if slot.kind == "const"})
+        names = [f"c{i}" if slot.kind == "const" else f"s{i}" if slot.kind == "sym" else f"v{i}"
+                 for i, slot in enumerate(slots)]
+        body = _operator_kernel(slots, names, check_unbound=True) + [f"return {names[-1]}"]
+    else:
+        order = max(orders)
+        jets = frozenset(i for i, k in zip(sym_slots, orders) if k)
+        ns.update(_J=(Jet1, Jet2)[order - 1], _lcm=math.lcm)
+        body = _rational_kernel(slots, [f"s{i}" for i in range(len(slots))], order, jets)
+    fn = fns[orders] = _define("kernel", ", ".join(f"s{i}" for i in sym_slots), body, ns)
+    return fn
+
+
+def _compile_evaluate(e: Expr) -> Callable[[Mapping[str, Value], Expr], Value]:
+    """Read the bindings, run exact scalars in place and pick a kernel for the rest.
+
+    Float bindings take ``compile_float``'s function, whose constants are
+    floats; any other shape takes a ``_kernel``.
+    """
+    slots = _schedule(e)
+    sym_slots = [i for i, slot in enumerate(slots) if slot.kind == "sym"]
+    names = [f"s{i}" for i in range(len(slots))]
     body = [f"s{i} = env.get({slots[i].node.name!r}, _MISSING)" for i in sym_slots]
     exact = " and ".join(f"type(s{i}) is _F" for i in sym_slots) or "True"
     body.append(f"if {exact}:")
     body += ["    " + line for line in _rational_kernel(slots, names)]
     ns = _namespace(slots)
-    consts = [i for i, slot in enumerate(slots) if slot.kind == "const"]
-    if consts and sym_slots:  # the operator kernel's constants, chosen per call
-        as_fractions = tuple(slots[i].value for i in consts)
-        try:
-            as_floats = tuple(float(c) for c in as_fractions)
-        except OverflowError:  # no float holds it: a float binding meets the Fraction, as before
-            as_floats = as_fractions
-        ns.update(_XC=as_fractions, _FC=as_floats, _floaty=_floaty)
-        body.append(f"{', '.join(names[i] for i in consts)}, = "
-                    f"_FC if _floaty({', '.join(f's{i}' for i in sym_slots)}) else _XC")
-    body += _operator_kernel(slots, names, check_unbound=True)
-    body.append(f"return {names[-1]}")
-    return _define("evaluate", "env", body, ns)
+    if sym_slots:
+        args = ", ".join(f"s{i}" for i in sym_slots)
+        body += [f"if _floaty({args}):", f"    return _compile_float(tree, _NAMES)({args})",
+                 f"return _kernel(tree, _exact_jet_orders({args}))({args})"]
+        ns.update(_floaty=_floaty, _compile_float=compile_float, _kernel=_kernel,
+                  _exact_jet_orders=_exact_jet_orders,
+                  _NAMES=tuple(slots[i].node.name for i in sym_slots))
+    return _define("evaluate", "env, tree", body, ns)
 
 
 def _define(name: str, params: str, body: List[str], namespace: Dict[str, object]):

@@ -13,6 +13,14 @@ Both orders treat a scalar the same way: it is a constant, mixes in without
 being lifted to a jet, meets the value slot alone in a sum and scales every
 slot in a product or quotient.  No zero slot is made for it, so the float
 bits are those of the slotwise operations on the bound values.
+
+These classes are the arithmetic of record.  ``Expr.evaluate`` applies them
+to float jets, but for jets whose slots are all ``Fraction``s (with
+``Fraction`` parameters) it runs the same rules on unreduced integers in a
+generated kernel (see ``krawpv.expr``): a quotient there multiplies by the
+conjugate c of the divisor u, with u·c = s a scalar: c = (u₀, −u₁) and
+s = u₀² for ``Jet1``, c = (u₀², −u₀u₁, 2u₁² − u₀u₂) and s = u₀³ for
+``Jet2``.  It returns the jets these classes would, slot for slot.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +263,18 @@ def test_integration_stopping_early_is_one_error_line(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("krawpv: error: denominator within ")
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    # `python -m krawpv` from a checkout prints what main prints and exits with its code
+    monkeypatch.delenv("KRAWPV_SEED", raising=False)
+    argv = ["--suite", "decompositions", "--samples", "5", "--format", "text"]
+    code, want, _ = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "KRAWPV_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "krawpv", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (code, proc.returncode) == (0, 0), proc.stderr
+    assert proc.stdout == want
+    assert want.splitlines()[-1] == "PASS"

@@ -4,12 +4,13 @@ import random
 import re
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krawpv import painleve, systems
+from krawpv import maps, painleve, systems
 from krawpv.expr import (
     Add,
     Const,
@@ -48,11 +49,19 @@ def test_unbound_symbol_is_loud():
 def test_division_by_zero_is_loud():
     # exact, float and jet zeros raise one error family, naming the denominator
     for zero in (Fraction(0), 0.0, Jet2(Fraction(0), Fraction(1), Fraction(0)),
-                 Jet2(0.0, 1.0, 0.0)):
+                 Jet2(0.0, 1.0, 0.0), Jet1(Fraction(0), Fraction(1))):
         with pytest.raises(EvaluationDivisionError) as exc:
             (1 / (y * x)).evaluate({"x": zero, "y": Fraction(2)})
         assert isinstance(exc.value, ZeroDivisionError)
         assert exc.value.subtree == y * x
+    # exact Jet1s: jet/jet, Fraction/jet and jet/Fraction(0); a zero rate slot divides fine
+    jet, zero_jet = Jet1(Fraction(2), Fraction(3)), Jet1(Fraction(0), Fraction(5))
+    for num, den in ((jet, zero_jet), (Fraction(2), zero_jet), (jet, Fraction(0))):
+        with pytest.raises(EvaluationDivisionError) as exc:
+            (x / (y - 1)).evaluate({"x": num, "y": den + 1})
+        assert exc.value.subtree == y - 1
+    assert slots((x / y).evaluate({"x": jet, "y": Jet1(Fraction(4), Fraction(0))})) == \
+        (Fraction(1, 2), Fraction(3, 4))
 
 
 def test_negative_power_rejected():
@@ -130,11 +139,17 @@ def test_compiled_functions_die_with_their_tree():
     # a tree built for one check must free its functions without the cycle collector
     e = (x**3 - 2) / (y + 5)
     e.evaluate({"x": Fraction(1), "y": Fraction(2)})
-    refs = [weakref.ref(e._evaluator), weakref.ref(compile_float(e, ["x", "y"]))]
+    for jet in (Jet1(Fraction(1), Fraction(2)), Jet2(Fraction(1), Fraction(2), Fraction(3))):
+        e.evaluate({"x": jet, "y": Fraction(2)})  # exact jets: one kernel per jet order
+    e.evaluate({"x": 1, "y": Fraction(2)})  # the operator kernel with Fraction constants
+    kernels = list(vars(e)["_kernels"].values())
+    assert len(kernels) == 3
+    refs = [weakref.ref(fn) for fn in [e._evaluator, compile_float(e, ["x", "y"]), *kernels]]
+    del kernels
     gc.disable()
     try:
         del e
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
 
@@ -230,6 +245,7 @@ scalars = {
     "int": st.integers(-3, 3),
     "float": st.floats(-3, 3, allow_nan=False).filter(lambda v: v != 0) | st.just(0.0),
     "jet_fraction": st.builds(Jet2, small_fractions, small_fractions, small_fractions),
+    "jet1_fraction": st.builds(Jet1, small_fractions, small_fractions),
     "jet_float": st.builds(Jet2, *[st.floats(-3, 3, allow_nan=False)] * 3),
 }
 
@@ -240,6 +256,9 @@ def bindings(draw):
     kinds = draw(st.one_of(
         st.sampled_from(sorted(scalars)).map(lambda k: [k] * len(NAMES)),
         st.lists(st.sampled_from(sorted(scalars)), min_size=len(NAMES), max_size=len(NAMES)),
+        # the exact checks' shape: Fraction parameters, exact jets of one order for the rest
+        st.sampled_from(["jet_fraction", "jet1_fraction"]).flatmap(lambda jet: st.lists(
+            st.sampled_from(["fraction", jet]), min_size=len(NAMES), max_size=len(NAMES))),
     ))
     bound = draw(st.sets(st.sampled_from(NAMES)).map(lambda s: set(NAMES) - s)
                  | st.just(set(NAMES)))
@@ -285,6 +304,93 @@ def test_first_error_is_the_tree_walks():
         with pytest.raises(EvaluationDivisionError) as exc:
             (x / Const(Fraction(0)) * x).evaluate({"x": value})
         assert exc.value.subtree == Const(Fraction(0))
+
+
+def test_exact_jet_powers_and_unit_factors():
+    # the cases the generator writes specially: powers 0 to 4, a power of a constant jet,
+    # and factors and denominators known to be 1
+    exprs = [x**k for k in range(5)] + [Pow(x**0, 2), (x**0 - x**0) * y, 1 / x, x - 1,
+                                        1 - 1 / (x * y), (x + y) / (x - y)]
+    for jets in ((Jet1(Fraction(2, 3), Fraction(-5, 7)), Jet1(Fraction(3), Fraction(1, 2))),
+                 (Jet2(Fraction(2, 3), Fraction(-5, 7), Fraction(4)),
+                  Jet2(Fraction(3), Fraction(1, 2), Fraction(-1, 9)))):
+        for env in ({"x": jets[0], "y": jets[1]}, {"x": jets[0], "y": Fraction(5, 4)},
+                    {"x": Fraction(5, 4), "y": jets[1]}):
+            for e in exprs:
+                _assert_same_outcome(_outcome(e.evaluate, env),
+                                     _outcome(reference_evaluate, e, env))
+
+
+# --- exact jets on the catalogue's trees -------------------------------------
+
+def _rational(rng):
+    return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+
+
+def _pv_jets(jet, names, rng):
+    """t, y and yp as seeded exact jets of the class ``jet``, every other name a Fraction."""
+    k = len(jet.__slots__)
+    values = [_rational(rng) for _ in range(k + 1)]
+    jets = {"t": jet.variable(values[0]), "y": jet(*values[:k]), "yp": jet(*values[1:])}
+    return {nm: jets[nm] if nm in jets else _rational(rng) for nm in names}
+
+
+def _flow_jets(system, coords, rng):
+    """A seeded point's flow jets along ``system`` (seeded rates without one); None at a pole."""
+    env = {nm: _rational(rng) for nm in (*maps.PARAMS, *coords)}
+    if system is None:
+        rates = {c: Jet1(env[c], _rational(rng)) for c in coords}
+        return {**env, "t": Jet1.variable(env["t"]), **rates}
+    if system.alpha_fixed is not None:
+        env["alpha"] = system.alpha_fixed
+    try:
+        return system.along_flow(env)
+    except ZeroDivisionError:
+        return None
+
+
+def _exact_jet_cases():
+    """name -> (tree, make_env(rng)): the trees the exact checks evaluate on jets."""
+    cases = {"PV_RHS@Jet1": (painleve.PV_RHS, partial(_pv_jets, Jet1, painleve.PV_RHS.symbols()))}
+    order2 = {"BACKLUND_Y": painleve.BACKLUND_Y}
+    order2.update({f"closed_form:{k}": c.closed_form for k, c in painleve.COMPOSITIONS.items()})
+    for name, e in order2.items():
+        cases[f"{name}@Jet2"] = (e, partial(_pv_jets, Jet2, e.symbols()))
+    by_chart = {}
+    for sid in systems.system_ids():
+        system = systems.get_system(sid)
+        by_chart.setdefault(tuple(system.chart), system)
+        for rhs in ("rhs1", "rhs2"):
+            cases[f"{sid}.{rhs}@flow"] = (getattr(system, rhs),
+                                          partial(_flow_jets, system, system.chart))
+    for mid, m in maps.map_registry().items():
+        make = partial(_flow_jets, by_chart.get(tuple(m.target_coords)), m.target_coords)
+        for coord, e in m.forward.items():
+            cases[f"{mid}.{coord}@flow"] = (e, make)
+    return cases
+
+
+EXACT_JET_CASES = _exact_jet_cases()
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_JET_CASES))
+def test_exact_jets_equal_the_tree_walk_on_catalogue_trees(name):
+    # deep trees with Fraction parameters and exact jets: the rational jet kernel runs and
+    # equals the tree walk slot for slot, or raises its error
+    tree, make = EXACT_JET_CASES[name]
+    e = tree.subs({})  # a fresh copy: no kernel cached by other tests
+    rng = random.Random(f"exact jets:{name}")
+    values = 0
+    for _ in range(20):
+        env = make(rng)
+        if env is None:
+            continue
+        got, want = _outcome(e.evaluate, env), _outcome(reference_evaluate, e, env)
+        _assert_same_outcome(got, want)
+        values += got[0] == "value"
+    assert values >= 15
+    kernels = vars(e)["_kernels"]
+    assert len(kernels) == 1 and None not in kernels  # one rational jet kernel ran, nothing else
 
 
 # --- the tree operations against independent oracles -----------------------
