@@ -21,48 +21,45 @@ global cache; an equal tree built elsewhere compiles again).  The generator
 takes the nodes in the walk's order, gives structurally equal subtrees one
 slot (common subexpression elimination, CSE) and folds constant subtrees
 exactly, so each unique subtree costs one statement and deep trees hit no
-parenthesis limit.  Kernels generated from that one slot order:
+parenthesis limit.  The bindings choose one of two arithmetic domains, each
+with kernels generated from that one slot order:
 
-* the rational kernel, for exact bindings.  It runs on unreduced integers,
-  takes no gcd per node and builds one ``Fraction`` per output slot at the
-  end.  When every symbol is bound to exactly a ``Fraction`` (jet order 0)
-  each slot is an integer numerator/denominator pair, in the function
-  itself.  When the symbols are bound to ``Fraction``s and to jets of one
-  order k (``Jet1``, k = 1, or ``Jet2``, k = 2) whose slots are all
-  ``Fraction``s, a slot that depends on a jet symbol is k + 1 integer
-  numerators over one shared denominator, and every other slot stays a pair;
-  there is one such kernel per binding shape (the jet order of each
-  symbol).  The Leibniz rule is expanded when the kernel is generated, and a
-  quotient by a jet multiplies by its conjugate (b·c a scalar, b₀^(k+1)).
-  It returns what the operator kernel would: a jet of ``Fraction``s;
-* the operator kernel, for every other binding (int, float, jets of floats,
-  or a mix): it applies Python's operators to the bound values
-  exactly as a recursive tree walk would, so int and float semantics are
-  unchanged.  When every slot of every binding is a float (a float, or a
-  jet of either order with float slots) it is ``compile_float``'s function
-  for the symbols in schedule order, whose constants are rounded to float;
-  otherwise it is generated on first use with ``Fraction`` constants.  A
-  ``Fraction`` met by a float computes ``float(c) op x``, and a jet meets a
-  constant slot by slot without lifting it, so rounding ``c`` first gives
-  the same bits.  This spares the float checks a ``Fraction`` conversion at
-  every operation.
+* exact, when every slot of every bound value is an ``int`` (read as n/1) or
+  a ``Fraction`` and the jets share one order: the rational kernel.  It runs
+  on unreduced integers, takes no gcd per node and builds one ``Fraction``
+  per output slot at the end.  A slot is an integer numerator/denominator
+  pair, or, when it depends on a symbol bound to a jet of order k
+  (``Jet1``, k = 1, or ``Jet2``, k = 2), k + 1 integer numerators over one
+  shared denominator; there is one kernel per binding shape (the jet order
+  of each symbol).  The Leibniz rule is expanded when the kernel is
+  generated, and a quotient by a jet multiplies by its conjugate (b·c a
+  scalar, b₀^(k+1));
+* float, when any slot is a float: ``compile_float``'s function for the
+  symbols in schedule order, which applies Python's operators with the
+  constants rounded to float.  Every exact slot of the binding is rounded
+  once on entry, so two exact values in a float binding meet as floats.  A
+  ``Fraction`` constant met by a float computes ``float(c) op x``, and a jet
+  meets a constant slot by slot without lifting it, so rounding ``c`` first
+  gives the same bits.
 
-The function itself reads the bindings and runs the scalar rational kernel;
-every other kernel is generated on first use and cached on the instance
-beside it, so a tree compiles only the kernels its bindings need.
+The function itself reads the bindings and runs the scalar rational kernel
+when every symbol is bound to exactly a ``Fraction``; ``_domain`` classifies
+any other binding, and the kernel it picks is generated on first use and
+cached on the instance beside the function.  A symbol missing from the
+bindings raises ``UnboundSymbolError`` before any arithmetic, naming the
+first missing symbol in the walk's order; jets of two orders raise
+``TypeError``, as the walk does where they meet.
 
-The rational kernel returns the same rational numbers, slot for slot, that a
-recursive tree walk computes: both work in exact rational arithmetic and only
-the time of reduction moves.  No arithmetic domain changes, for scalars or
-for jets, so an identity certified at a random rational point keeps the same
-Schwartz-Zippel error bound.  The first error raised is the walk's too
-(``tests/test_expr.py`` keeps that walk as the reference), because in every
-kernel the first occurrence of each subtree runs at its post-order position:
-a vanishing denominator (for a jet, its value slot) raises
-``EvaluationDivisionError`` carrying that denominator's subtree, and a symbol
-missing from the bindings raises ``UnboundSymbolError`` where the walk would
-have read it.  ``compile_float`` uses the same generator with positional
-float arguments and float constants for the ODE integrator.
+The rational kernel returns the rational numbers, slot for slot, that a
+recursive tree walk computes on the bindings with ints read as Fractions:
+only the time of reduction moves, so an identity certified at a random
+rational point keeps its Schwartz-Zippel error bound.  Among bound values
+the first error raised is the walk's too (``tests/test_expr.py`` keeps that
+walk as the reference), because in both domains the first occurrence of each
+subtree runs at its post-order position: a vanishing denominator (for a jet,
+its value slot) raises ``EvaluationDivisionError`` carrying that
+denominator's subtree.  ``compile_float`` uses the same generator with
+positional float arguments and float constants for the ODE integrator.
 """
 
 from __future__ import annotations
@@ -244,9 +241,9 @@ def compile_float(e: Expr, arg_names) -> Callable[..., float]:
 
     Used by the ODE integrator, where the per-call overhead of reading a
     binding dictionary would dominate the runtime, and by ``evaluate`` for
-    float bindings.  Constant subtrees are folded exactly and rounded once.
-    The function is cached on ``e`` by argument list, so a tree integrated
-    again compiles once.
+    bindings in the float domain.  Constant subtrees are folded exactly and
+    rounded once.  The function is cached on ``e`` by argument list, so a
+    tree integrated again compiles once.
     """
     key = tuple(arg_names)
     fns = vars(e).setdefault("_float_fns", {})  # on the instance, as evaluate's function
@@ -264,7 +261,7 @@ def compile_float(e: Expr, arg_names) -> Callable[..., float]:
             names.append(f"a{position[slot.node.name]}")
         else:
             names.append(f"v{i}")
-    body = _operator_kernel(slots, names, check_unbound=False) + [f"return {names[-1]}"]
+    body = _operator_kernel(slots, names) + [f"return {names[-1]}"]
     params = ", ".join(f"a{j}" for j in range(len(key)))
     fn = fns[key] = _define("compiled_float", params, body, _namespace(slots))
     return fn
@@ -446,33 +443,22 @@ def _make_slot(node: Expr, args: Tuple[int, ...], slots: List[_Slot]) -> _Slot:
 
 def _namespace(slots: List[_Slot]) -> Dict[str, object]:
     """Globals of a generated function: helpers and the denominators to report."""
-    ns: Dict[str, object] = {
-        "_F": Fraction, "_MISSING": _MISSING,
-        "_Unbound": UnboundSymbolError, "_DivErr": EvaluationDivisionError,
-    }
+    ns: Dict[str, object] = {"_F": Fraction, "_DivErr": EvaluationDivisionError}
     for i, slot in enumerate(slots):
         if slot.kind != "const" and isinstance(slot.node, Div):
             ns[f"den{i}"] = slot.node.b
     return ns
 
 
-def _floaty(*values) -> bool:
-    """Whether every slot of every value is a float (a scalar is its own one slot)."""
-    return all(type(s) is float for v in values for s in slots(v))
-
-
 _MISSING = object()
 
 
-def _operator_kernel(slots: List[_Slot], names: List[str], check_unbound: bool) -> List[str]:
+def _operator_kernel(slots: List[_Slot], names: List[str]) -> List[str]:
     """One statement per slot applying Python's operators; slot i is ``names[i]``."""
     lines = []
     for i, slot in enumerate(slots):
         node = slot.node
-        if slot.kind == "sym" and check_unbound:
-            message = f"unbound symbol {node.name!r}"
-            lines.append(f"if {names[i]} is _MISSING: raise _Unbound({message!r})")
-        elif slot.kind == "raise":
+        if slot.kind == "raise":
             lines.append(f"raise _DivErr(den{i})")
         elif slot.kind == "op":
             a = names[slot.args[0]]
@@ -495,11 +481,11 @@ def _rational_kernel(slots: List[_Slot], names: List[str], order: int = 0,
     Each slot is a list of integer numerators over one shared denominator: one
     numerator for a scalar, ``order + 1`` (value, d/dt, d²/dt²) for a slot
     that depends on a symbol slot in ``jets``.  A scalar symbol slot reads the
-    numerator and denominator of the Fraction bound to ``names[i]``; a jet
-    symbol slot reads the Fraction slots of the ``Jet1`` (order 1) or ``Jet2``
-    (order 2) bound there over the lcm of their denominators.  A product
-    expands the Leibniz rule here, and a quotient by a jet b multiplies by its
-    conjugate c, for which b·c = s is the scalar b₀^(order+1):
+    numerator and denominator of the int or Fraction bound to ``names[i]``; a
+    jet symbol slot reads the int or Fraction slots of the ``Jet1`` (order 1)
+    or ``Jet2`` (order 2) bound there over the lcm of their denominators.  A
+    product expands the Leibniz rule here, and a quotient by a jet b
+    multiplies by its conjugate c, for which b·c = s is the scalar b₀^(order+1):
     c = (b₀, −b₁) at order 1 and (b₀², −b₀b₁, 2b₁² − b₀b₂) at order 2.
     A denominator known to be 1 is left out (None) instead of multiplied in.
     At order 0 this is the scalar kernel.
@@ -615,29 +601,45 @@ def _rational_kernel(slots: List[_Slot], names: List[str], order: int = 0,
     return lines
 
 
-def _exact_jet_orders(*values) -> Optional[Tuple[int, ...]]:
-    """Each value's jet order (0 for a ``Fraction``) when every value is a
-    ``Fraction`` or a jet with ``Fraction`` slots and the jets share one order;
-    None otherwise."""
-    orders = tuple(map(_ORDERS.get, map(type, values)))
-    if None in orders or len(set(orders) - {0}) != 1:
-        return None
-    jet_slots = [s for v in values if type(v) is not Fraction for s in slots(v)]
-    return orders if set(map(type, jet_slots)) == {Fraction} else None
+_ORDERS = {Jet1: 1, Jet2: 2}
+_EXACT = {int, Fraction}
 
 
-_ORDERS = {Fraction: 0, Jet1: 1, Jet2: 2}
+def _domain(names: Tuple[str, ...], values: tuple) -> Tuple[Optional[Tuple[int, ...]], tuple]:
+    """The arithmetic domain of the ``values`` bound to ``names``: a kernel key and its values.
+
+    The key is None for the float domain, where some slot is a float; every
+    ``int`` or ``Fraction`` slot is then rounded.  When every slot is an
+    ``int`` or a ``Fraction`` the key is each value's jet order, 0 for a
+    scalar.  The first missing value in ``names``' order (the walk's) raises
+    ``UnboundSymbolError``; jets of two orders and slots of neither domain
+    raise ``TypeError``.
+    """
+    types = set(map(type, values))
+    kinds = {type(s) for v in values for s in slots(v)} if types & _ORDERS.keys() else types
+    if kinds == {float} and not {Jet1, Jet2} <= types:
+        return None, values  # already floats: nothing to round
+    for name, v in zip(names, values):
+        if v is _MISSING:
+            raise UnboundSymbolError(f"unbound symbol {name!r}")
+    if {Jet1, Jet2} <= types:
+        raise TypeError("jets of two orders in one binding")
+    if kinds <= _EXACT:
+        return tuple(_ORDERS.get(t, 0) for t in map(type, values)), values
+    other = kinds - _EXACT - {float}
+    if other:
+        raise TypeError(f"cannot evaluate on {', '.join(sorted(t.__name__ for t in other))}")
+    return None, tuple(type(v)(*map(float, slots(v))) if type(v) in _ORDERS else float(v)
+                       for v in values)
 
 
-def _kernel(e: Expr, orders: Optional[Tuple[int, ...]]) -> Callable[..., Value]:
-    """The kernel of ``e`` for one binding shape, generated on first use.
+def _kernel(e: Expr, orders: Tuple[int, ...]) -> Callable[..., Value]:
+    """The rational kernel of ``e`` for one exact binding shape, generated on first use.
 
-    ``orders`` holds each symbol slot's jet order for exact bindings
-    (``_exact_jet_orders``), giving the rational kernel of that order, and is
-    None for any other binding, giving the operator kernel with ``Fraction``
-    constants.  Each is cached on the instance, as ``compile_float`` caches
-    by argument list, and takes the bound values of the symbol slots in
-    schedule order.
+    ``orders`` holds each symbol slot's jet order (``_domain``'s key): 0 for
+    an ``int`` or a ``Fraction``, the same k for every jet.  Each kernel is
+    cached on the instance, as ``compile_float`` caches by argument list, and
+    takes the bound values of the symbol slots in schedule order.
     """
     fns = vars(e).setdefault("_kernels", {})
     fn = fns.get(orders)
@@ -645,17 +647,11 @@ def _kernel(e: Expr, orders: Optional[Tuple[int, ...]]) -> Callable[..., Value]:
         return fn
     slots = _schedule(e)
     sym_slots = [i for i, slot in enumerate(slots) if slot.kind == "sym"]
+    order = max(orders)
+    jets = frozenset(i for i, k in zip(sym_slots, orders) if k)
     ns = _namespace(slots)
-    if orders is None:
-        ns.update({f"c{i}": slot.value for i, slot in enumerate(slots) if slot.kind == "const"})
-        names = [f"c{i}" if slot.kind == "const" else f"s{i}" if slot.kind == "sym" else f"v{i}"
-                 for i, slot in enumerate(slots)]
-        body = _operator_kernel(slots, names, check_unbound=True) + [f"return {names[-1]}"]
-    else:
-        order = max(orders)
-        jets = frozenset(i for i, k in zip(sym_slots, orders) if k)
-        ns.update(_J=(Jet1, Jet2)[order - 1], _lcm=math.lcm)
-        body = _rational_kernel(slots, [f"s{i}" for i in range(len(slots))], order, jets)
+    ns.update(_J=(None, Jet1, Jet2)[order], _lcm=math.lcm)
+    body = _rational_kernel(slots, [f"s{i}" for i in range(len(slots))], order, jets)
     fn = fns[orders] = _define("kernel", ", ".join(f"s{i}" for i in sym_slots), body, ns)
     return fn
 
@@ -663,8 +659,9 @@ def _kernel(e: Expr, orders: Optional[Tuple[int, ...]]) -> Callable[..., Value]:
 def _compile_evaluate(e: Expr) -> Callable[[Mapping[str, Value], Expr], Value]:
     """Read the bindings, run exact scalars in place and pick a kernel for the rest.
 
-    Float bindings take ``compile_float``'s function, whose constants are
-    floats; any other shape takes a ``_kernel``.
+    Bindings of ``Fraction``s only run the scalar rational kernel here;
+    ``_domain`` sends the float domain to ``compile_float``'s function, whose
+    constants are floats, and every other exact shape to a ``_kernel``.
     """
     slots = _schedule(e)
     sym_slots = [i for i, slot in enumerate(slots) if slot.kind == "sym"]
@@ -676,10 +673,10 @@ def _compile_evaluate(e: Expr) -> Callable[[Mapping[str, Value], Expr], Value]:
     ns = _namespace(slots)
     if sym_slots:
         args = ", ".join(f"s{i}" for i in sym_slots)
-        body += [f"if _floaty({args}):", f"    return _compile_float(tree, _NAMES)({args})",
-                 f"return _kernel(tree, _exact_jet_orders({args}))({args})"]
-        ns.update(_floaty=_floaty, _compile_float=compile_float, _kernel=_kernel,
-                  _exact_jet_orders=_exact_jet_orders,
+        body += [f"key, args = _domain(_NAMES, ({args},))", "if key is None:",
+                 "    return _compile_float(tree, _NAMES)(*args)",
+                 "return _kernel(tree, key)(*args)"]
+        ns.update(_domain=_domain, _compile_float=compile_float, _kernel=_kernel, _MISSING=_MISSING,
                   _NAMES=tuple(slots[i].node.name for i in sym_slots))
     return _define("evaluate", "env, tree", body, ns)
 

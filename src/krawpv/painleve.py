@@ -70,8 +70,9 @@ class PVParams:
     def floats(self) -> "PVParams":
         """The evaluated quadruple as floats, the constant δ₅ = −1/2 included.
 
-        A float PV check then binds floats only, so ``Expr.evaluate`` takes its
-        float constants; rounding a ``Fraction`` first gives the same bits.
+        A fast path only: ``Expr.evaluate`` rounds the exact slots of a binding
+        that has a float slot anyway, to the same bits, but a binding of floats
+        alone skips that rounding at every evaluation.
         """
         return PVParams(*(float(x) for x in (self.a5, self.b5, self.g5, self.d5)))
 
@@ -322,7 +323,11 @@ BACKLUND_Y: Expr = 1 - (2 * e3 * t * y) / (
 
 def backlund_apply(j: PVJet, state: BranchState, s: BacklundSigns
                    ) -> Tuple[PVJet, BranchState]:
-    """Push a source-PV jet through one Bäcklund step; returns (jet, state)."""
+    """Push a source-PV jet through one Bäcklund step; returns (jet, state).
+
+    The sign e3 is bound as an ``int``, which is exact: with an exact jet and
+    state, ``BACKLUND_Y`` runs the rational jet kernel.
+    """
     signs = {"e1c": s.e1 * state.c, "e2a": s.e2 * state.a, "e3": s.e3}
     return (transform_jet(BACKLUND_Y, j, state.params(), extra=signs),
             backlund_step(state, s))

@@ -22,7 +22,8 @@ from krawpv.expr import (
     Sub,
     Sym,
     UnboundSymbolError,
-    _floaty,
+    _domain,
+    _MISSING,
     compile_float,
     syms,
 )
@@ -141,7 +142,7 @@ def test_compiled_functions_die_with_their_tree():
     e.evaluate({"x": Fraction(1), "y": Fraction(2)})
     for jet in (Jet1(Fraction(1), Fraction(2)), Jet2(Fraction(1), Fraction(2), Fraction(3))):
         e.evaluate({"x": jet, "y": Fraction(2)})  # exact jets: one kernel per jet order
-    e.evaluate({"x": 1, "y": Fraction(2)})  # the operator kernel with Fraction constants
+    e.evaluate({"x": 1, "y": Fraction(2)})  # an int: the scalar rational kernel, dispatched
     kernels = list(vars(e)["_kernels"].values())
     assert len(kernels) == 3
     refs = [weakref.ref(fn) for fn in [e._evaluator, compile_float(e, ["x", "y"]), *kernels]]
@@ -185,6 +186,40 @@ def reference_evaluate(e, env):
     if isinstance(e, Pow):
         return reference_evaluate(e.a, env) ** e.k
     return _WALK_OPS[type(e)](reference_evaluate(e.a, env), reference_evaluate(e.b, env))
+
+
+def _reading_order(e):
+    """The symbols of ``e`` in the order the tree walk first reads them."""
+    if isinstance(e, Sym):
+        return [e.name]
+    kids = [e.b, e.a] if isinstance(e, Div) else [getattr(e, f) for f in "ab" if hasattr(e, f)]
+    return list(dict.fromkeys(name for kid in kids for name in _reading_order(kid)))
+
+
+def _cast(value, scalar):
+    """``value`` with every slot converted by ``scalar``."""
+    return type(value)(*map(scalar, slots(value))) if isinstance(value, (Jet1, Jet2)) \
+        else scalar(value)
+
+
+def domain_reference(e, env):
+    """The tree walk on the domain the bindings of ``e`` choose.
+
+    The first symbol the walk reads that is unbound raises, and jets of two
+    orders raise.  Otherwise the walk runs on the bound values with every
+    slot rounded to float when any slot is a float, and with ints read as
+    Fractions when none is.
+    """
+    names = _reading_order(e)
+    for name in names:
+        if name not in env:
+            raise UnboundSymbolError(f"unbound symbol {name!r}")
+    values = [env[name] for name in names]
+    if {Jet1, Jet2} <= set(map(type, values)):
+        raise TypeError("jets of two orders in one binding")
+    floaty = any(type(s) is float for v in values for s in slots(v))
+    return reference_evaluate(e, {nm: _cast(v, float if floaty else Fraction)
+                                  for nm, v in zip(names, values)})
 
 
 def _outcome(fn, *args):
@@ -270,7 +305,7 @@ def bindings(draw):
 def test_compiled_evaluate_matches_tree_walk(e, envs):
     # one tree, several bindings: the cached function switches kernels per call
     for env in envs:
-        _assert_same_outcome(_outcome(e.evaluate, env), _outcome(reference_evaluate, e, env))
+        _assert_same_outcome(_outcome(e.evaluate, env), _outcome(domain_reference, e, env))
 
 
 @given(e=trees, values=st.lists(scalars["float"], min_size=3, max_size=3))
@@ -294,11 +329,15 @@ def test_first_error_is_the_tree_walks():
         assert exc.value.subtree == z
     with pytest.raises(UnboundSymbolError, match="'z'"):
         e.evaluate({})
-    # a constant zero denominator raises where the walk reaches it
-    with pytest.raises(UnboundSymbolError, match="'x'"):
-        (x + 1 / Const(Fraction(0))).evaluate({})
-    with pytest.raises(EvaluationDivisionError):
-        (1 / Const(Fraction(0)) + x).evaluate({})
+    # a missing symbol raises before any arithmetic, even where the walk divides by 0 first
+    for tree in (x + 1 / Const(Fraction(0)), 1 / Const(Fraction(0)) + x):
+        with pytest.raises(UnboundSymbolError, match="'x'"):
+            tree.evaluate({})
+    # among bound values, a constant zero denominator raises where the walk reaches it
+    for value in (Fraction(1), 1, 1.0, Jet2(1.0, 2.0, 3.0)):
+        with pytest.raises(EvaluationDivisionError) as exc:
+            (1 / Const(Fraction(0)) + x / (x - 1)).evaluate({"x": value})
+        assert exc.value.subtree == Const(Fraction(0))
     # a symbolic numerator keeps x/0 from folding; exact bindings still name the 0
     for value in (Fraction(0), Fraction(2), 0.0, 2):
         with pytest.raises(EvaluationDivisionError) as exc:
@@ -389,8 +428,28 @@ def test_exact_jets_equal_the_tree_walk_on_catalogue_trees(name):
         _assert_same_outcome(got, want)
         values += got[0] == "value"
     assert values >= 15
-    kernels = vars(e)["_kernels"]
-    assert len(kernels) == 1 and None not in kernels  # one rational jet kernel ran, nothing else
+    [orders] = vars(e)["_kernels"]  # one rational jet kernel ran, nothing else
+    assert max(orders) > 0 and "_float_fns" not in vars(e)
+
+
+def test_an_int_sign_takes_the_exact_jet_kernel():
+    # backlund_apply binds the sign e3 as an int: an int reads as n/1, so the Jet2s of
+    # Fractions run the rational jet kernel and give the jet a Fraction e3 gives
+    e = painleve.BACKLUND_Y.subs({})  # fresh copies: no kernel cached by other tests
+    fraction_sign = painleve.BACKLUND_Y.subs({})
+    rng = random.Random("int sign")
+    values = 0
+    for _ in range(20):
+        env = _pv_jets(Jet2, e.symbols(), rng)
+        env["e3"] = rng.choice((1, -1))
+        got = _outcome(e.evaluate, env)
+        want = _outcome(fraction_sign.evaluate, {**env, "e3": Fraction(env["e3"])})
+        _assert_same_outcome(got, want)
+        _assert_same_outcome(got, _outcome(domain_reference, e, env))
+        values += got[0] == "value"
+    assert values >= 15
+    [orders] = vars(e)["_kernels"]
+    assert max(orders) == 2 and "_float_fns" not in vars(e)
 
 
 # --- the tree operations against independent oracles -----------------------
@@ -443,11 +502,12 @@ def test_symbols_are_the_names_in_the_prefix_form(e):
 
 
 def test_exact_bindings_take_exact_arithmetic():
-    # only Fraction bindings take the rational kernel; ints keep int semantics
+    # ints and Fractions are one exact domain: an int reads as n/1
     e = x / y
-    assert e.evaluate({"x": Fraction(1), "y": Fraction(3)}) == Fraction(1, 3)
-    assert e.evaluate({"x": 1, "y": 3}) == 1 / 3
-    assert type(e.evaluate({"x": 1, "y": 3})) is float
+    for env in ({"x": Fraction(1), "y": Fraction(3)}, {"x": 1, "y": 3}, {"x": 1, "y": Fraction(3)}):
+        got = e.evaluate(env)
+        assert got == Fraction(1, 3) and type(got) is Fraction
+    assert e.evaluate({"x": 1, "y": 3.0}) == 1 / 3  # a float slot makes the binding float
 
 
 # --- float constants for float bindings ------------------------------------
@@ -516,22 +576,51 @@ def test_a_fraction_constant_and_its_float_give_the_same_bits_on_float_jets():
                     assert op(Jet2.constant(c), jet) == op(c, jet)
 
 
-def test_float_constants_are_taken_when_every_slot_is_a_float():
-    # one rule for scalars and both jet orders
-    assert _floaty(1.0, Jet1(1.0, 2.0), Jet2(1.0, 2.0, 3.0)) and _floaty()
-    for other in (Fraction(1), 1, Jet1(1.0, Fraction(2)), Jet2(Fraction(1), 2.0, 3.0),
+def test_the_bindings_choose_one_of_two_domains():
+    names = ("x", "y")
+    # every slot a float: the float kernel takes the values as they are
+    for values in ((1.0, Jet2(1.0, 2.0, 3.0)), (Jet1(1.0, 2.0), -0.0)):
+        key, args = _domain(names, values)
+        assert key is None and args is values
+    # some slot a float: every exact slot is rounded once, slot for slot
+    for other in (Fraction(1, 3), 1, Jet1(1.0, Fraction(2)), Jet2(Fraction(1), 2.0, 3.0),
                   Jet2(1.0, 2.0, 3)):
-        assert not _floaty(1.0, other)
+        key, args = _domain(names, (0.5, other))
+        jet = isinstance(other, (Jet1, Jet2))
+        assert key is None and args[0] == 0.5 and type(args[1]) is (type(other) if jet else float)
+        assert [type(s) for s in slots(args[1])] == [float] * len(slots(other))
+        assert slots(args[1]) == tuple(map(float, slots(other)))
+    # every slot an int or a Fraction: each value's jet order keys the rational kernel
+    for values, orders in (((1, Fraction(2)), (0, 0)), ((Jet2(1, Fraction(2), 3), 5), (2, 0)),
+                           ((Fraction(1), Jet1(Fraction(1), 0)), (0, 1))):
+        key, args = _domain(names, values)
+        assert key == orders and args is values
+    # a missing symbol first, in the walk's order; then jets of two orders; then other types
+    for values in ((_MISSING, _MISSING), (1.0, _MISSING), (Jet1(1, 2), _MISSING)):
+        missing = names[values.index(_MISSING)]
+        with pytest.raises(UnboundSymbolError, match=f"'{missing}'"):
+            _domain(names, values)
+    for values in ((Jet1(1.0, 2.0), Jet2(1.0, 2.0, 3.0)), (Jet1(1, 2), Jet2(1.0, 2, 3))):
+        with pytest.raises(TypeError, match="two orders"):
+            _domain(names, values)
+    for values in ((1.0, "1"), (Fraction(1), complex(1)), (Jet1(1, None), 1)):
+        with pytest.raises(TypeError, match="cannot evaluate"):
+            _domain(names, values)
 
 
-def test_mixed_and_exact_bindings_meet_fraction_constants():
-    # x - c is exactly -10**-30 only when c stays a Fraction; in float it is 0.0 and y/0.0 raises
+def test_mixed_bindings_round_to_float_and_exact_ones_stay_exact():
+    # x - c is exactly -10**-30 only in exact arithmetic; a float slot anywhere in the
+    # binding rounds x, so x - c is 0.0 and y/0.0 raises, as with x bound to a float
     c = Fraction(1, 3) + Fraction(1, 10**30)
     e = y / (x - Const(c))
-    env = {"x": Fraction(1, 3), "y": 2.0}
-    assert e.evaluate(env) == reference_evaluate(e, env) == 2.0 / float(Fraction(1, 3) - c)
-    with pytest.raises(EvaluationDivisionError):
-        e.evaluate({"x": float(Fraction(1, 3)), "y": 2.0})
+    assert e.evaluate({"x": Fraction(1, 3), "y": Fraction(2)}) == -2 * 10**30
+    for env in ({"x": Fraction(1, 3), "y": 2.0}, {"x": float(Fraction(1, 3)), "y": 2.0},
+                {"x": Fraction(1, 3), "y": Jet1(2.0, 0.0)}):
+        with pytest.raises(EvaluationDivisionError) as exc:
+            e.evaluate(env)
+        assert exc.value.subtree == x - Const(c)
+    # two exact values in a float binding meet as floats: 0.1 * 0.1 is not float(1/100)
+    assert (x * x * y).evaluate({"x": Fraction(1, 10), "y": 1.0}) == 0.1 * 0.1 != 0.01
     # an exact jet keeps Fraction slots
     j = (x * Const(Fraction(1, 3)) - 2 * y).evaluate(
         {"x": Jet2(Fraction(1), Fraction(2), Fraction(3)), "y": Jet2.variable(Fraction(5))})

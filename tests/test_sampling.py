@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from krawpv.expr import syms
+from krawpv.expr import UnboundSymbolError, syms
 from krawpv.sampling import MAX_RESAMPLES_PER_POINT, Sampler, run_case
 
-(x,) = syms("x")
+x, z = syms("x z")
 
 
 def points(*values):
@@ -58,6 +58,19 @@ def test_always_singular_check_fails_instead_of_raising():
     assert (case.status, case.samples) == ("FAIL", 0)
     assert case.resamples == 2 * MAX_RESAMPLES_PER_POINT + 1
     assert case.failures == ["sampling exhausted after 0 samples"]
+
+
+def test_a_typo_is_not_taken_for_a_pole():
+    # 1/(x - x) vanishes at every point, but z is unbound: the check is wrong, not singular,
+    # so the missing symbol raises before any arithmetic instead of exhausting the sampler
+    def check(env):
+        (1 / (x - x) + z).evaluate(env)
+        return []
+
+    sampler = Sampler(random.Random(0))
+    with pytest.raises(UnboundSymbolError, match="'z'"):
+        run_case("c", sampler, 50, lambda: sampler.draw(["x"]), check)
+    assert sampler.resamples == 0
 
 
 def test_exhausted_draw_fails_after_completed_samples():
