@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .jets import Jet1, slots, value
+from .jets import Jet1, Jet2, slots, value
 
 
 class OracleError(Exception):
@@ -26,7 +26,7 @@ class OracleError(Exception):
 class WeightParams:
     N: int
     alpha: Fraction
-    t: Union[Fraction, Jet1]  # a Jet1 carries d/dt through the oracle; guards read its value
+    t: Union[Fraction, Jet1, Jet2]  # a jet carries d/dt through the oracle; guards read its value
 
     def __post_init__(self):
         if self.N < 1:
@@ -42,7 +42,7 @@ def weight_values(w: WeightParams) -> List[Fraction]:
 
     A running product: w(0) = 1 and w(x+1) = w(x) t (N - x)/((x + 1)(1 - alpha + x)).
     """
-    out = [Fraction(1) * w.t**0]  # 1, as a Jet1 (1, 0) for a jet t
+    out = [Fraction(1) * w.t**0]  # 1, as the jet (1, 0, ...) for a jet t
     for x in range(w.N):
         out.append(out[-1] * w.t * Fraction(w.N - x, x + 1) / (1 - w.alpha + x))
     return out
@@ -98,22 +98,28 @@ def hankel_determinant(m: MomentTable, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """Monic three-term recurrence data: aa[k] = a_k^2 (aa[0] = 0), b[k] = b_k; Jet1s for a jet t."""
+    """Monic three-term recurrence data: aa[k] = a_k^2 (aa[0] = 0), b[k] = b_k; jets for a jet t."""
 
     aa: Tuple[Fraction, ...]
     b: Tuple[Fraction, ...]
 
 
 def _each_slot(f, x):
-    """f applied to every slot of a scalar or of a ``Jet1``."""
-    return Jet1(f(x.v), f(x.d1)) if isinstance(x, Jet1) else f(x)
+    """f applied to every slot of a scalar or of a jet."""
+    return type(x)(*map(f, slots(x))) if isinstance(x, (Jet1, Jet2)) else f(x)
 
 
 def _quotient(p, q):
-    """p/q as a ``Fraction``, or as a ``Jet1`` of ``Fraction``s, for integer(-slotted) p, q."""
-    if isinstance(q, Jet1):
-        return Jet1(Fraction(p.v, q.v), Fraction(p.d1 * q.v - p.v * q.d1, q.v * q.v))
-    return Fraction(p, q)
+    """p/q with ``Fraction`` slots, for integer(-slotted) p and q."""
+    return _each_slot(Fraction, p) / q if isinstance(q, (Jet1, Jet2)) else Fraction(p, q)
+
+
+def _integer_slots(xs):
+    """(L, [L x for x in xs]): L is the lcm of the slots' denominators, so every slot is an int."""
+    # lcm and gcd fold pairwise: a star-argument tuple of varying length per call
+    # would fill CPython's tuple free lists, which only a full collection empties
+    L = functools.reduce(math.lcm, (s.denominator for x in xs for s in slots(x)))
+    return L, [_each_slot(lambda s: s.numerator * (L // s.denominator), x) for x in xs]
 
 
 def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
@@ -125,19 +131,16 @@ def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
     The recurrence runs on integers.  Both ratios are unchanged when the
     weight is scaled by a positive constant, so the weight is scaled by the
     lcm of its denominators.  P_k on the support is held as an integer vector
-    q over one integer d, divided by its content after each step; only each
-    degree's a_k^2 and b_k become ``Fraction``s.  For a ``Jet1`` t the entries
-    of q are ``Jet1``s with integer slots, and d stays an integer because the
-    new vector is multiplied by the conjugate (u_0 - u_1 e) of its jet factor
-    u, with (u_0 + u_1 e)(u_0 - u_1 e) = u_0^2.
+    q over one integer d, divided by its content after each step.  Each
+    degree's reduced b_k and a_k^2 are scaled the same way, by the lcm D of
+    their denominators, so P_{k+1} = (x - b_k) P_k - a_k^2 P_{k-1} is again an
+    integer vector over the integer D d d_prev.  For a jet t (``Jet1`` or
+    ``Jet2``) the entries of q are jets with integer slots and the code is the
+    same: D is the lcm over every slot, so d stays an integer.
     """
     if nmax > w.N:
         raise OracleError("nmax exceeds the number of support points minus one")
-    wv = weight_values(w)
-    # gcd and lcm fold pairwise: a star-argument tuple of varying length per call
-    # would fill CPython's tuple free lists, which only a full collection empties
-    scale = functools.reduce(math.lcm, (s.denominator for wx in wv for s in slots(wx)))
-    wi = [_each_slot(lambda s: s.numerator * (scale // s.denominator), wx) for wx in wv]
+    wi = _integer_slots(weight_values(w))[1]
     xs = range(w.N + 1)
 
     # P_{k-1} = q_prev/d_prev and P_k = q/d; norm = d^2 <P_k, P_k> on the scaled weight
@@ -150,19 +153,15 @@ def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
         norm = sum(qqw)
         if value(norm) == 0:
             raise OracleError(f"vanishing norm <P_{k},P_{k}>")
-        moment = sum(x * v for x, v in zip(xs, qqw))
-        b.append(_quotient(moment, norm))
+        b.append(_quotient(sum(x * v for x, v in zip(xs, qqw)), norm))
         aa.append(_quotient(norm * d_prev * d_prev, norm_prev * d * d) if k else 0 * b[0])
         if k == nmax:
             break
-        # P_{k+1} = (x - b_k) P_k - a_k^2 P_{k-1} over u d^2, u = norm norm_prev; both
-        # terms times conj(u), so that the denominator is u_0^2 d^2
-        u = norm * norm_prev
-        conj = Jet1(u.v, -u.d1) if isinstance(u, Jet1) else 1
-        lead = norm_prev * d * conj
-        slope, shift, tail = norm * lead, moment * lead, norm * norm * d_prev * conj
+        # P_{k+1} times D d d_prev, with B = D b_k and A = D a_k^2
+        D, (B, A) = _integer_slots((b[k], aa[k]))
+        slope, shift, tail = D * d_prev, B * d_prev, A * d
         q_next = [(x * slope - shift) * qx - tail * px for x, qx, px in zip(xs, q, q_prev)]
-        d_next = value(u * conj) * d * d
+        d_next = D * d * d_prev
         g = functools.reduce(math.gcd, (s for qx in q_next for s in slots(qx)), d_next)
         q_prev, d_prev, norm_prev = q, d, norm
         q, d = [_each_slot(lambda s: s // g, qx) for qx in q_next], d_next // g

@@ -275,13 +275,20 @@ def _extend(children):
 
 trees = st.recursive(leaves, _extend, max_leaves=12)
 
+# denominators up to 10, such as tenths: computed exactly and then rounded, a product
+# or sum of them often differs in the last bit from the product or sum of their roundings
+den10_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=10)
 scalars = {
     "fraction": small_fractions,
+    "fraction_den10": den10_fractions,
     "int": st.integers(-3, 3),
     "float": st.floats(-3, 3, allow_nan=False).filter(lambda v: v != 0) | st.just(0.0),
     "jet_fraction": st.builds(Jet2, small_fractions, small_fractions, small_fractions),
     "jet1_fraction": st.builds(Jet1, small_fractions, small_fractions),
     "jet_float": st.builds(Jet2, *[st.floats(-3, 3, allow_nan=False)] * 3),
+    # exact slots beside a float slot: the float domain, every slot rounded on entry
+    "jet_mixed": st.builds(Jet2, den10_fractions, st.floats(-3, 3, allow_nan=False),
+                           den10_fractions),
 }
 
 

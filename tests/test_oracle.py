@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from krawpv.jets import Jet1, value
+from krawpv.jets import Jet1, Jet2, slots, value
 from krawpv.oracle import (
     OracleError,
     WeightParams,
@@ -177,7 +177,7 @@ def test_toda_exact_residuals_vanish_and_detect_a_doubled_t():
 
 
 def _reference_stieltjes(w, nmax):
-    """Discrete Stieltjes on Fractions (Jet1s of them for a Jet1 t): the reference kernel."""
+    """Discrete Stieltjes on Fractions (jets of them for a jet t): the reference kernel."""
     wv = weight_values(w)
     xs = [Fraction(x) for x in range(w.N + 1)]
     p_prev, p_cur = [Fraction(0)] * (w.N + 1), [Fraction(1)] * (w.N + 1)
@@ -196,8 +196,12 @@ def _reference_stieltjes(w, nmax):
     return aa, b
 
 
-def _jet_slots(entries):
-    return [(x.v, x.d1) for x in entries]
+def _slots(entries):
+    return [slots(x) for x in entries]
+
+
+# a t of each order the kernel takes: a Fraction, a Jet1 and a Jet2 of the curve parameter
+T_ORDERS = {"Fraction": lambda tv: tv, "Jet1": Jet1.variable, "Jet2": Jet2.variable}
 
 
 def _rational(rng, lo, hi, digits):
@@ -211,18 +215,36 @@ def _draw(rng, digits):
             _rational(rng, Fraction(1, 4), Fraction(8), digits))
 
 
+def _assert_kernel_equals_the_fraction_loop(N, a, t):
+    w = WeightParams(N, a, t)
+    r = stieltjes_recurrence(w, N)
+    ref_aa, ref_b = _reference_stieltjes(w, N)
+    assert _slots(r.aa) == _slots(ref_aa)
+    assert _slots(r.b) == _slots(ref_b)
+
+
 def test_integer_kernel_equals_the_fraction_loop():
     rng = random.Random(1968)
     for N in range(1, 13):
         for digits in (1, 2, 3):
             a, tv = _draw(rng, digits)
-            w = WeightParams(N, a, tv)
-            r = stieltjes_recurrence(w, N)
-            assert [list(r.aa), list(r.b)] == list(_reference_stieltjes(w, N))
-            jr = jet_recurrence(w, N)
-            ref_aa, ref_b = _reference_stieltjes(WeightParams(N, a, Jet1.variable(tv)), N)
-            assert _jet_slots(jr.aa) == _jet_slots(ref_aa)
-            assert _jet_slots(jr.b) == _jet_slots(ref_b)
+            for order in T_ORDERS.values():
+                _assert_kernel_equals_the_fraction_loop(N, a, order(tv))
+
+
+@pytest.mark.parametrize("order", sorted(T_ORDERS))
+def test_integer_kernel_equals_the_fraction_loop_at_N_18(order):
+    # the benchmark's largest N at 3-digit heights, where the digits grow most
+    a, tv = _draw(random.Random(18), 3)
+    _assert_kernel_equals_the_fraction_loop(18, a, T_ORDERS[order](tv))
+
+
+@pytest.mark.parametrize("order", sorted(T_ORDERS))
+def test_every_table_slot_is_a_fraction(order):
+    # jet division on int slots would give floats (int / int), equal to nothing exact
+    for N, a, tv, _ in RunConfig().weights():
+        r = stieltjes_recurrence(WeightParams(N, a, T_ORDERS[order](tv)), N)
+        assert {type(s) for x in r.aa + r.b for s in slots(x)} == {Fraction}
 
 
 def test_norm_ratios_are_hankel_ratios_at_three_digit_heights():
@@ -236,9 +258,13 @@ def test_norm_ratios_are_hankel_ratios_at_three_digit_heights():
 
 
 def test_a_doubled_derivative_slot_doubles_every_derivative():
+    # t = t0 + 2s: by the chain rule d/ds = 2 d/dt and d^2/ds^2 = 4 d^2/dt^2
     rng = random.Random(2)
     for N, digits in ((4, 1), (7, 2), (10, 3)):
         a, tv = _draw(rng, digits)
-        one = stieltjes_recurrence(WeightParams(N, a, Jet1.variable(tv)), N)
-        two = stieltjes_recurrence(WeightParams(N, a, Jet1(tv, Fraction(2))), N)
-        assert _jet_slots(two.aa + two.b) == [(v, 2 * d) for v, d in _jet_slots(one.aa + one.b)]
+        for unit, doubled, scale in ((Jet1.variable(tv), Jet1(tv, Fraction(2)), (1, 2)),
+                                     (Jet2.variable(tv), Jet2(tv, Fraction(2), Fraction(0)), (1, 2, 4))):
+            one = stieltjes_recurrence(WeightParams(N, a, unit), N)
+            two = stieltjes_recurrence(WeightParams(N, a, doubled), N)
+            assert _slots(two.aa + two.b) == [
+                tuple(k * s for k, s in zip(scale, row)) for row in _slots(one.aa + one.b)]
