@@ -1,14 +1,19 @@
 """Float-mode numerical integration of the catalogued systems and reductions.
 
-``solve_ivp`` is a Dormand-Prince 5(4) integrator on Python floats and
-tuples.  It follows scipy's ``RK45`` step for step: the same tableau and
-quartic dense output (Dormand & Prince, "A family of embedded Runge-Kutta
-formulae", 1980), the same initial step and step-size control (Hairer,
-Nørsett & Wanner, *Solving Ordinary Differential Equations I*, §II.4-II.6),
-and the same terminal events: a sign change of an event function over a
-step, then a Brent root on that step's interpolant.  On the two-component
-systems here it does the same steps and right-hand-side calls as scipy
-without numpy's per-operation overhead.
+``solve_ivp`` is a Dormand-Prince 5(4) integrator on Python floats for
+states of two components, which is every state here: a planar system's
+(x, y) and a second-order equation's (y, y').  Its step is written out in
+the accept/reject loop, each stage as two local floats.  It follows scipy's
+``RK45`` step for step: the same tableau and quartic dense output (Dormand &
+Prince, "A family of embedded Runge-Kutta formulae", 1980), the same initial
+step and step-size control (Hairer, Nørsett & Wanner, *Solving Ordinary
+Differential Equations I*, §II.4-II.6), and the same terminal events: a sign
+change of an event function over a step, then a Brent root on that step's
+interpolant.  Each stage sums the tableau's terms in ``RK45``'s order, first
+to last.  numpy's dot products may group those sums differently, so step
+ends and states agree with scipy's to rounding, not to the bit, while the
+number of steps and right-hand-side calls is the same; numpy's
+per-operation overhead is gone.
 
 Around it, compiled right-hand sides are integrated with singular guards on
 every catalogued denominator, which abort the run before the state reaches a
@@ -24,8 +29,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from .expr import Expr, compile_float
@@ -129,17 +133,17 @@ class _Step:
 
     The interpolant's coefficients are computed on its first call: most
     steps are never interpolated.  Until then the stages they need, all but
-    the second, are kept unboxed: per component, its six stages in one array.
+    the second, are kept unboxed in one array: the six of ``y0``, then the
+    six of ``y1``.
     """
 
-    __slots__ = ("t_old", "h", "y_old", "stages", "_q")
+    __slots__ = ("t_old", "h", "y0", "y1", "stages", "_q")
 
-    def __init__(self, t_old: float, h: float, y_old: State, K: tuple):
-        self.t_old, self.h, self.y_old = t_old, h, y_old
-        self.stages = array("d", chain.from_iterable(zip(K[0], *K[2:])))
+    def __init__(self, t_old: float, h: float, y0: float, y1: float, stages: array):
+        self.t_old, self.h, self.y0, self.y1, self.stages = t_old, h, y0, y1, stages
         self._q = None
 
-    def __call__(self, t: float) -> Tuple[float, ...]:
+    def __call__(self, t: float) -> Tuple[float, float]:
         q = self._q
         if q is None:
             q = self._q = _dense_coefficients(self.stages)
@@ -148,26 +152,29 @@ class _Step:
         x2 = x * x
         x3 = x2 * x
         x4 = x3 * x
-        return tuple(yi + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
-                     for yi, (q1, q2, q3, q4) in zip(self.y_old, q))
+        (q1, q2, q3, q4), (r1, r2, r3, r4) = q
+        return (self.y0 + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4),
+                self.y1 + h * (r1 * x + r2 * x2 + r3 * x3 + r4 * x4))
 
 
-def _rms(values: Iterable[float], n: int) -> float:
-    return math.sqrt(sum(v * v for v in values)) / n ** 0.5
+_SQRT2 = 2 ** 0.5  # the RMS norm of a pair is its Euclidean norm over sqrt(2)
 
 
-def _initial_step(fun, t0: float, y0: State, f0: State, t_bound: float,
-                  direction: float, rtol: float, atol: float) -> float:
+def _initial_step(fun, t0: float, y0: float, y1: float, f0: float, f1: float,
+                  t_bound: float, direction: float, rtol: float, atol: float) -> float:
     """Hairer, Nørsett & Wanner's starting step (§II.4), as scipy's ``select_initial_step``."""
-    n = len(y0)
     interval_length = abs(t_bound - t0)
-    scale = [atol + abs(yi) * rtol for yi in y0]
-    d0 = _rms((yi / s for yi, s in zip(y0, scale)), n)
-    d1 = _rms((fi / s for fi, s in zip(f0, scale)), n)
+    s0 = atol + abs(y0) * rtol
+    s1 = atol + abs(y1) * rtol
+    v0, v1 = y0 / s0, y1 / s1
+    d0 = math.sqrt(v0 * v0 + v1 * v1) / _SQRT2
+    v0, v1 = f0 / s0, f1 / s1
+    d1 = math.sqrt(v0 * v0 + v1 * v1) / _SQRT2
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y0, f0)])
-    d2 = _rms(((b - a) / s for a, b, s in zip(f0, f1, scale)), n) / h0
+    g0, g1 = fun(t0 + h0 * direction, (y0 + h0 * direction * f0, y1 + h0 * direction * f1))
+    v0, v1 = (g0 - f0) / s0, (g1 - f1) / s1
+    d2 = math.sqrt(v0 * v0 + v1 * v1) / _SQRT2 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -175,45 +182,17 @@ def _initial_step(fun, t0: float, y0: State, f0: State, t_bound: float,
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t: float, y: State, f: State, h: float):
-    """One Dormand-Prince step of size ``h`` from ``(t, y)``, where ``f = fun(t, y)``.
-
-    Returns the new state and the seven stages (the last is ``fun`` at the
-    new state).
-    """
-    k1 = f
-    k2 = fun(t + _C2 * h, [yi + (_A21 * a) * h for yi, a in zip(y, k1)])
-    k3 = fun(t + _C3 * h, [yi + (_A31 * a + _A32 * b) * h
-                           for yi, a, b in zip(y, k1, k2)])
-    k4 = fun(t + _C4 * h, [yi + (_A41 * a + _A42 * b + _A43 * c) * h
-                           for yi, a, b, c in zip(y, k1, k2, k3)])
-    k5 = fun(t + _C5 * h, [yi + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                           for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = fun(t + h, [yi + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                     for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-    k7 = fun(t + h, y_new)
-    return y_new, (k1, k2, k3, k4, k5, k6, k7)
+# the columns of P: the weights of the six stages in the coefficient of x, x², x³, x⁴
+_P_COLUMNS = tuple(zip(*_P))
 
 
-def _error_norm(K, h: float, y: State, y_new: State, rtol: float, atol: float) -> float:
-    k1, _, k3, k4, k5, k6, k7 = K
-    return _rms(
-        ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g) * h
-         / (atol + max(abs(yi), abs(yn)) * rtol)
-         for a, c, d, e, f, g, yi, yn in zip(k1, k3, k4, k5, k6, k7, y, y_new)),
-        len(y),
-    )
-
-
-def _dense_coefficients(stages) -> Tuple[Tuple[float, float, float, float], ...]:
+def _dense_coefficients(stages) -> Tuple[List[float], List[float]]:
     """Q = Kᵀ P: per component, the coefficients of x, x², x³, x⁴ of the interpolant."""
-    return tuple(
-        tuple(a * p1 + c * p3 + d * p4 + e * p5 + f * p6 + g * p7
-              for p1, p3, p4, p5, p6, p7 in zip(*_P))
-        for a, c, d, e, f, g in (stages[j:j + 6] for j in range(0, len(stages), 6))
-    )
+    a0, c0, d0, e0, f0, g0, a1, c1, d1, e1, f1, g1 = stages
+    return ([a0 * p1 + c0 * p3 + d0 * p4 + e0 * p5 + f0 * p6 + g0 * p7
+             for p1, p3, p4, p5, p6, p7 in _P_COLUMNS],
+            [a1 * p1 + c1 * p3 + d1 * p4 + e1 * p5 + f1 * p6 + g1 * p7
+             for p1, p3, p4, p5, p6, p7 in _P_COLUMNS])
 
 
 def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
@@ -275,6 +254,11 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
               events: Sequence[Callable[[float, State], float]]) -> OdeResult:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` as scipy's ``solve_ivp`` with RK45.
 
+    The state has two components: ``y0`` is a pair, ``fun(t, (y0, y1))``
+    returns one, and any other length is a ``ValueError``.  The seven stages
+    of a step are local floats, each a sum of the tableau's terms in
+    ``RK45``'s order.
+
     Every event is terminal: the run stops at the first root, in the
     direction of integration, of any event function that changes sign over a
     step (status 1).  It gives up with status -1 when the step size falls
@@ -285,13 +269,16 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
         raise ValueError("the integration window has zero length")
+    if len(y0) != 2:
+        raise ValueError(f"the state must have two components, not {len(y0)}")
     direction = 1.0 if t_bound > t else -1.0
-    y = [float(v) for v in y0]
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
+    y = (float(y0[0]), float(y0[1]))
+    y0, y1 = y  # the state, component by component
+    a0, a1 = fun(t, y)  # the first stage of the next step: fun at its start
+    h_abs = _initial_step(fun, t, y0, y1, a0, a1, t_bound, direction, rtol, atol)
     nfev = 2
-    ts, ys, steps = [t], [tuple(y)], []
-    g = [event(t, y) for event in events]
+    ts, ys0, ys1, steps = [t], [y0], [y1], []
+    ev = [event(t, y) for event in events]  # each event's value at t
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -304,9 +291,28 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
             h = t_new - t
             h_abs = abs(h)
             nfev += 6
-            try:
-                y_new, K = _rk_step(fun, t, y, f, h)
-                error_norm = _error_norm(K, h, y, y_new, rtol, atol)
+            try:  # one Dormand-Prince step: stages b to f, the new state z, then g at z
+                b0, b1 = fun(t + _C2 * h, (y0 + (_A21 * a0) * h, y1 + (_A21 * a1) * h))
+                c0, c1 = fun(t + _C3 * h, (y0 + (_A31 * a0 + _A32 * b0) * h,
+                                           y1 + (_A31 * a1 + _A32 * b1) * h))
+                d0, d1 = fun(t + _C4 * h, (y0 + (_A41 * a0 + _A42 * b0 + _A43 * c0) * h,
+                                           y1 + (_A41 * a1 + _A42 * b1 + _A43 * c1) * h))
+                e0, e1 = fun(t + _C5 * h,
+                             (y0 + (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0) * h,
+                              y1 + (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1) * h))
+                f0, f1 = fun(t + h, (
+                    y0 + (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0) * h,
+                    y1 + (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1) * h))
+                z0 = y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * f0)
+                z1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
+                y_new = (z0, z1)
+                g0, g1 = fun(t + h, y_new)
+                # the error estimate over atol + max(|y|, |y_new|) * rtol, per component
+                v0 = ((_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0) * h
+                      / (atol + max(abs(y0), abs(z0)) * rtol))
+                v1 = ((_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) * h
+                      / (atol + max(abs(y1), abs(z1)) * rtol))
+                error_norm = math.sqrt(v0 * v0 + v1 * v1) / _SQRT2
             except (ZeroDivisionError, OverflowError):
                 error_norm = math.inf
             if error_norm < 1:
@@ -321,11 +327,11 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
             break
         if direction * (t_new - t_bound) >= 0:
             status = 0
-        step = _Step(t, h, y, K)
+        step = _Step(t, h, y0, y1, array("d", (a0, c0, d0, e0, f0, g0, a1, c1, d1, e1, f1, g1)))
         steps.append(step)
         y_end = y_new
-        g_new = [event(t_new, y_new) for event in events]
-        active = [event for event, a, b in zip(events, g, g_new)
+        ev_new = [event(t_new, y_new) for event in events]
+        active = [event for event, a, b in zip(events, ev, ev_new)
                   if a <= 0 <= b or a >= 0 >= b]
         if active:
             roots = [_brentq(lambda tv, event=event: event(tv, step(tv)), t, t_new)
@@ -333,14 +339,15 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
             t_new = min(roots) if direction > 0 else max(roots)
             y_end = step(t_new)
             status = 1
-        g = g_new
+        ev = ev_new
         if len(ts) > 1 and ts[-1] == t_new:  # an event root at the step start
             steps.pop()
         else:
             ts.append(t_new)
-            ys.append(tuple(y_end))
-        t, y, f = t_new, y_new, K[-1]
-    return OdeResult(tuple(ts), tuple(zip(*ys)), DenseOutput(ts, steps), status,
+            ys0.append(y_end[0])
+            ys1.append(y_end[1])
+        t, y0, y1, a0, a1 = t_new, z0, z1, g0, g1
+    return OdeResult(tuple(ts), (tuple(ys0), tuple(ys1)), DenseOutput(ts, steps), status,
                      MESSAGES[status], nfev)
 
 
@@ -391,10 +398,6 @@ def _run(rhs, t0: float, t1: float, state0, cfg: IntegratorConfig, events) -> Tr
         del stop
 
 
-def _guard_events(dens: Sequence, guard: float):
-    return [lambda t, s, _den=den: abs(_den(t, s)) - guard for den in dens]
-
-
 def integrate_planar(
     system: PlanarSystem,
     state0: Sequence[Scalar],
@@ -414,8 +417,10 @@ def integrate_planar(
         args = (s[0], s[1], t, *pvals)
         return (f1(*args), f2(*args))
 
-    dens = [lambda t, s, _den=den: _den(s[0], s[1], t, *pvals) for den in (d1, d2)]
-    return _run(rhs, float(t0), float(t1), state0, cfg, _guard_events(dens, cfg.singular_guard))
+    guard = cfg.singular_guard
+    events = [lambda t, s, _den=den: abs(_den(s[0], s[1], t, *pvals)) - guard
+              for den in (d1, d2)]
+    return _run(rhs, float(t0), float(t1), state0, cfg, events)
 
 
 def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequence[float],
@@ -432,9 +437,8 @@ def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequen
     def rhs(t, s):
         return (s[1], f(s[0], s[1], t, *pvals))
 
-    events = _guard_events(
-        [lambda t, s, _level=level: s[0] - _level for level in levels], cfg.singular_guard
-    )
+    guard = cfg.singular_guard
+    events = [lambda t, s, _level=level: abs(s[0] - _level) - guard for level in levels]
     return _run(rhs, float(t0), float(t1), (y0, yp0), cfg, events)
 
 

@@ -256,6 +256,9 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 leaves = st.one_of(
     small_fractions.map(Const),  # includes zero, so denominators vanish
     st.sampled_from(NAMES).map(Sym),
+    # two symbols joined, so that the values of mixed bindings meet inside a tree
+    st.builds(lambda op, a, b: op(Sym(a), Sym(b)), st.sampled_from([Add, Sub, Mul, Div]),
+              st.sampled_from(NAMES), st.sampled_from(NAMES)),
 )
 
 

@@ -14,16 +14,23 @@ import krawpv
 from krawpv import expr, integrate
 from krawpv.expr import ONE, ZERO, syms
 from krawpv.integrate import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+    _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
+    ERROR_EXPONENT, MAX_FACTOR, MESSAGES, MIN_FACTOR, SAFETY,
+    DenseOutput,
     IntegrationError,
     IntegratorConfig,
     SingularGuardError,
     compare_trajectories,
+    OdeResult,
     integrate_ode2,
     integrate_planar,
+    integrate_pv,
     tolerance_case,
     trajectory_csv,
 )
 from krawpv.oracle import WeightParams, oracle_xy
+from krawpv.painleve import pv_params_for, verify_reduction_trajectory
 from krawpv.systems import PlanarSystem, get_ode2, get_system
 
 PARAMS = {"n": 1, "N": 2, "alpha": Fraction(0)}
@@ -268,12 +275,16 @@ def test_event_root_finder_rejects_what_scipy_rejects():
         integrate._brentq(lambda x: (x - 1.25) ** 3, -1.0, 3.0)
 
 
-def test_blow_up_is_an_integration_error_not_a_guard():
+def _blow_up():
     # u' = u^2, u(0) = 1 has the pole u = 1/(1 - t): the step size underflows before t = 1
     u, v = syms("u v")
     blow_up = PlanarSystem("blow_up", ("u", "v"), u ** 2, ONE, ZERO, ONE)
+    integrate_planar(blow_up, (1.0, 0.0), 0.0, 2.0, {})
+
+
+def test_blow_up_is_an_integration_error_not_a_guard():
     with pytest.raises(IntegrationError) as exc:
-        integrate_planar(blow_up, (1.0, 0.0), 0.0, 2.0, {})
+        _blow_up()
     assert type(exc.value) is IntegrationError
     assert str(exc.value) == "Required step size is less than spacing between numbers."
     assert 0.99 < exc.value.trajectory.t1 < 1.0
@@ -308,3 +319,183 @@ def test_no_numpy_or_scipy_at_run_time():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("t,coord1,coord2\n")
+
+
+# --- the solver against the n-component loop it replaced ---------------------
+#
+# A test-only reference: the Dormand-Prince loop over n-component lists, as
+# the solver was written before its step was unrolled for pairs.  The solver
+# must give the same floats, not merely close ones: same steps, same
+# right-hand-side calls, same dense output.
+
+
+def _reference_rms(values, n):
+    return math.sqrt(sum(v * v for v in values)) / n ** 0.5
+
+
+def _reference_initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
+    n = len(y0)
+    interval_length = abs(t_bound - t0)
+    scale = [atol + abs(yi) * rtol for yi in y0]
+    d0 = _reference_rms((yi / s for yi, s in zip(y0, scale)), n)
+    d1 = _reference_rms((fi / s for fi, s in zip(f0, scale)), n)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0 * direction, [yi + h0 * direction * fi for yi, fi in zip(y0, f0)])
+    d2 = _reference_rms(((b - a) / s for a, b, s in zip(f0, f1, scale)), n) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _reference_rk_step(fun, t, y, f, h):
+    k1 = f
+    k2 = fun(t + _C2 * h, [yi + (_A21 * a) * h for yi, a in zip(y, k1)])
+    k3 = fun(t + _C3 * h, [yi + (_A31 * a + _A32 * b) * h
+                           for yi, a, b in zip(y, k1, k2)])
+    k4 = fun(t + _C4 * h, [yi + (_A41 * a + _A42 * b + _A43 * c) * h
+                           for yi, a, b, c in zip(y, k1, k2, k3)])
+    k5 = fun(t + _C5 * h, [yi + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                           for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = fun(t + h, [yi + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                     for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+    k7 = fun(t + h, y_new)
+    return y_new, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def _reference_error_norm(K, h, y, y_new, rtol, atol):
+    k1, _, k3, k4, k5, k6, k7 = K
+    return _reference_rms(
+        ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g) * h
+         / (atol + max(abs(yi), abs(yn)) * rtol)
+         for a, c, d, e, f, g, yi, yn in zip(k1, k3, k4, k5, k6, k7, y, y_new)),
+        len(y),
+    )
+
+
+class _ReferenceStep:
+    def __init__(self, t_old, h, y_old, K):
+        self.t_old, self.h, self.y_old = t_old, h, y_old
+        self.stages = [K[0], *K[2:]]
+
+    def __call__(self, t):
+        h = self.h
+        x = (t - self.t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        q = [tuple(a * p1 + c * p3 + d * p4 + e * p5 + f * p6 + g * p7
+                   for p1, p3, p4, p5, p6, p7 in zip(*integrate._P))
+             for a, c, d, e, f, g in zip(*self.stages)]
+        return tuple(yi + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+                     for yi, (q1, q2, q3, q4) in zip(self.y_old, q))
+
+
+def reference_solve_ivp(fun, t_span, y0, rtol, atol, events):
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    direction = 1.0 if t_bound > t else -1.0
+    y = [float(v) for v in y0]
+    f = fun(t, y)
+    h_abs = _reference_initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
+    nfev = 2
+    ts, ys, steps = [t], [tuple(y)], []
+    g = [event(t, y) for event in events]
+    status = None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            nfev += 6
+            try:
+                y_new, K = _reference_rk_step(fun, t, y, f, h)
+                error_norm = _reference_error_norm(K, h, y, y_new, rtol, atol)
+            except (ZeroDivisionError, OverflowError):
+                error_norm = math.inf
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        else:
+            status = -1
+            break
+        if direction * (t_new - t_bound) >= 0:
+            status = 0
+        step = _ReferenceStep(t, h, y, K)
+        steps.append(step)
+        y_end = y_new
+        g_new = [event(t_new, y_new) for event in events]
+        active = [event for event, a, b in zip(events, g, g_new)
+                  if a <= 0 <= b or a >= 0 >= b]
+        if active:
+            roots = [integrate._brentq(lambda tv, event=event: event(tv, step(tv)), t, t_new)
+                     for event in active]
+            t_new = min(roots) if direction > 0 else max(roots)
+            y_end = step(t_new)
+            status = 1
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t_new:
+            steps.pop()
+        else:
+            ts.append(t_new)
+            ys.append(tuple(y_end))
+        t, y, f = t_new, y_new, K[-1]
+    return OdeResult(tuple(ts), tuple(zip(*ys)), DenseOutput(ts, steps), status,
+                     MESSAGES[status], nfev)
+
+
+def _guard_abort():
+    integrate_planar(get_system("original"), (0.5, -0.45), 1.0, 2.0, PARAMS,
+                     IntegratorConfig(singular_guard=1e-3))
+
+
+REFERENCE_RUNS = {  # each with the status of its solves
+    "original_forward": (lambda: integrate_planar(
+        get_system("original"), oracle_point(1), 1.0, 2.0, PARAMS), 0),
+    "original_backward": (lambda: integrate_planar(
+        get_system("original"), oracle_point(2), 2.0, 1.0, PARAMS), 0),
+    "guard_abort": (_guard_abort, 1),
+    # integrate_ode2 until the step size underflows at a movable singularity
+    "ode_U21": (lambda: verify_reduction_trajectory("ode_U21"), -1),
+    "pv": (lambda: integrate_pv(
+        pv_params_for("ode_U11").evaluate({"n": 1.0, "N": 3.0, "alpha": 0.5}).floats(),
+        1.0, 2.0, 3.0, 0.25), 0),
+    "blow_up": (_blow_up, -1),
+}
+
+
+@pytest.mark.parametrize("run", REFERENCE_RUNS)
+def test_steps_equal_the_n_component_reference(monkeypatch, run):
+    calls = _solver_calls(monkeypatch)
+    go, status = REFERENCE_RUNS[run]
+    try:
+        go()
+    except IntegrationError:
+        pass
+    (args, ours), = calls
+    ref = reference_solve_ivp(*args)
+    assert ours.status == ref.status == status
+    assert ours.t == ref.t and len(ours.t) > 2
+    assert ours.y == ref.y
+    assert ours.nfev == ref.nfev
+    mids = [(a + b) / 2 for a, b in zip(ours.t, ours.t[1:])]
+    for tv in (*ours.t, *mids):
+        assert ours.sol(tv) == ref.sol(tv), tv
+
+
+@pytest.mark.parametrize("y0", [(1.0,), (1.0, 2.0, 3.0)])
+def test_a_state_must_be_a_pair(y0):
+    with pytest.raises(ValueError, match="two components"):
+        integrate.solve_ivp(lambda t, s: s, (0.0, 1.0), y0, 1e-6, 1e-9, [])
