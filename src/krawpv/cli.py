@@ -156,9 +156,12 @@ def _integration(system_id: str, args) -> Callable[[], str]:
         )
     check_window(args.from_t, args.to_t)
     t0 = Fraction(args.from_t).limit_denominator(10**6)
+    rounded = (f"--from-t {args.from_t} rounds to t = {t0} as a rational with "
+               f"denominator at most 10**6")
     if t0 == 0:
-        raise UsageError(f"--from-t {args.from_t} rounds to t = 0 as a rational with "
-                         f"denominator at most 10**6; the weight requires t > 0")
+        raise UsageError(f"{rounded}; the weight requires t > 0")
+    if float(t0) == args.to_t:
+        raise UsageError(f"{rounded}, which is --to-t: the integration window has zero length")
     weight = WeightParams(N, alpha, t0)  # rejects a bad N with its own message first
     if not 0 <= n < N:
         raise UsageError(f"--n must satisfy 0 <= n < N, got n={n}, N={N}")

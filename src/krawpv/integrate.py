@@ -17,8 +17,10 @@ per-operation overhead is gone.
 
 Around it, compiled right-hand sides are integrated with singular guards on
 every catalogued denominator, which abort the run before the state reaches a
-singular locus.  Trajectories compare against the exact oracle and export as
-CSV.
+singular locus.  Every run uses the same tolerances, ``RTOL`` and ``ATOL``,
+and the same guard distance, ``SINGULAR_GUARD``.  ``solve_ivp`` returns the
+``Trajectory`` it integrated; trajectories compare against the exact oracle
+and export as CSV.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .expr import Expr, compile_float
 from .sampling import CaseResult
@@ -41,24 +42,16 @@ State = Sequence[float]
 
 
 class IntegrationError(Exception):
-    """A bad config, or a run that stopped early (its ``trajectory`` is the part integrated)."""
+    """A run that stopped early (its ``trajectory`` is the part integrated)."""
 
 
 class SingularGuardError(IntegrationError):
     """A catalogued denominator came within the guard distance of zero."""
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    singular_guard: float = 1e-6
-
-    def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise IntegrationError("tolerances must be positive")
-        if self.singular_guard < 0:
-            raise IntegrationError("guard distance must be nonnegative")
+RTOL = 1e-10  # relative tolerance of every run
+ATOL = 1e-12  # absolute tolerance of every run
+SINGULAR_GUARD = 1e-6  # a run stops when a guarded quantity comes this close to zero
 
 
 # --- the Dormand-Prince 5(4) solver ------------------------------------------
@@ -95,37 +88,7 @@ MAX_FACTOR = 10.0  # largest increase
 ERROR_EXPONENT = -1 / 5  # -1/(order of the embedded estimate + 1)
 EPS = sys.float_info.epsilon
 
-MESSAGES = {
-    0: "The solver successfully reached the end of the integration interval.",
-    1: "A termination event occurred.",
-    -1: "Required step size is less than spacing between numbers.",
-}
-
-
-class OdeResult(NamedTuple):
-    t: Tuple[float, ...]  # the accepted step ends; the last is the root of a terminal event
-    y: Tuple[Tuple[float, ...], ...]  # y[j][i]: component j at t[i]
-    sol: "DenseOutput"
-    status: int  # 0 reached the end, 1 stopped at an event, -1 the step size underflowed
-    message: str
-    nfev: int  # right-hand-side calls
-
-
-class DenseOutput:
-    """The quartic interpolant of every step, looked up as scipy's ``OdeSolution`` does.
-
-    At a step end the earlier step's interpolant is used; before the first
-    step end or after the last, the nearest step's.
-    """
-
-    def __init__(self, ts: Sequence[float], steps: List["_Step"]):
-        self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
-        self._keys = [self._sign * tv for tv in ts]  # ascending
-        self._steps = steps
-
-    def __call__(self, t: float) -> Tuple[float, ...]:
-        last = len(self._steps) - 1
-        return self._steps[min(max(bisect_left(self._keys, self._sign * t) - 1, 0), last)](t)
+UNDERFLOW = "Required step size is less than spacing between numbers."  # status -1
 
 
 class _Step:
@@ -155,6 +118,34 @@ class _Step:
         (q1, q2, q3, q4), (r1, r2, r3, r4) = q
         return (self.y0 + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4),
                 self.y1 + h * (r1 * x + r2 * x2 + r3 * x3 + r4 * x4))
+
+
+@dataclass
+class Trajectory:
+    """One run of ``solve_ivp``: its step ends, the states there and each step's interpolant.
+
+    Called at ``t``, it looks up the step as scipy's ``OdeSolution`` does: at
+    a step end the earlier step's interpolant is used; before the first step
+    end or after the last, the nearest step's.
+    """
+
+    ts: Tuple[float, ...]  # the accepted step ends; the last is the root of a terminal event
+    states: Tuple[Tuple[float, ...], ...]  # states[j][i]: component j at ts[i]
+    steps: List[Callable[[float], Tuple[float, ...]]]
+    status: int  # 0 reached the end, 1 stopped at an event, -1 the step size underflowed
+    nfev: int  # right-hand-side calls
+
+    def __post_init__(self):
+        self._sign = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
+        self._keys = [self._sign * tv for tv in self.ts]  # ascending
+
+    def __call__(self, t: float) -> Tuple[float, ...]:
+        last = len(self.steps) - 1
+        return self.steps[min(max(bisect_left(self._keys, self._sign * t) - 1, 0), last)](t)
+
+    @property
+    def t1(self) -> float:
+        return self.ts[-1]
 
 
 _SQRT2 = 2 ** 0.5  # the RMS norm of a pair is its Euclidean norm over sqrt(2)
@@ -251,7 +242,7 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
 
 def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
               y0: State, rtol: float, atol: float,
-              events: Sequence[Callable[[float, State], float]]) -> OdeResult:
+              events: Sequence[Callable[[float, State], float]]) -> Trajectory:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` as scipy's ``solve_ivp`` with RK45.
 
     The state has two components: ``y0`` is a pair, ``fun(t, (y0, y1))``
@@ -264,7 +255,8 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
     step (status 1).  It gives up with status -1 when the step size falls
     below ten times the float spacing at ``t``.  A step whose stages divide
     by zero or overflow is rejected like one with an infinite error
-    estimate.  ``t_span`` must have nonzero length.
+    estimate.  ``t_span`` must have nonzero length.  The result is the
+    ``Trajectory`` integrated, with its status and right-hand-side calls.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
@@ -347,50 +339,22 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
             ys0.append(y_end[0])
             ys1.append(y_end[1])
         t, y0, y1, a0, a1 = t_new, z0, z1, g0, g1
-    return OdeResult(tuple(ts), (tuple(ys0), tuple(ys1)), DenseOutput(ts, steps), status,
-                     MESSAGES[status], nfev)
+    return Trajectory(tuple(ts), (tuple(ys0), tuple(ys1)), steps, status, nfev)
 
 
 # --- trajectories of the catalogued systems ----------------------------------
-
-
-@dataclass
-class Trajectory:
-    """Dense-output solution samples of a two-component state."""
-
-    ts: Tuple[float, ...]
-    states: Tuple[Tuple[float, ...], ...]  # states[j][i]: component j at ts[i]
-    dense: Callable[[float], Tuple[float, ...]]
-
-    def __call__(self, t: float) -> Tuple[float, ...]:
-        return self.dense(t)
-
-    @property
-    def t0(self) -> float:
-        return self.ts[0]
-
-    @property
-    def t1(self) -> float:
-        return self.ts[-1]
-
-    def endpoint(self) -> Tuple[float, ...]:
-        return tuple(component[-1] for component in self.states)
 
 
 def _param_floats(params: Mapping[str, Scalar]) -> Dict[str, float]:
     return {k: float(v) for k, v in params.items()}
 
 
-def _run(rhs, t0: float, t1: float, state0, cfg: IntegratorConfig, events) -> Trajectory:
-    y0 = tuple(float(s) for s in state0)
-    if t0 == t1:
-        return Trajectory((t0,), tuple((v,) for v in y0), lambda t: y0)
-    sol = solve_ivp(rhs, (t0, t1), y0, cfg.rtol, cfg.atol, events)
-    traj = Trajectory(sol.t, sol.y, sol.sol)
-    if sol.status == 0:
+def _run(rhs, t0: float, t1: float, state0, events) -> Trajectory:
+    traj = solve_ivp(rhs, (t0, t1), state0, RTOL, ATOL, events)
+    if traj.status == 0:
         return traj
-    guard = f"denominator within {cfg.singular_guard} of zero near t = {traj.t1}"
-    stop = SingularGuardError(guard) if sol.status == 1 else IntegrationError(sol.message)
+    stop = (SingularGuardError(f"denominator within {SINGULAR_GUARD} of zero near t = {traj.t1}")
+            if traj.status == 1 else IntegrationError(UNDERFLOW))
     stop.trajectory = traj
     try:
         raise stop
@@ -404,7 +368,6 @@ def integrate_planar(
     t0: float,
     t1: float,
     params: Mapping[str, Scalar],
-    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Integrate a catalogued planar system with denominator guards."""
     pf = _param_floats(params)
@@ -417,15 +380,13 @@ def integrate_planar(
         args = (s[0], s[1], t, *pvals)
         return (f1(*args), f2(*args))
 
-    guard = cfg.singular_guard
-    events = [lambda t, s, _den=den: abs(_den(s[0], s[1], t, *pvals)) - guard
+    events = [lambda t, s, _den=den: abs(_den(s[0], s[1], t, *pvals)) - SINGULAR_GUARD
               for den in (d1, d2)]
-    return _run(rhs, float(t0), float(t1), state0, cfg, events)
+    return _run(rhs, float(t0), float(t1), state0, events)
 
 
 def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequence[float],
-                            t0: float, t1: float, y0: Scalar, yp0: Scalar,
-                            cfg: IntegratorConfig) -> Trajectory:
+                            t0: float, t1: float, y0: Scalar, yp0: Scalar) -> Trajectory:
     """y'' = rhs_expr(y, yp, t, params) as the first-order (y, y') system.
 
     The run aborts when y comes within the guard distance of any of ``levels``.
@@ -437,9 +398,9 @@ def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequen
     def rhs(t, s):
         return (s[1], f(s[0], s[1], t, *pvals))
 
-    guard = cfg.singular_guard
-    events = [lambda t, s, _level=level: abs(s[0] - _level) - guard for level in levels]
-    return _run(rhs, float(t0), float(t1), (y0, yp0), cfg, events)
+    events = [lambda t, s, _level=level: abs(s[0] - _level) - SINGULAR_GUARD
+              for level in levels]
+    return _run(rhs, float(t0), float(t1), (y0, yp0), events)
 
 
 def integrate_ode2(
@@ -449,23 +410,21 @@ def integrate_ode2(
     t0: float,
     t1: float,
     params: Mapping[str, Scalar],
-    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Integrate a second-order reduction as the first-order (y, y') system."""
     pf = _param_floats(params)
     if ode.alpha_fixed is not None:
         pf["alpha"] = float(ode.alpha_fixed)
     # guard against the structural singularities y in {0, +-1} of the charts
-    return _integrate_second_order(ode.rhs, pf, (0.0, 1.0, -1.0), t0, t1, y0, yp0, cfg)
+    return _integrate_second_order(ode.rhs, pf, (0.0, 1.0, -1.0), t0, t1, y0, yp0)
 
 
-def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float,
-                 cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float) -> Trajectory:
     """Integrate the fifth Painlevé equation itself (float parameters)."""
     from .painleve import PV_RHS  # local import to avoid a cycle
 
     pe = _param_floats(params.as_env())
-    return _integrate_second_order(PV_RHS, pe, (0.0, 1.0), t0, t1, y0, yp0, cfg)
+    return _integrate_second_order(PV_RHS, pe, (0.0, 1.0), t0, t1, y0, yp0)
 
 
 def _nan_max(values: Sequence[float]) -> float:
@@ -510,8 +469,7 @@ def compare_trajectories(
 
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV export: header t,coord1,coord2, 17 significant digits."""
-    header = ["t", "coord1", "coord2"][: 1 + len(traj.states)]
-    lines = [",".join(header)]
+    lines = ["t,coord1,coord2"]
     for row in zip(traj.ts, *traj.states):
         lines.append(",".join(format(float(x), ".17g") for x in row))
     return "\n".join(lines) + "\n"

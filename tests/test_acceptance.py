@@ -99,7 +99,7 @@ def test_criterion_04_ode_vs_oracle():
         {"n": n, "N": N, "alpha": a},
     )
     xy2 = oracle_xy(WeightParams(N, a, Fraction(2)), n)
-    got = traj.endpoint()
+    got = (traj.states[0][-1], traj.states[1][-1])
     want = (float(xy2.x[n]), float(xy2.y[n]))
     dev = max(
         abs(got[0] - want[0]) / max(1.0, abs(want[0])),

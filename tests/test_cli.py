@@ -229,6 +229,8 @@ def test_negative_rationals_reach_their_options(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("--suite", "discrete", "--N", "2", "--t", "-1/3"), "t > 0"),
     (("--integrate", "original", "--from-t", "1e-7"), "--from-t 1e-07 rounds to t = 0"),
+    (("--integrate", "original", "--from-t", "1.0000000001", "--to-t", "1"),
+     "--from-t 1.0000000001 rounds to t = 1 "),
 ])
 def test_a_value_out_of_range_names_its_bound(capsys, argv, message):
     code, out, err = run(capsys, *argv)

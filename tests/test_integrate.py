@@ -16,13 +16,11 @@ from krawpv.expr import ONE, ZERO, syms
 from krawpv.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
-    ERROR_EXPONENT, MAX_FACTOR, MESSAGES, MIN_FACTOR, SAFETY,
-    DenseOutput,
+    ERROR_EXPONENT, MAX_FACTOR, MIN_FACTOR, SAFETY,
     IntegrationError,
-    IntegratorConfig,
     SingularGuardError,
+    Trajectory,
     compare_trajectories,
-    OdeResult,
     integrate_ode2,
     integrate_planar,
     integrate_pv,
@@ -41,12 +39,16 @@ def oracle_point(t, n=1, N=2, alpha=Fraction(0)):
     return float(xy.x[n]), float(xy.y[n])
 
 
+def endpoint(traj):
+    return tuple(component[-1] for component in traj.states)
+
+
 def test_endpoint_matches_oracle():
     system = get_system("original")
     ic = oracle_point(1)
     traj = integrate_planar(system, ic, 1.0, 2.0, PARAMS)
     want = oracle_point(2)
-    got = traj.endpoint()
+    got = endpoint(traj)
     assert abs(got[0] - want[0]) < 1e-7
     assert abs(got[1] - want[1]) < 1e-7
 
@@ -110,12 +112,11 @@ def test_singular_guard_trips():
     # drive the base system toward the p + q = 0 locus
     system = get_system("original")
     with pytest.raises(SingularGuardError) as exc:
-        integrate_planar(system, (0.5, -0.45), 1.0, 2.0, PARAMS,
-                         IntegratorConfig(singular_guard=1e-3))
+        integrate_planar(system, (0.5, -0.45), 1.0, 2.0, PARAMS)
     # the error carries the run up to the stop; its text is only the message
     stop = exc.value.trajectory
-    assert stop.t0 == 1.0 and 1.0 < stop.t1 < 2.0
-    assert str(exc.value) == f"denominator within 0.001 of zero near t = {stop.t1}"
+    assert stop.ts[0] == 1.0 and 1.05 < stop.t1 < 1.06 and stop.status == 1
+    assert str(exc.value) == f"denominator within 1e-06 of zero near t = {stop.t1}"
 
 
 def test_stopped_run_is_freed_without_the_cycle_collector():
@@ -124,8 +125,7 @@ def test_stopped_run_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         try:
-            integrate_planar(system, (0.5, -0.45), 1.0, 2.0, PARAMS,
-                             IntegratorConfig(singular_guard=1e-3))
+            integrate_planar(system, (0.5, -0.45), 1.0, 2.0, PARAMS)
         except SingularGuardError as exc:
             stop = weakref.ref(exc.trajectory)
         assert stop() is None
@@ -135,32 +135,26 @@ def test_stopped_run_is_freed_without_the_cycle_collector():
 
 def test_zero_length_interval():
     system = get_system("original")
-    traj = integrate_planar(system, oracle_point(1), 1.0, 1.0, PARAMS)
-    assert traj.t0 == traj.t1 == 1.0
-    got = traj(1.0)
-    want = oracle_point(1)
-    assert abs(got[0] - want[0]) < 1e-15 and abs(got[1] - want[1]) < 1e-15
+    with pytest.raises(ValueError, match="zero length"):
+        integrate_planar(system, oracle_point(1), 1.0, 1.0, PARAMS)
 
 
-def test_invalid_config_rejected():
-    with pytest.raises(IntegrationError):
-        IntegratorConfig(rtol=0.0)
-
-
-def convergence_errors(system, state0, t0, t1, params, rtols=(1e-5, 1e-7, 1e-9)):
+def convergence_errors(monkeypatch, system, state0, t0, t1, params,
+                       rtols=(1e-5, 1e-7, 1e-9)):
     """Endpoint errors against a reference run at rtol 1e-12, one per tolerance rung."""
-    def endpoint(rtol):
-        cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2)
-        return integrate_planar(system, state0, t0, t1, params, cfg).endpoint()
+    def end(rtol):
+        monkeypatch.setattr(integrate, "RTOL", rtol)
+        monkeypatch.setattr(integrate, "ATOL", rtol * 1e-2)
+        return endpoint(integrate_planar(system, state0, t0, t1, params))
 
-    ref_end = endpoint(1e-12)
-    return [integrate._nan_max([abs(a - b) for a, b in zip(endpoint(rt), ref_end)])
+    ref_end = end(1e-12)
+    return [integrate._nan_max([abs(a - b) for a, b in zip(end(rt), ref_end)])
             for rt in rtols]
 
 
-def test_convergence_trend():
+def test_convergence_trend(monkeypatch):
     system = get_system("original")
-    errs = convergence_errors(system, oracle_point(1), 1.0, 2.0, PARAMS)
+    errs = convergence_errors(monkeypatch, system, oracle_point(1), 1.0, 2.0, PARAMS)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-7
 
@@ -237,21 +231,20 @@ def test_steps_match_scipy_rk45(monkeypatch):
     ref = _scipy_rk45(*args)
     assert ours.status == ref.status == 0
     assert ours.nfev == ref.nfev == 170
-    assert len(ours.t) == len(ref.t)
-    assert max(abs(a - b) for a, b in zip((c[-1] for c in ours.y), ref.y[:, -1])) < 1e-12
+    assert len(ours.ts) == len(ref.t)
+    assert max(abs(a - b) for a, b in zip(endpoint(ours), ref.y[:, -1])) < 1e-12
     for tv in (1.0, 1.37, 1.5, 2.0):
-        assert max(abs(a - b) for a, b in zip(ours.sol(tv), ref.sol(tv))) < 1e-12
+        assert max(abs(a - b) for a, b in zip(ours(tv), ref.sol(tv))) < 1e-12
 
 
 def test_guard_event_root_matches_scipy(monkeypatch):
     calls = _solver_calls(monkeypatch)
     with pytest.raises(SingularGuardError):
-        integrate_planar(get_system("original"), (0.5, -0.45), 1.0, 2.0, PARAMS,
-                         IntegratorConfig(singular_guard=1e-3))
+        integrate_planar(get_system("original"), (0.5, -0.45), 1.0, 2.0, PARAMS)
     (args, ours), = calls
     ref = _scipy_rk45(*args)
     assert ours.status == ref.status == 1
-    assert abs(ours.t[-1] - ref.t[-1]) < 1e-9
+    assert abs(ours.t1 - ref.t[-1]) < 1e-9
 
 
 @pytest.mark.parametrize("f, a, b", [
@@ -293,14 +286,14 @@ def test_blow_up_is_an_integration_error_not_a_guard():
 @pytest.mark.parametrize("t0, t1", [(1.0, 2.0), (2.0, 1.0)])
 def test_dense_output_meets_every_step_end(t0, t1):
     traj = integrate_planar(get_system("original"), oracle_point(t0), t0, t1, PARAMS)
-    assert traj.t0 == t0 and traj.t1 == t1 and len(traj.ts) > 10
+    assert traj.ts[0] == t0 and traj.t1 == t1 and len(traj.ts) > 10
     steps = [b - a for a, b in zip(traj.ts, traj.ts[1:])]
     assert all(h > 0 for h in steps) if t1 > t0 else all(h < 0 for h in steps)
     for i, tv in enumerate(traj.ts):
         stored = [component[i] for component in traj.states]
         assert max(abs(a - b) for a, b in zip(traj(tv), stored)) < 1e-14
     want = oracle_point(t1)
-    assert max(abs(a - b) for a, b in zip(traj.endpoint(), want)) < 1e-7
+    assert max(abs(a - b) for a, b in zip(endpoint(traj), want)) < 1e-7
 
 
 def test_no_numpy_or_scipy_at_run_time():
@@ -452,13 +445,11 @@ def reference_solve_ivp(fun, t_span, y0, rtol, atol, events):
             ts.append(t_new)
             ys.append(tuple(y_end))
         t, y, f = t_new, y_new, K[-1]
-    return OdeResult(tuple(ts), tuple(zip(*ys)), DenseOutput(ts, steps), status,
-                     MESSAGES[status], nfev)
+    return Trajectory(tuple(ts), tuple(zip(*ys)), steps, status, nfev)
 
 
 def _guard_abort():
-    integrate_planar(get_system("original"), (0.5, -0.45), 1.0, 2.0, PARAMS,
-                     IntegratorConfig(singular_guard=1e-3))
+    integrate_planar(get_system("original"), (0.5, -0.45), 1.0, 2.0, PARAMS)
 
 
 REFERENCE_RUNS = {  # each with the status of its solves
@@ -487,12 +478,12 @@ def test_steps_equal_the_n_component_reference(monkeypatch, run):
     (args, ours), = calls
     ref = reference_solve_ivp(*args)
     assert ours.status == ref.status == status
-    assert ours.t == ref.t and len(ours.t) > 2
-    assert ours.y == ref.y
+    assert ours.ts == ref.ts and len(ours.ts) > 2
+    assert ours.states == ref.states
     assert ours.nfev == ref.nfev
-    mids = [(a + b) / 2 for a, b in zip(ours.t, ours.t[1:])]
-    for tv in (*ours.t, *mids):
-        assert ours.sol(tv) == ref.sol(tv), tv
+    mids = [(a + b) / 2 for a, b in zip(ours.ts, ours.ts[1:])]
+    for tv in (*ours.ts, *mids):
+        assert ours(tv) == ref(tv), tv
 
 
 @pytest.mark.parametrize("y0", [(1.0,), (1.0, 2.0, 3.0)])

@@ -259,7 +259,7 @@ def _stopping_run(t0, stop):
     def integrate(t_end):
         exc = IntegrationError(f"stopped near t = {stop}")
         exc.trajectory = Trajectory((t0, stop), ((0.0, 0.0), (0.0, 0.0)),
-                                    lambda t: (0.0, 0.0))
+                                    [lambda t: (0.0, 0.0)], -1, 0)
         raise exc
     return integrate
 
