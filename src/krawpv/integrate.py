@@ -17,10 +17,13 @@ per-operation overhead is gone.
 
 Around it, compiled right-hand sides are integrated with singular guards on
 every catalogued denominator, which abort the run before the state reaches a
-singular locus.  Every run uses the same tolerances, ``RTOL`` and ``ATOL``,
-and the same guard distance, ``SINGULAR_GUARD``.  ``solve_ivp`` returns the
-``Trajectory`` it integrated; trajectories compare against the exact oracle
-and export as CSV.
+singular locus.  A second-order run is also guarded at y = ∞: it stops when
+1/y, the chart at infinity, comes within the guard distance of zero, so a
+run toward a movable pole stops just before it instead of crawling into it
+until the step size underflows.  Every run uses the same tolerances,
+``RTOL`` and ``ATOL``, and the same guard distance, ``SINGULAR_GUARD``.
+``solve_ivp`` returns the ``Trajectory`` it integrated; trajectories compare
+against the exact oracle and export as CSV.
 """
 
 from __future__ import annotations
@@ -389,7 +392,10 @@ def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequen
                             t0: float, t1: float, y0: Scalar, yp0: Scalar) -> Trajectory:
     """y'' = rhs_expr(y, yp, t, params) as the first-order (y, y') system.
 
-    The run aborts when y comes within the guard distance of any of ``levels``.
+    The run aborts when y comes within the guard distance of any of
+    ``levels``, or of y = ∞: when |y| reaches ``1/SINGULAR_GUARD``, 1/y is
+    within the guard distance of zero, so a run stops just before a movable
+    pole instead of underflowing its step size there.
     """
     names = ["y", "yp", "t"] + sorted(pf)
     pvals = tuple(pf[k] for k in sorted(pf))
@@ -400,6 +406,7 @@ def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequen
 
     events = [lambda t, s, _level=level: abs(s[0] - _level) - SINGULAR_GUARD
               for level in levels]
+    events.append(lambda t, s: 1 - SINGULAR_GUARD * abs(s[0]))  # the guard at y = ∞
     return _run(rhs, float(t0), float(t1), (y0, yp0), events)
 
 
@@ -411,7 +418,10 @@ def integrate_ode2(
     t1: float,
     params: Mapping[str, Scalar],
 ) -> Trajectory:
-    """Integrate a second-order reduction as the first-order (y, y') system."""
+    """Integrate a second-order reduction as the first-order (y, y') system.
+
+    Guarded at the charts' structural singularities y in {0, ±1} and at y = ∞.
+    """
     pf = _param_floats(params)
     if ode.alpha_fixed is not None:
         pf["alpha"] = float(ode.alpha_fixed)
@@ -420,7 +430,10 @@ def integrate_ode2(
 
 
 def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float) -> Trajectory:
-    """Integrate the fifth Painlevé equation itself (float parameters)."""
+    """Integrate the fifth Painlevé equation itself (float parameters).
+
+    Guarded at its singular values y in {0, 1} and at its movable poles, y = ∞.
+    """
     from .painleve import PV_RHS  # local import to avoid a cycle
 
     pe = _param_floats(params.as_env())

@@ -468,8 +468,10 @@ def _trajectory_case(case_id: str, integrate: Callable[[float], object],
     """Integrate once on [t0, t1] and require |residual(t, y, y')| < tol inside it.
 
     A run that stops early at a movable singularity keeps the part it
-    integrated.  The window is halved, up to seven times, until its end lies
-    between t0 and the stop; the case FAILs when no window fits.
+    integrated: at a guard, such as the guard at y = ∞ just before a movable
+    pole, or where the step size underflowed.  The window is halved, up to
+    seven times, until its end lies between t0 and the stop; the case FAILs
+    when no window fits.
     """
     try:
         traj = integrate(t1)

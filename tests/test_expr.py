@@ -318,6 +318,30 @@ def test_compiled_evaluate_matches_tree_walk(e, envs):
         _assert_same_outcome(_outcome(e.evaluate, env), _outcome(domain_reference, e, env))
 
 
+@st.composite
+def exact_pair_then_float(draw):
+    """A tree reading all three symbols, two bound exactly and one to a float.
+
+    The two exact values meet before the float does, so only rounding each
+    exact value on entry gives the float domain's result: their exact sum,
+    product or quotient, rounded once, often differs in the last bit.
+    """
+    binary = st.sampled_from([Add, Sub, Mul, Div])
+    p, q, r = draw(st.permutations(NAMES))
+    core = draw(binary)(draw(binary)(Sym(p), Sym(q)), Sym(r))
+    e = draw(st.just(core)
+             | st.builds(lambda op, t: op(core, t), binary, trees)
+             | st.builds(lambda op, t: op(t, core), binary, trees))
+    return e, {p: draw(den10_fractions), q: draw(den10_fractions), r: draw(scalars["float"])}
+
+
+@given(case=exact_pair_then_float())
+@settings(max_examples=100, deadline=None)
+def test_exact_values_are_rounded_before_they_meet_a_float(case):
+    e, env = case
+    _assert_same_outcome(_outcome(e.evaluate, env), _outcome(domain_reference, e, env))
+
+
 @given(e=trees, values=st.lists(scalars["float"], min_size=3, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_compile_float_is_bit_identical_to_tree_walk(e, values):

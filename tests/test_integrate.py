@@ -28,7 +28,7 @@ from krawpv.integrate import (
     trajectory_csv,
 )
 from krawpv.oracle import WeightParams, oracle_xy
-from krawpv.painleve import pv_params_for, verify_reduction_trajectory
+from krawpv.painleve import pv_params_for, verify_reduction_trajectory, verify_trajectory
 from krawpv.systems import PlanarSystem, get_ode2, get_system
 
 PARAMS = {"n": 1, "N": 2, "alpha": Fraction(0)}
@@ -283,6 +283,41 @@ def test_blow_up_is_an_integration_error_not_a_guard():
     assert 0.99 < exc.value.trajectory.t1 < 1.0
 
 
+POLES = {  # the anchor runs at their defaults, each toward a movable pole of its PV solution
+    "trajectory:second_to_third": (lambda: verify_trajectory("second_to_third"), 1.339939),
+    "reduction_trajectory:ode_U21": (lambda: verify_reduction_trajectory("ode_U21"), 1.339939),
+    "reduction_trajectory:ode_U31": (lambda: verify_reduction_trajectory("ode_U31"), 1.455389),
+    "reduction_trajectory:ode_V22": (lambda: verify_reduction_trajectory("ode_V22"), 1.339939),
+    "reduction_trajectory:ode_V32": (lambda: verify_reduction_trajectory("ode_V32"), 1.455389),
+}
+
+
+@pytest.mark.parametrize("case_id", POLES)
+def test_a_second_order_run_stops_at_the_guard_before_a_pole(monkeypatch, case_id):
+    # |y| = 1/SINGULAR_GUARD is a terminal event: the run stops just before the pole,
+    # in half the right-hand-side calls of a crawl to step-size underflow, same verdict
+    calls = _solver_calls(monkeypatch)
+    go, pole = POLES[case_id]
+    case = go()
+    (_, run), = calls
+    assert run.status == 1
+    # |y| is 1e6 up to the event root's tolerance in t, 4 eps t, times |y'| (about 2e12)
+    y, yp = (component[-1] for component in run.states)
+    eps = sys.float_info.epsilon
+    assert abs(abs(y) - 1 / integrate.SINGULAR_GUARD) <= 4 * eps * run.t1 * abs(yp)
+    assert abs(run.t1 - pole) < 1e-5
+    assert run.nfev < 6000
+    assert (case.id, case.status, case.samples) == (case_id, "PASS", 20)
+
+
+def test_a_bounded_second_order_run_is_unchanged_by_the_guard_at_infinity(monkeypatch):
+    calls = _solver_calls(monkeypatch)
+    case = verify_reduction_trajectory("ode_U11")
+    (_, run), = calls
+    assert (run.status, run.nfev) == (0, 884)
+    assert case.passed
+
+
 @pytest.mark.parametrize("t0, t1", [(1.0, 2.0), (2.0, 1.0)])
 def test_dense_output_meets_every_step_end(t0, t1):
     traj = integrate_planar(get_system("original"), oracle_point(t0), t0, t1, PARAMS)
@@ -458,8 +493,8 @@ REFERENCE_RUNS = {  # each with the status of its solves
     "original_backward": (lambda: integrate_planar(
         get_system("original"), oracle_point(2), 2.0, 1.0, PARAMS), 0),
     "guard_abort": (_guard_abort, 1),
-    # integrate_ode2 until the step size underflows at a movable singularity
-    "ode_U21": (lambda: verify_reduction_trajectory("ode_U21"), -1),
+    # integrate_ode2 until y reaches the guard at infinity before a movable pole
+    "ode_U21": (lambda: verify_reduction_trajectory("ode_U21"), 1),
     "pv": (lambda: integrate_pv(
         pv_params_for("ode_U11").evaluate({"n": 1.0, "N": 3.0, "alpha": 0.5}).floats(),
         1.0, 2.0, 3.0, 0.25), 0),
