@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, ContextManager, List, Optional, Sequence, TextIO
 
-from .integrate import IntegrationError, integrate_planar, trajectory_csv
+from .integrate import SINGULAR_GUARD, UNDERFLOW, Trajectory, integrate_planar, trajectory_csv
 from .oracle import OracleError, WeightParams, oracle_xy
 from .reports import SUITE_NAMES, RunConfig, UsageError, check_window, emit_report, run_suite
 from .systems import CatalogueError, get_system, system_ids
@@ -138,8 +138,8 @@ def _dump_catalogue() -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
-def _integration(system_id: str, args) -> Callable[[], str]:
-    """Check the ``--integrate`` arguments; return the run that makes the trajectory CSV."""
+def _integration(system_id: str, args) -> Callable[[], Trajectory]:
+    """Check the ``--integrate`` arguments; return the run that integrates the trajectory."""
     for option, given in (("--N", args.Ns), ("--n", args.ns), ("--alpha", args.alphas)):
         if given and len(given) > 1:
             raise UsageError(f"--integrate takes one {option}, got {len(given)}")
@@ -168,7 +168,7 @@ def _integration(system_id: str, args) -> Callable[[], str]:
     xy = oracle_xy(weight, n)
     ic = (float(xy.x[n]), float(xy.y[n]))
     params = {"n": n, "N": N, "alpha": alpha}
-    return lambda: trajectory_csv(integrate_planar(system, ic, float(t0), args.to_t, params))
+    return lambda: integrate_planar(system, ic, float(t0), args.to_t, params)
 
 
 def _open_out(out: Optional[str]) -> ContextManager[TextIO]:
@@ -196,11 +196,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.integrate:
             run = _integration(args.integrate, args)
             with _open_out(args.out) as fh:
-                try:
-                    fh.write(run())
-                except IntegrationError as exc:
-                    print(f"krawpv: error: {exc}", file=sys.stderr)
+                traj = run()
+                if traj.status != 0:  # a planar run's only guards are its denominators
+                    stop = (f"denominator within {SINGULAR_GUARD} of zero near t = {traj.t1}"
+                            if traj.status == 1 else UNDERFLOW)
+                    print(f"krawpv: error: {stop}", file=sys.stderr)
                     return 1
+                fh.write(trajectory_csv(traj))
             return 0
         if not args.suite:
             parser.print_usage(sys.stderr)

@@ -16,14 +16,15 @@ number of steps and right-hand-side calls is the same; numpy's
 per-operation overhead is gone.
 
 Around it, compiled right-hand sides are integrated with singular guards on
-every catalogued denominator, which abort the run before the state reaches a
+every catalogued denominator, which stop the run before the state reaches a
 singular locus.  A second-order run is also guarded at y = ∞: it stops when
 1/y, the chart at infinity, comes within the guard distance of zero, so a
 run toward a movable pole stops just before it instead of crawling into it
 until the step size underflows.  Every run uses the same tolerances,
 ``RTOL`` and ``ATOL``, and the same guard distance, ``SINGULAR_GUARD``.
-``solve_ivp`` returns the ``Trajectory`` it integrated; trajectories compare
-against the exact oracle and export as CSV.
+Every integration returns the ``Trajectory`` it integrated, whatever its
+``status``: 0 at the window's end, 1 at a guard, -1 where the step size
+underflowed.  Trajectories compare against the exact oracle and export as CSV.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ from .systems import PlanarSystem, ScalarODE2
 
 Scalar = Union[int, float, Fraction]
 State = Sequence[float]
-
-
-class IntegrationError(Exception):
-    """A run that stopped early (its ``trajectory`` is the part integrated)."""
-
-
-class SingularGuardError(IntegrationError):
-    """A catalogued denominator came within the guard distance of zero."""
 
 
 RTOL = 1e-10  # relative tolerance of every run
@@ -155,11 +148,11 @@ _SQRT2 = 2 ** 0.5  # the RMS norm of a pair is its Euclidean norm over sqrt(2)
 
 
 def _initial_step(fun, t0: float, y0: float, y1: float, f0: float, f1: float,
-                  t_bound: float, direction: float, rtol: float, atol: float) -> float:
+                  t_bound: float, direction: float) -> float:
     """Hairer, Nørsett & Wanner's starting step (§II.4), as scipy's ``select_initial_step``."""
     interval_length = abs(t_bound - t0)
-    s0 = atol + abs(y0) * rtol
-    s1 = atol + abs(y1) * rtol
+    s0 = ATOL + abs(y0) * RTOL
+    s1 = ATOL + abs(y1) * RTOL
     v0, v1 = y0 / s0, y1 / s1
     d0 = math.sqrt(v0 * v0 + v1 * v1) / _SQRT2
     v0, v1 = f0 / s0, f1 / s1
@@ -244,8 +237,7 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
 
 
 def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
-              y0: State, rtol: float, atol: float,
-              events: Sequence[Callable[[float, State], float]]) -> Trajectory:
+              y0: State, events: Sequence[Callable[[float, State], float]]) -> Trajectory:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` as scipy's ``solve_ivp`` with RK45.
 
     The state has two components: ``y0`` is a pair, ``fun(t, (y0, y1))``
@@ -258,8 +250,9 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
     step (status 1).  It gives up with status -1 when the step size falls
     below ten times the float spacing at ``t``.  A step whose stages divide
     by zero or overflow is rejected like one with an infinite error
-    estimate.  ``t_span`` must have nonzero length.  The result is the
-    ``Trajectory`` integrated, with its status and right-hand-side calls.
+    estimate.  ``t_span`` must have nonzero length.  The tolerances are
+    ``RTOL`` and ``ATOL``.  The result is the ``Trajectory`` integrated,
+    with its status and right-hand-side calls.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
@@ -270,7 +263,7 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
     y = (float(y0[0]), float(y0[1]))
     y0, y1 = y  # the state, component by component
     a0, a1 = fun(t, y)  # the first stage of the next step: fun at its start
-    h_abs = _initial_step(fun, t, y0, y1, a0, a1, t_bound, direction, rtol, atol)
+    h_abs = _initial_step(fun, t, y0, y1, a0, a1, t_bound, direction)
     nfev = 2
     ts, ys0, ys1, steps = [t], [y0], [y1], []
     ev = [event(t, y) for event in events]  # each event's value at t
@@ -302,11 +295,11 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
                 z1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
                 y_new = (z0, z1)
                 g0, g1 = fun(t + h, y_new)
-                # the error estimate over atol + max(|y|, |y_new|) * rtol, per component
+                # the error estimate over ATOL + max(|y|, |y_new|) * RTOL, per component
                 v0 = ((_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0) * h
-                      / (atol + max(abs(y0), abs(z0)) * rtol))
+                      / (ATOL + max(abs(y0), abs(z0)) * RTOL))
                 v1 = ((_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) * h
-                      / (atol + max(abs(y1), abs(z1)) * rtol))
+                      / (ATOL + max(abs(y1), abs(z1)) * RTOL))
                 error_norm = math.sqrt(v0 * v0 + v1 * v1) / _SQRT2
             except (ZeroDivisionError, OverflowError):
                 error_norm = math.inf
@@ -352,19 +345,6 @@ def _param_floats(params: Mapping[str, Scalar]) -> Dict[str, float]:
     return {k: float(v) for k, v in params.items()}
 
 
-def _run(rhs, t0: float, t1: float, state0, events) -> Trajectory:
-    traj = solve_ivp(rhs, (t0, t1), state0, RTOL, ATOL, events)
-    if traj.status == 0:
-        return traj
-    stop = (SingularGuardError(f"denominator within {SINGULAR_GUARD} of zero near t = {traj.t1}")
-            if traj.status == 1 else IntegrationError(UNDERFLOW))
-    stop.trajectory = traj
-    try:
-        raise stop
-    finally:  # the traceback holds this frame: unbind the error so they form no cycle
-        del stop
-
-
 def integrate_planar(
     system: PlanarSystem,
     state0: Sequence[Scalar],
@@ -372,7 +352,7 @@ def integrate_planar(
     t1: float,
     params: Mapping[str, Scalar],
 ) -> Trajectory:
-    """Integrate a catalogued planar system with denominator guards."""
+    """Integrate a catalogued planar system with denominator guards (a stop is status 1)."""
     pf = _param_floats(params)
     names = list(system.chart) + ["t"] + sorted(pf)
     pvals = tuple(pf[k] for k in sorted(pf))
@@ -385,17 +365,17 @@ def integrate_planar(
 
     events = [lambda t, s, _den=den: abs(_den(s[0], s[1], t, *pvals)) - SINGULAR_GUARD
               for den in (d1, d2)]
-    return _run(rhs, float(t0), float(t1), state0, events)
+    return solve_ivp(rhs, (float(t0), float(t1)), state0, events)
 
 
 def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequence[float],
                             t0: float, t1: float, y0: Scalar, yp0: Scalar) -> Trajectory:
     """y'' = rhs_expr(y, yp, t, params) as the first-order (y, y') system.
 
-    The run aborts when y comes within the guard distance of any of
-    ``levels``, or of y = ∞: when |y| reaches ``1/SINGULAR_GUARD``, 1/y is
-    within the guard distance of zero, so a run stops just before a movable
-    pole instead of underflowing its step size there.
+    The run stops with status 1 when y comes within the guard distance of
+    any of ``levels``, or of y = ∞: when |y| reaches ``1/SINGULAR_GUARD``,
+    1/y is within the guard distance of zero, so a run stops just before a
+    movable pole instead of underflowing its step size there.
     """
     names = ["y", "yp", "t"] + sorted(pf)
     pvals = tuple(pf[k] for k in sorted(pf))
@@ -407,7 +387,7 @@ def _integrate_second_order(rhs_expr: Expr, pf: Dict[str, float], levels: Sequen
     events = [lambda t, s, _level=level: abs(s[0] - _level) - SINGULAR_GUARD
               for level in levels]
     events.append(lambda t, s: 1 - SINGULAR_GUARD * abs(s[0]))  # the guard at y = ∞
-    return _run(rhs, float(t0), float(t1), (y0, yp0), events)
+    return solve_ivp(rhs, (float(t0), float(t1)), (y0, yp0), events)
 
 
 def integrate_ode2(
@@ -420,7 +400,7 @@ def integrate_ode2(
 ) -> Trajectory:
     """Integrate a second-order reduction as the first-order (y, y') system.
 
-    Guarded at the charts' structural singularities y in {0, ±1} and at y = ∞.
+    Guarded at the charts' structural singularities y in {0, ±1} and at y = ∞ (status 1).
     """
     pf = _param_floats(params)
     if ode.alpha_fixed is not None:
@@ -432,7 +412,7 @@ def integrate_ode2(
 def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float) -> Trajectory:
     """Integrate the fifth Painlevé equation itself (float parameters).
 
-    Guarded at its singular values y in {0, 1} and at its movable poles, y = ∞.
+    Guarded at its singular values y in {0, 1} and its movable poles, y = ∞ (status 1).
     """
     from .painleve import PV_RHS  # local import to avoid a cycle
 
@@ -471,7 +451,14 @@ def compare_trajectories(
     times: Optional[Sequence[float]] = None,
     case_id: str = "trajectory_compare",
 ) -> CaseResult:
-    """Max relative deviation of b from a at sample times; PASS iff < tol."""
+    """Max relative deviation of b from a at sample times; PASS iff < tol.
+
+    A run ``a`` that stopped early (``status`` not 0) never covered its window: it FAILs.
+    """
+    if a.status != 0:
+        return CaseResult(case_id, "FAIL", residual="nan",
+                          failures=[f"the run stopped at t = {a.t1} before its end"])
+
     def deviation(tv):
         return _nan_max([abs(va - float(vb)) / max(1.0, abs(va))
                          for va, vb in zip(a(tv), b(tv))])

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from . import integrate
 from .expr import Const, Expr, syms
-from .integrate import IntegrationError, tolerance_case
+from .integrate import Trajectory, tolerance_case
 from .jets import Jet1, Jet2, rate
 from .sampling import CaseResult, Sampler, run_case
 from .systems import get_ode2
@@ -462,28 +462,28 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
 TRAJECTORY_CHECKS = 20  # interior residual checks per trajectory case
 
 
-def _trajectory_case(case_id: str, integrate: Callable[[float], object],
+def _trajectory_case(case_id: str, integrate: Callable[[float], Trajectory],
                      residual: Callable[[float, float, float], float],
                      t0: float, t1: float, tol: float, what: str) -> CaseResult:
     """Integrate once on [t0, t1] and require |residual(t, y, y')| < tol inside it.
 
-    A run that stops early at a movable singularity keeps the part it
-    integrated: at a guard, such as the guard at y = ∞ just before a movable
-    pole, or where the step size underflowed.  The window is halved, up to
-    seven times, until its end lies between t0 and the stop; the case FAILs
-    when no window fits.
+    A run that stops early at a movable singularity (``status`` not 0) ends
+    at the stop: at a guard (status 1), such as the guard at y = ∞ just
+    before a movable pole, or where the step size underflowed (status -1).
+    The window is then halved, up to seven times, until its end lies between
+    t0 and the stop; the case FAILs when no window fits, with the status in
+    words.
     """
-    try:
-        traj = integrate(t1)
-    except IntegrationError as exc:
-        traj = exc.trajectory
+    traj = integrate(t1)
+    if traj.status != 0:
         for _ in range(7):
             t1 = t0 + (t1 - t0) / 2
             if abs(t1 - t0) <= abs(traj.t1 - t0):
                 break
         else:
-            return CaseResult(case_id, "FAIL",
-                              failures=[f"no singularity-free window found: {exc}"])
+            stop = "a guard stopped the run" if traj.status == 1 else "the step size underflowed"
+            return CaseResult(case_id, "FAIL", failures=[
+                f"no singularity-free window found: {stop} near t = {traj.t1}"])
     ts = [t0 + (t1 - t0) * (i + 1) / (TRAJECTORY_CHECKS + 1)
           for i in range(TRAJECTORY_CHECKS)]
     return tolerance_case(

@@ -33,8 +33,8 @@ class SamplingExhausted(RuntimeError):
     """Could not find a nonsingular sample within the resample budget."""
 
 
-def rand_fraction(rng: random.Random, bound: int = COORD_BOUND) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+def rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-COORD_BOUND, COORD_BOUND), rng.randint(1, COORD_BOUND))
 
 
 @dataclass

@@ -267,6 +267,24 @@ def test_integration_stopping_early_is_one_error_line(capsys):
     assert err.startswith("krawpv: error: denominator within ")
 
 
+def test_integration_underflow_is_one_error_line(capsys, monkeypatch):
+    # u' = u^2, u(0) = 1 runs into its pole at t = 1 until the step size underflows
+    from krawpv.expr import ONE, ZERO, syms
+    from krawpv.integrate import integrate_planar
+    from krawpv.systems import PlanarSystem
+
+    u, _ = syms("u v")
+    blow_up = integrate_planar(PlanarSystem("blow_up", ("u", "v"), u ** 2, ONE, ZERO, ONE),
+                               (1.0, 0.0), 0.0, 2.0, {})
+    assert blow_up.status == -1
+    monkeypatch.setattr(cli, "integrate_planar", lambda *args: blow_up)
+    code, out, err = run(capsys, "--integrate", "original", "--N", "2", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "krawpv: error: Required step size is less than spacing between numbers."]
+
+
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     # `python -m krawpv` from a checkout prints what main prints and exits with its code
     monkeypatch.delenv("KRAWPV_SEED", raising=False)

@@ -17,8 +17,6 @@ from krawpv.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
     ERROR_EXPONENT, MAX_FACTOR, MIN_FACTOR, SAFETY,
-    IntegrationError,
-    SingularGuardError,
     Trajectory,
     compare_trajectories,
     integrate_ode2,
@@ -28,7 +26,12 @@ from krawpv.integrate import (
     trajectory_csv,
 )
 from krawpv.oracle import WeightParams, oracle_xy
-from krawpv.painleve import pv_params_for, verify_reduction_trajectory, verify_trajectory
+from krawpv.painleve import (
+    _trajectory_case,
+    pv_params_for,
+    verify_reduction_trajectory,
+    verify_trajectory,
+)
 from krawpv.systems import PlanarSystem, get_ode2, get_system
 
 PARAMS = {"n": 1, "N": 2, "alpha": Fraction(0)}
@@ -108,26 +111,33 @@ def test_nan_in_a_later_component_fails():
     assert len(case.failures) == 2
 
 
-def test_singular_guard_trips():
+def _guard_stop():
     # drive the base system toward the p + q = 0 locus
-    system = get_system("original")
-    with pytest.raises(SingularGuardError) as exc:
-        integrate_planar(system, (0.5, -0.45), 1.0, 2.0, PARAMS)
-    # the error carries the run up to the stop; its text is only the message
-    stop = exc.value.trajectory
+    return integrate_planar(get_system("original"), (0.5, -0.45), 1.0, 2.0, PARAMS)
+
+
+def test_singular_guard_trips():
+    # the run is returned up to the stop, with status 1
+    stop = _guard_stop()
     assert stop.ts[0] == 1.0 and 1.05 < stop.t1 < 1.06 and stop.status == 1
-    assert str(exc.value) == f"denominator within 1e-06 of zero near t = {stop.t1}"
+    assert len(stop.steps) == len(stop.ts) - 1
+    assert max(abs(a - b) for a, b in zip(stop(stop.t1), endpoint(stop))) < 1e-14
+
+
+@pytest.mark.parametrize("times", [None, [1.01, 1.02], [1.01, 1.5, 2.0], []])
+def test_compare_trajectories_fails_a_stopped_run(times):
+    # a stopped run never covered its window: against itself, at any times, it FAILs
+    stop = _guard_stop()
+    case = compare_trajectories(stop, lambda t: stop(t), 1e-6, times=times)
+    assert (case.status, case.samples, case.residual) == ("FAIL", 0, "nan")
+    assert case.failures == [f"the run stopped at t = {stop.t1} before its end"]
 
 
 def test_stopped_run_is_freed_without_the_cycle_collector():
-    # a stopped run can hold thousands of steps; the error must not keep it in a cycle
-    system = get_system("original")
+    # a stopped run can hold thousands of steps; nothing may keep it in a cycle
     gc.disable()
     try:
-        try:
-            integrate_planar(system, (0.5, -0.45), 1.0, 2.0, PARAMS)
-        except SingularGuardError as exc:
-            stop = weakref.ref(exc.trajectory)
+        stop = weakref.ref(_guard_stop())
         assert stop() is None
     finally:
         gc.enable()
@@ -198,13 +208,18 @@ def test_integrated_trees_compile_once(monkeypatch):
 
 
 def _solver_calls(monkeypatch):
-    """Record the arguments and result of every ``solve_ivp`` call ``integrate`` makes."""
+    """Record every ``solve_ivp`` call ``integrate`` makes and its result.
+
+    The arguments are recorded as the references below take them:
+    ``(fun, t_span, y0, rtol, atol, events)``, with the module's tolerances.
+    """
     calls = []
     original = integrate.solve_ivp
 
-    def spy(*args):
-        calls.append((args, original(*args)))
-        return calls[-1][1]
+    def spy(fun, t_span, y0, events):
+        result = original(fun, t_span, y0, events)
+        calls.append(((fun, t_span, y0, integrate.RTOL, integrate.ATOL, events), result))
+        return result
 
     monkeypatch.setattr(integrate, "solve_ivp", spy)
     return calls
@@ -239,8 +254,7 @@ def test_steps_match_scipy_rk45(monkeypatch):
 
 def test_guard_event_root_matches_scipy(monkeypatch):
     calls = _solver_calls(monkeypatch)
-    with pytest.raises(SingularGuardError):
-        integrate_planar(get_system("original"), (0.5, -0.45), 1.0, 2.0, PARAMS)
+    _guard_stop()
     (args, ours), = calls
     ref = _scipy_rk45(*args)
     assert ours.status == ref.status == 1
@@ -272,15 +286,32 @@ def _blow_up():
     # u' = u^2, u(0) = 1 has the pole u = 1/(1 - t): the step size underflows before t = 1
     u, v = syms("u v")
     blow_up = PlanarSystem("blow_up", ("u", "v"), u ** 2, ONE, ZERO, ONE)
-    integrate_planar(blow_up, (1.0, 0.0), 0.0, 2.0, {})
+    return integrate_planar(blow_up, (1.0, 0.0), 0.0, 2.0, {})
 
 
-def test_blow_up_is_an_integration_error_not_a_guard():
-    with pytest.raises(IntegrationError) as exc:
-        _blow_up()
-    assert type(exc.value) is IntegrationError
-    assert str(exc.value) == "Required step size is less than spacing between numbers."
-    assert 0.99 < exc.value.trajectory.t1 < 1.0
+def test_blow_up_underflows_rather_than_tripping_a_guard():
+    stop = _blow_up()
+    assert stop.status == -1
+    assert 0.99 < stop.t1 < 1.0
+    assert integrate.UNDERFLOW == "Required step size is less than spacing between numbers."
+
+
+def test_the_guard_at_infinity_is_not_called_a_denominator():
+    # y reaches the guard at y = ∞, 1e6, near t = 1.2503; no denominator is near zero
+    stop = integrate_ode2(get_ode2("ode_U21"), 2.0, 5.0, 1.0, 2.0,
+                          {"n": 1, "N": 3, "alpha": 0.5})
+    assert stop.status == 1 and 1.25 < stop.t1 < 1.2504
+    y, yp = endpoint(stop)
+    eps = sys.float_info.epsilon
+    assert abs(abs(y) - 1 / integrate.SINGULAR_GUARD) <= 4 * eps * stop.t1 * abs(yp)
+    # no window of [1, 40] halved seven times ends before the stop
+    case = _trajectory_case("x", lambda t_end: stop, lambda tv, y, yp: 0.0, 1.0, 40.0,
+                            1e-6, "PV")
+    assert case.failures == [
+        f"no singularity-free window found: a guard stopped the run near t = {stop.t1}"]
+    compared = compare_trajectories(stop, lambda t: stop(t), 1e-6)
+    for failure in (*case.failures, *compared.failures):
+        assert "denominator" not in failure
 
 
 POLES = {  # the anchor runs at their defaults, each toward a movable pole of its PV solution
@@ -483,16 +514,12 @@ def reference_solve_ivp(fun, t_span, y0, rtol, atol, events):
     return Trajectory(tuple(ts), tuple(zip(*ys)), steps, status, nfev)
 
 
-def _guard_abort():
-    integrate_planar(get_system("original"), (0.5, -0.45), 1.0, 2.0, PARAMS)
-
-
 REFERENCE_RUNS = {  # each with the status of its solves
     "original_forward": (lambda: integrate_planar(
         get_system("original"), oracle_point(1), 1.0, 2.0, PARAMS), 0),
     "original_backward": (lambda: integrate_planar(
         get_system("original"), oracle_point(2), 2.0, 1.0, PARAMS), 0),
-    "guard_abort": (_guard_abort, 1),
+    "guard_abort": (_guard_stop, 1),
     # integrate_ode2 until y reaches the guard at infinity before a movable pole
     "ode_U21": (lambda: verify_reduction_trajectory("ode_U21"), 1),
     "pv": (lambda: integrate_pv(
@@ -506,10 +533,7 @@ REFERENCE_RUNS = {  # each with the status of its solves
 def test_steps_equal_the_n_component_reference(monkeypatch, run):
     calls = _solver_calls(monkeypatch)
     go, status = REFERENCE_RUNS[run]
-    try:
-        go()
-    except IntegrationError:
-        pass
+    go()
     (args, ours), = calls
     ref = reference_solve_ivp(*args)
     assert ours.status == ref.status == status
@@ -524,4 +548,4 @@ def test_steps_equal_the_n_component_reference(monkeypatch, run):
 @pytest.mark.parametrize("y0", [(1.0,), (1.0, 2.0, 3.0)])
 def test_a_state_must_be_a_pair(y0):
     with pytest.raises(ValueError, match="two components"):
-        integrate.solve_ivp(lambda t, s: s, (0.0, 1.0), y0, 1e-6, 1e-9, [])
+        integrate.solve_ivp(lambda t, s: s, (0.0, 1.0), y0, [])

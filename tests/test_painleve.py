@@ -6,7 +6,7 @@ import pytest
 
 from krawpv import painleve
 from krawpv.expr import syms
-from krawpv.integrate import IntegrationError, Trajectory
+from krawpv.integrate import Trajectory
 from krawpv.painleve import (
     COMPOSITIONS,
     PARAM_SETS,
@@ -254,13 +254,11 @@ def test_trajectory_case_integrates_once(monkeypatch):
     assert case.samples == 20
 
 
-def _stopping_run(t0, stop):
-    """An integrator that stops at ``stop``; the stopped run is identically zero."""
+def _stopping_run(t0, stop, status=-1):
+    """An integrator that stops at ``stop`` with ``status``; the run is identically zero."""
     def integrate(t_end):
-        exc = IntegrationError(f"stopped near t = {stop}")
-        exc.trajectory = Trajectory((t0, stop), ((0.0, 0.0), (0.0, 0.0)),
-                                    [lambda t: (0.0, 0.0)], -1, 0)
-        raise exc
+        return Trajectory((t0, stop), ((0.0, 0.0), (0.0, 0.0)), [lambda t: (0.0, 0.0)],
+                          status, 0)
     return integrate
 
 
@@ -280,16 +278,21 @@ def test_stopped_run_cuts_the_window(t0, t1, stop, end):
     assert seen == [t0 + (end - t0) * (i + 1) / 21 for i in range(20)]
 
 
-def test_stopped_run_fails_when_no_window_fits():
+@pytest.mark.parametrize("status, stop", [
+    (1, "a guard stopped the run"),
+    (-1, "the step size underflowed"),
+], ids=["guard", "underflow"])
+def test_stopped_run_fails_when_no_window_fits(status, stop):
     # the eighth window, [1, 1 + 1/128], still reaches past the stop
-    case = _trajectory_case("x", _stopping_run(1.0, 1.005), lambda tv, y, yp: 0.0,
+    case = _trajectory_case("x", _stopping_run(1.0, 1.005, status), lambda tv, y, yp: 0.0,
                             1.0, 2.0, 1e-6, "PV")
     assert case.status == "FAIL" and case.samples == 0
-    assert case.failures == ["no singularity-free window found: stopped near t = 1.005"]
+    assert case.failures == [f"no singularity-free window found: {stop} near t = 1.005"]
 
 
 def test_nan_residual_fails():
-    case = _trajectory_case("x", lambda t1: (lambda tv: [0.0, 0.0]),
+    run = Trajectory((1.0, 2.0), ((0.0, 0.0), (0.0, 0.0)), [lambda tv: (0.0, 0.0)], 0, 0)
+    case = _trajectory_case("x", lambda t1: run,
                             lambda tv, y, yp: float("nan"), 1.0, 2.0, 1e-6, "PV")
     assert case.status == "FAIL"
     assert case.residual == "nan"
