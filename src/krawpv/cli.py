@@ -13,9 +13,10 @@ import contextlib
 import json
 import os
 import re
+import stat
 import sys
 from fractions import Fraction
-from typing import Callable, ContextManager, List, Optional, Sequence, TextIO
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .integrate import SINGULAR_GUARD, UNDERFLOW, Trajectory, integrate_planar, trajectory_csv
 from .oracle import OracleError, WeightParams, oracle_xy
@@ -171,14 +172,38 @@ def _integration(system_id: str, args) -> Callable[[], Trajectory]:
     return lambda: integrate_planar(system, ic, float(t0), args.to_t, params)
 
 
-def _open_out(out: Optional[str]) -> ContextManager[TextIO]:
-    """The report's destination, opened before the work so that a bad path costs none."""
+@contextlib.contextmanager
+def _output(out: Optional[str]) -> Iterator[Callable[[str], object]]:
+    """The writer of the run's output: stdout, or the ``--out`` file.
+
+    The file is opened before the work, so that a bad path costs none, but not
+    truncated: a regular file is emptied only when the output is written.  So
+    a run that writes nothing (an ``--integrate`` that stops early) leaves an
+    existing file as it was, and removes the empty file it created.
+    """
     if not out:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout.write
+        return
+    existed = os.path.lexists(out)
     try:
-        return open(out, "w")
+        fh = open(out, "a")
     except OSError as exc:
         raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+    written = False
+
+    def write(text: str) -> None:
+        nonlocal written
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)
+        fh.write(text)
+        written = True
+
+    try:
+        with fh:
+            yield write
+    finally:
+        if not (existed or written):
+            os.remove(out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -190,19 +215,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         vars(args).update({k: v for k, v in _DEFAULTS.items() if getattr(args, k) is None})
         if args.dump_catalogue:
             text = _dump_catalogue()
-            with _open_out(args.out) as fh:
-                fh.write(text)
+            with _output(args.out) as write:
+                write(text)
             return 0
         if args.integrate:
             run = _integration(args.integrate, args)
-            with _open_out(args.out) as fh:
+            with _output(args.out) as write:
                 traj = run()
                 if traj.status != 0:  # a planar run's only guards are its denominators
                     stop = (f"denominator within {SINGULAR_GUARD} of zero near t = {traj.t1}"
                             if traj.status == 1 else UNDERFLOW)
                     print(f"krawpv: error: {stop}", file=sys.stderr)
                     return 1
-                fh.write(trajectory_csv(traj))
+                write(trajectory_csv(traj))
             return 0
         if not args.suite:
             parser.print_usage(sys.stderr)
@@ -219,9 +244,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from_t=args.from_t,
             to_t=args.to_t,
         )
-        with _open_out(args.out) as fh:
+        with _output(args.out) as write:
             report = run_suite(args.suite, cfg)
-            fh.write(emit_report(report, args.format))
+            write(emit_report(report, args.format))
         return 0 if report.overall == "PASS" else 1
     except (UsageError, CatalogueError, OracleError) as exc:
         # args[0], not str(exc): CatalogueError is a KeyError, whose str() adds quotes

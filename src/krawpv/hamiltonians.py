@@ -128,10 +128,6 @@ def get_hamiltonian(h_id: str) -> HamiltonianEntry:
         raise HamiltonianError(f"unknown Hamiltonian id {h_id!r}") from None
 
 
-def hamiltonian_ids():
-    return sorted(hamiltonian_registry().keys())
-
-
 # the six catalogued pairings that must verify
 VERIFIED_IDS = ("H12", "H22", "H32", "H55", "H12b", "Hqp")
 

@@ -1,7 +1,7 @@
 """Exact ground truth for the generalised Krawtchouk weight.
 
 The weight on {0, ..., N} is w(x) = C(N,x) * t^x / (1-alpha)_x with t > 0 and
-alpha < 1.  Everything here is computed in exact rational arithmetic: moments,
+alpha < 1.  Everything here is computed in exact rational arithmetic: the
 recurrence coefficients via discrete Stieltjes, the auxiliary quantities
 x_n, y_n, the terminating 1F1 initial condition, the nonlinear discrete
 system iteration, and residual checks for the discrete and Toda-type systems.
@@ -46,54 +46,6 @@ def weight_values(w: WeightParams) -> List[Fraction]:
     for x in range(w.N):
         out.append(out[-1] * w.t * Fraction(w.N - x, x + 1) / (1 - w.alpha + x))
     return out
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    m: Tuple[Fraction, ...]
-
-
-def moments(w: WeightParams, jmax: int) -> MomentTable:
-    """Power moments m_j = sum_x x^j w(x), j = 0..jmax, with 0**0 = 1."""
-    if jmax < 0:
-        raise OracleError("jmax must be nonnegative")
-    wv = weight_values(w)
-    out = []
-    for j in range(jmax + 1):
-        s = Fraction(0)
-        for x, wx in enumerate(wv):
-            s += Fraction(x) ** j * wx if not (x == 0 and j == 0) else wx
-        out.append(s)
-    return MomentTable(tuple(out))
-
-
-def hankel_determinant(m: MomentTable, k: int) -> Fraction:
-    """det(m[i+j]) for 0 <= i,j <= k, by fraction-free-ish Gaussian elimination."""
-    size = k + 1
-    if 2 * k >= len(m.m):
-        raise OracleError("moment table too short for Hankel determinant")
-    a = [[m.m[i + j] for j in range(size)] for i in range(size)]
-    det = Fraction(1)
-    for col in range(size):
-        piv = None
-        for row in range(col, size):
-            if a[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for row in range(col + 1, size):
-            f = a[row][col] * inv
-            if f == 0:
-                continue
-            for j in range(col, size):
-                a[row][j] -= f * a[col][j]
-    return det
 
 
 @dataclass(frozen=True)

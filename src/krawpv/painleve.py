@@ -1,11 +1,12 @@
 """Fifth-Painlevé residuals, parameter sets and Bäcklund transformations.
 
 The second-order reductions in the catalogue become the fifth Painlevé
-equation (PV) after simple Möbius changes of the dependent variable; each
-chart carries its own parameter quadruple (α₅, β₅, γ₅, δ₅) expressed in
+equation (PV) after simple Möbius changes of the dependent variable.  Every
+chart reaches PV with δ₅ = −1/2 (k = 1), so ``PV_RHS`` carries that constant
+and each chart's ``PVParams`` holds only (α₅, β₅, γ₅), expressed in
 (n, N, α).  One table, ``BRANCHES``, holds per chart the signed literal
-branches c, a and γ₅; the quadruple is (c²/2, −a²/2, γ₅, −1/2).
-Sign-indexed Bäcklund transformations connect the quadruples: the parameter
+branches c, a and γ₅; the triple is (c²/2, −a²/2, γ₅).
+Sign-indexed Bäcklund transformations connect the parameter sets: the parameter
 half, ``backlund_step``, maps the literal branch state, and the jet half is
 the one expression ``BACKLUND_Y`` pushed through ``transform_jet``.  Fixed
 four-, two- and one-step compositions reproduce displayed closed-form maps.
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from . import integrate
-from .expr import Const, Expr, syms
+from .expr import Expr, syms
 from .integrate import Trajectory, tolerance_case
 from .jets import Jet1, Jet2, rate
 from .sampling import CaseResult, Sampler, run_case
@@ -31,54 +32,43 @@ from .systems import get_ode2
 Scalar = Union[Fraction, float]
 
 t, y, yp, n, NN, al = syms("t y yp n N alpha")
-a5s, b5s, g5s, d5s = syms("a5 b5 g5 d5")
+a5s, b5s, g5s = syms("a5 b5 g5")
 
 
 class PainleveError(Exception):
     pass
 
 
-class SingularJetError(PainleveError, ZeroDivisionError):
-    """A jet sits on a singular locus of the equation it is checked against."""
+_HALF = Fraction(1, 2)
 
-
-# y'' as a rational expression in (y, yp, t) and the parameters (a5, b5, g5, d5)
+# y'' as a rational expression in (y, yp, t) and the parameters (a5, b5, g5),
+# with δ₅ = −1/2; the δ₅ term is subtracted, which rounds as adding −1/2 times it
 PV_RHS: Expr = (
     (1 / (2 * y) + 1 / (y - 1)) * yp**2
     - yp / t
     + (y - 1) ** 2 * (a5s * y + b5s / y) / t**2
     + g5s * y / t
-    + d5s * y * (y + 1) / (y - 1)
+    - _HALF * y * (y + 1) / (y - 1)
 )
 
 
 @dataclass(frozen=True)
 class PVParams:
-    """The quadruple (α₅, β₅, γ₅, δ₅); fields are scalars or Exprs in (n, N, alpha)."""
+    """(α₅, β₅, γ₅) of PV with δ₅ = −1/2; scalars, or Exprs in (n, N, alpha)."""
 
     a5: Union[Scalar, Expr]
     b5: Union[Scalar, Expr]
     g5: Union[Scalar, Expr]
-    d5: Union[Scalar, Expr]
 
     def evaluate(self, env: Mapping[str, Scalar]) -> "PVParams":
         def val(x):
             return x.evaluate(env) if isinstance(x, Expr) else x
 
-        return PVParams(val(self.a5), val(self.b5), val(self.g5), val(self.d5))
-
-    def floats(self) -> "PVParams":
-        """The evaluated quadruple as floats, the constant δ₅ = −1/2 included.
-
-        A fast path only: ``Expr.evaluate`` rounds the exact slots of a binding
-        that has a float slot anyway, to the same bits, but a binding of floats
-        alone skips that rounding at every evaluation.
-        """
-        return PVParams(*(float(x) for x in (self.a5, self.b5, self.g5, self.d5)))
+        return PVParams(val(self.a5), val(self.b5), val(self.g5))
 
     def as_env(self) -> Dict[str, Scalar]:
         out = {}
-        for key, x in (("a5", self.a5), ("b5", self.b5), ("g5", self.g5), ("d5", self.d5)):
+        for key, x in (("a5", self.a5), ("b5", self.b5), ("g5", self.g5)):
             if isinstance(x, Expr):
                 raise PainleveError("parameters must be evaluated before numeric use")
             out[key] = x
@@ -106,10 +96,8 @@ class BacklundSigns:
             raise PainleveError("signs must be +1 or -1")
 
 
-_HALF = Fraction(1, 2)
-
 # one row per chart: the signed literal branches c, a (see BranchState) and
-# γ₅, in (n, N, alpha); the chart's quadruple is (c²/2, −a²/2, γ₅, −1/2)
+# γ₅, in (n, N, alpha); the chart's parameters are (c²/2, −a²/2, γ₅)
 _FIRST = (n, al, al + n - 2 * NN - 1)
 _SECOND = (NN - n + 1, -al + NN + 1, al + n + 1)
 _THIRD = (NN - n + 1 - al, 1 + NN, -al + n + 1)
@@ -130,7 +118,7 @@ BRANCHES: Dict[str, Tuple[Expr, Expr, Expr]] = {
 }
 
 PARAM_SETS: Dict[str, PVParams] = {
-    k: PVParams(_HALF * c**2, -_HALF * a**2, g5, Const(-_HALF))
+    k: PVParams(_HALF * c**2, -_HALF * a**2, g5)
     for k, (c, a, g5) in BRANCHES.items()
 }
 
@@ -143,9 +131,11 @@ def pv_params_for(chart_id: str) -> PVParams:
 
 
 def pv_residual(j: PVJet, p: PVParams) -> Scalar:
-    """y'' minus the PV right-hand side; exact zero certifies the jet."""
-    if j.t == 0 or j.y == 0 or j.y == 1:
-        raise SingularJetError("PV residual needs t != 0 and y outside {0, 1}")
+    """y'' minus the PV right-hand side; exact zero certifies the jet.
+
+    At t = 0 or y in {0, 1}, PV's singular loci, ``PV_RHS`` raises a
+    ``ZeroDivisionError``.
+    """
     return j.ypp - PV_RHS.evaluate({"t": j.t, "y": j.y, "yp": j.yp, **p.as_env()})
 
 
@@ -295,7 +285,7 @@ class BranchState:
     a: Scalar
 
     def params(self) -> PVParams:
-        return PVParams(self.c * self.c / 2, -self.a * self.a / 2, self.g5, -_HALF)
+        return PVParams(self.c * self.c / 2, -self.a * self.a / 2, self.g5)
 
 
 def branch_state_for(params_id: str, env: Mapping[str, Scalar]) -> BranchState:
@@ -402,7 +392,7 @@ def verify_param_chain(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
             st = backlund_step(st, s)
         p = st.params()
         expect = tgt.evaluate(env)
-        if (p.a5, p.b5, p.g5, p.d5) != (expect.a5, expect.b5, expect.g5, expect.d5):
+        if p != expect:
             return [f"chained {p} != target {expect} at {env}"]
         return []
 
@@ -434,8 +424,6 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
         j = jf = complete_jet(env["t"], env["y"], env["yp"], p)
         for s in comp.steps:
             jf, st = backlund_apply(jf, st, s)
-            if jf.y in (0, 1):
-                raise SingularJetError("intermediate jet hit y in {0, 1}")
             if pv_residual(jf, st.params()) != 0:
                 return ["intermediate jet violates its PV"]
         pf = st.params()
@@ -445,7 +433,7 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
         )
         failures = []
         expect = tgt.evaluate(env)
-        if (pf.a5, pf.b5, pf.g5, pf.d5) != (expect.a5, expect.b5, expect.g5, expect.d5):
+        if pf != expect:
             failures.append(f"final params {pf} != {expect}")
         if (jf.y, jf.yp, jf.ypp) != (closed.y, closed.yp, closed.ypp):
             failures.append(
@@ -507,9 +495,10 @@ def verify_trajectory(
     comp = COMPOSITIONS[comp_id]
     env = {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": alpha_val}
     fenv = {k: float(v) for k, v in env.items()}
+    # rounded from the exact triple: evaluated on fenv, its last bits would differ
     src = pv_params_for(comp.source_params).evaluate(env)
-    tgt_f = pv_params_for(comp.target_params).evaluate(fenv).floats()
-    src_f = src.floats()
+    src_f = PVParams(float(src.a5), float(src.b5), float(src.g5))
+    tgt_f = pv_params_for(comp.target_params).evaluate(fenv)
 
     def residual(tv, yv, ypv):
         j = complete_jet(tv, yv, ypv, src_f)
@@ -544,7 +533,7 @@ def verify_reduction_trajectory(
     if ode.alpha_fixed is not None:
         env["alpha"] = ode.alpha_fixed
     fenv = {k: float(v) for k, v in env.items()}
-    params = pv_params_for(red.params_id).evaluate(fenv).floats()
+    params = pv_params_for(red.params_id).evaluate(fenv)
 
     # chart-side initial data from the PV-side jet
     j0 = complete_jet(t0, y0, yp0, params)

@@ -257,6 +257,54 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
     assert err.startswith("krawpv: error: cannot write --out ")
 
 
+def test_a_directory_out_fails_before_the_work(capsys, monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "integrate_planar", no_work)
+    code, out, err = run(capsys, "--integrate", "original", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"krawpv: error: cannot write --out {str(tmp_path)!r}: Is a directory\n"
+
+
+def test_out_may_be_a_device(capsys):
+    # a device is written without truncation, which it does not support
+    code, out, _ = run(capsys, "--suite", "oracle", "--N", "1", "--out", os.devnull)
+    assert code == 0
+    assert out == ""
+
+
+STOPPING_RUN = ("--integrate", "original", "--N", "2", "--n", "1", "--to-t", "40")
+
+
+def test_integration_stopping_early_keeps_the_out_file(capsys, tmp_path):
+    target = tmp_path / "x.csv"
+    target.write_bytes(b"old,csv\n")
+    code, out, err = run(capsys, *STOPPING_RUN, "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("krawpv: error: denominator within ")
+    assert target.read_bytes() == b"old,csv\n"
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_integration_stopping_early_leaves_no_new_out_file(capsys, tmp_path):
+    code, _, _ = run(capsys, *STOPPING_RUN, "--out", str(tmp_path / "new.csv"))
+    assert code == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failing_suite_replaces_the_out_file(capsys, tmp_path):
+    # the old text is longer than the report: what is left of it would break the JSON
+    target = tmp_path / "r.json"
+    target.write_text("old " * 100000)
+    code, out, _ = run(capsys, "--suite", "pv", "--tol", "1e-30", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert json.loads(target.read_text())["overall"] == "FAIL"
+
+
 def test_integration_stopping_early_is_one_error_line(capsys):
     # the base system runs into its singular guard near t = 26.3
     code, out, err = run(capsys, "--integrate", "original", "--N", "2", "--n", "1",

@@ -8,7 +8,7 @@ from krawpv.hamiltonians import (
     VERIFIED_IDS,
     HamiltonianError,
     get_hamiltonian,
-    hamiltonian_ids,
+    hamiltonian_registry,
     verify_hamiltonian,
 )
 from krawpv.sampling import Sampler
@@ -26,7 +26,7 @@ def test_unknown_id():
 
 
 def test_registry_contains_verified_ids():
-    ids = hamiltonian_ids()
+    ids = sorted(hamiltonian_registry())
     for hid in VERIFIED_IDS:
         assert hid in ids
 

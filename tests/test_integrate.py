@@ -523,7 +523,7 @@ REFERENCE_RUNS = {  # each with the status of its solves
     # integrate_ode2 until y reaches the guard at infinity before a movable pole
     "ode_U21": (lambda: verify_reduction_trajectory("ode_U21"), 1),
     "pv": (lambda: integrate_pv(
-        pv_params_for("ode_U11").evaluate({"n": 1.0, "N": 3.0, "alpha": 0.5}).floats(),
+        pv_params_for("ode_U11").evaluate({"n": 1.0, "N": 3.0, "alpha": 0.5}),
         1.0, 2.0, 3.0, 0.25), 0),
     "blow_up": (_blow_up, -1),
 }

@@ -9,12 +9,10 @@ from krawpv.oracle import (
     OracleError,
     WeightParams,
     discrete_residuals,
-    hankel_determinant,
     hyp1f1_terminating,
     initial_y0,
     iterate_discrete,
     jet_recurrence,
-    moments,
     oracle_xy,
     stieltjes_recurrence,
     toda_exact_residuals,
@@ -22,6 +20,35 @@ from krawpv.oracle import (
     weight_values,
 )
 from krawpv.reports import RunConfig
+
+
+# an independent reference for the Stieltjes norms: power moments and their
+# Hankel determinants, a_k^2 = D_k D_{k-2} / D_{k-1}^2
+def moments(w, jmax):
+    """Power moments m_j = sum_x x^j w(x), j = 0..jmax, with 0**0 = 1."""
+    wv = weight_values(w)
+    return tuple(sum(Fraction(x) ** j * wx for x, wx in enumerate(wv)) for j in range(jmax + 1))
+
+
+def hankel_determinant(m, k):
+    """det(m[i+j]) for 0 <= i,j <= k, by Gaussian elimination."""
+    size = k + 1
+    assert 2 * k < len(m), "moment table too short for the Hankel determinant"
+    a = [[m[i + j] for j in range(size)] for i in range(size)]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((row for row in range(col, size) if a[row][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for row in range(col + 1, size):
+            f = a[row][col] / a[col][col]
+            for j in range(col, size):
+                a[row][j] -= f * a[col][j]
+    return det
 
 
 def test_weight_positive_on_support():
@@ -44,8 +71,8 @@ def test_moments_match_direct_sum():
     w = WeightParams(3, Fraction(0), Fraction(1))
     m = moments(w, 2)
     wv = weight_values(w)
-    assert m.m[0] == sum(wv)
-    assert m.m[1] == sum(Fraction(i) * v for i, v in enumerate(wv))
+    assert m[0] == sum(wv)
+    assert m[1] == sum(Fraction(i) * v for i, v in enumerate(wv))
 
 
 def test_hankel_determinants_positive():

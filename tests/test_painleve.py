@@ -41,10 +41,10 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
-ZERO_PARAMS = PVParams(F(0), F(0), F(0), F(0))
+ZERO_PARAMS = PVParams(F(0), F(0), F(0))
 
-# Reference data: each chart's quadruple (α₅, β₅, γ₅, δ₅) written as squares,
-# independently of the signed branch table the library builds them from.
+# Reference data: each chart's (α₅, β₅, γ₅) written as squares, independently
+# of the signed branch table the library builds them from; δ₅ = −1/2 throughout.
 n, NN, al = syms("n N alpha")
 _H = Fraction(1, 2)
 _FIRST = (_H * n**2, -_H * al**2, al + n - 2 * NN - 1)
@@ -65,7 +65,7 @@ REFERENCE_QUADRUPLES = {
 
 
 def reference_quadruple(chart_id, env):
-    return tuple(e.evaluate(env) for e in REFERENCE_QUADRUPLES[chart_id]) + (F(-1, 2),)
+    return tuple(e.evaluate(env) for e in REFERENCE_QUADRUPLES[chart_id])
 
 
 def _exact_sqrt(x):
@@ -75,32 +75,53 @@ def _exact_sqrt(x):
 
 
 def reference_backlund_params(p, s):
-    """The parameter map on the positive roots c = √(2α₅), a = √(−2β₅), k = √(−2δ₅)."""
-    c, a, k = _exact_sqrt(2 * p.a5), _exact_sqrt(-2 * p.b5), _exact_sqrt(-2 * p.d5)
+    """The parameter map on the positive roots c = √(2α₅), a = √(−2β₅), k = √(−2δ₅).
+
+    The general map keeps δ₅, here −1/2 as in every catalogued PV.
+    """
+    d5 = F(-1, 2)
+    c, a, k = _exact_sqrt(2 * p.a5), _exact_sqrt(-2 * p.b5), _exact_sqrt(-2 * d5)
     w = s.e3 * k * (1 - s.e2 * a - s.e1 * c)
     return PVParams(
-        -(p.g5 + w) ** 2 / (16 * p.d5),
-        (p.g5 - w) ** 2 / (16 * p.d5),
+        -(p.g5 + w) ** 2 / (16 * d5),
+        (p.g5 - w) ** 2 / (16 * d5),
         s.e3 * k * (s.e2 * a - s.e1 * c),
-        p.d5,
     )
 
 
 def quadruple(p):
-    return (p.a5, p.b5, p.g5, p.d5)
+    return (p.a5, p.b5, p.g5)
 
 
 ALL_SIGNS = [BacklundSigns(e1, e2, e3) for e1 in (1, -1) for e2 in (1, -1) for e3 in (1, -1)]
 
 
 def test_residual_zero_params_flat_jet():
-    # with all four parameters zero and yp = ypp = 0 the equation holds
-    j = PVJet(F(1), F(2), F(0), F(0))
+    # with α₅ = β₅ = γ₅ = 0 and yp = 0 only the δ₅ = −1/2 term is left:
+    # ypp = −y(y + 1)/(2(y − 1)), which is −3 at y = 2
+    j = PVJet(F(1), F(2), F(0), F(-3))
     assert pv_residual(j, ZERO_PARAMS) == 0
+    assert pv_residual(PVJet(F(1), F(2), F(0), F(0)), ZERO_PARAMS) == 3
+
+
+@pytest.mark.parametrize("kind", (F, float))
+@pytest.mark.parametrize("t, y", ((0, 2), (1, 0), (1, 1)))
+def test_residual_raises_on_the_singular_loci(kind, t, y):
+    # t = 0 and y in {0, 1} are poles of PV_RHS, on exact and on float jets
+    j = PVJet(kind(t), kind(y), kind(1), kind(0))
+    with pytest.raises(ZeroDivisionError):
+        pv_residual(j, PVParams(kind(1), kind(-1), kind(2)))
+
+
+def test_param_sets_evaluate_to_three_floats_on_a_float_env():
+    env = {"n": 1.0, "N": 3.0, "alpha": 0.5}
+    for chart_id in sorted(PARAM_SETS):
+        p = PARAM_SETS[chart_id].evaluate(env)
+        assert [type(x) for x in quadruple(p)] == [float] * 3, chart_id
 
 
 def test_residual_detects_wrong_second_derivative():
-    p = PVParams(F(1, 2), F(-1, 2), F(0), F(-1, 2))
+    p = PVParams(F(1, 2), F(-1, 2), F(0))
     good = complete_jet(F(1), F(2), F(3), p)
     assert pv_residual(good, p) == 0
     bad = PVJet(good.t, good.y, good.yp, good.ypp + 1)
@@ -108,15 +129,15 @@ def test_residual_detects_wrong_second_derivative():
 
 
 def test_third_derivative_consistent_with_difference_quotient():
-    p = PVParams(F(1, 2), F(-1, 2), F(0), F(-1, 2))
-    j = complete_jet(1.0, 2.0, 3.0, PVParams(0.5, -0.5, 0.0, -0.5))
-    y3 = pv_third_derivative(j, PVParams(0.5, -0.5, 0.0, -0.5))
+    p = PVParams(F(1, 2), F(-1, 2), F(0))
+    j = complete_jet(1.0, 2.0, 3.0, PVParams(0.5, -0.5, 0.0))
+    y3 = pv_third_derivative(j, PVParams(0.5, -0.5, 0.0))
     # compare against a central difference of ypp along the solution direction
     h = 1e-6
     jp = complete_jet(j.t + h, j.y + h * j.yp, j.yp + h * j.ypp,
-                      PVParams(0.5, -0.5, 0.0, -0.5))
+                      PVParams(0.5, -0.5, 0.0))
     jm = complete_jet(j.t - h, j.y - h * j.yp, j.yp - h * j.ypp,
-                      PVParams(0.5, -0.5, 0.0, -0.5))
+                      PVParams(0.5, -0.5, 0.0))
     assert abs((jp.ypp - jm.ypp) / (2 * h) - y3) < 1e-4
 
 
@@ -155,9 +176,9 @@ def test_param_sets_match_the_squared_quadruples(chart_id):
 
 
 def test_backlund_params_worked_example():
-    # (1/2, -1/2, 0, -1/2) has c = a = 1
+    # (1/2, -1/2, 0) has c = a = 1
     st = backlund_step(BranchState(F(0), F(1), F(1)), BacklundSigns(1, 1, 1))
-    assert quadruple(st.params()) == (F(1, 8), F(-1, 8), F(0), F(-1, 2))
+    assert quadruple(st.params()) == (F(1, 8), F(-1, 8), F(0))
 
 
 def test_backlund_image_satisfies_target_pv():
