@@ -8,20 +8,30 @@ certifies, by exact evaluation at random rational points, that
 The prefactor is 1 for the polynomial charts and 1/(p+q) for the weighted
 form of the base (q, p) system.  Only coordinate derivatives are compared,
 so H is determined up to an arbitrary function of t; invariance under adding
-t^3 is part of the test battery.
+t^3 (``T_OFFSET``) is part of the test battery.
+
+The partials are the rates of H on first-order jets: binding one coordinate
+c to ``Jet1.variable`` makes dH/dc the d/dt slot of H, exactly, so no
+derivative tree is built and each registry tree keeps its compiled kernels
+from pass to pass.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Optional
 
 from .expr import ONE, Expr, syms
+from .jets import Jet1, rate
 from .sampling import CaseResult, Sampler, run_case
 from .systems import get_system
 
 t, n, NN, al = syms("t n N alpha")
+
+# the pure function of t the suite adds to every verified H
+T_OFFSET = t**3
 
 
 class HamiltonianError(Exception):
@@ -132,6 +142,19 @@ def get_hamiltonian(h_id: str) -> HamiltonianEntry:
 VERIFIED_IDS = ("H12", "H22", "H32", "H55", "H12b", "Hqp")
 
 
+def partial(h: Expr, c: str, env: Dict[str, Fraction], h_offset: Optional[Expr] = None):
+    """d(h + h_offset)/dc at env: the rate of each tree with coordinate c bound to a jet.
+
+    The two rates are added as values; a sum tree built per call would be
+    compiled again on every call.
+    """
+    jet_env = {**env, c: Jet1.variable(env[c])}
+    d = rate(h.evaluate(jet_env))
+    if h_offset is not None:
+        d += rate(h_offset.evaluate(jet_env))
+    return d
+
+
 def verify_hamiltonian(
     h_id: str,
     sampler: Sampler,
@@ -146,15 +169,13 @@ def verify_hamiltonian(
     entry = get_hamiltonian(h_id)
     system = get_system(entry.system_id)
     c1, c2 = system.chart
-    h = entry.h if h_offset is None else entry.h + h_offset
-    dh_dc2 = h.diff(c2)
-    dh_dc1 = h.diff(c1)
 
     def check(env):
         r1, r2 = system.evaluate_rhs(env)
         w = entry.prefactor.evaluate(env)
         lhs1, lhs2 = w * r1, w * r2
-        rhs1, rhs2 = dh_dc2.evaluate(env), -dh_dc1.evaluate(env)
+        rhs1 = partial(entry.h, c2, env, h_offset)
+        rhs2 = -partial(entry.h, c1, env, h_offset)
         if lhs1 != rhs1 or lhs2 != rhs2:
             return [f"({lhs1}, {lhs2}) != ({rhs1}, {rhs2})"]
         return []

@@ -3,10 +3,12 @@
 Arithmetic follows the Leibniz/quotient rules truncated at order 2 (``Jet2``)
 or order 1 (``Jet1``), so evaluating any rational expression with jet-valued
 inputs yields the value and the first (and second) t-derivative of that
-expression along the curve.  ``Jet1`` carries the oracle's exact Toda check
-and the flow checks of ``maps``, ``systems`` and ``painleve``: binding each
-coordinate to (value, rate) makes the curve a flow line, so y''' of a PV
-solution is the rate of y'' = PV_RHS on the jets (y, y') and (y', y'').
+expression along the curve.  ``Jet1`` carries the oracle's exact Toda check,
+the flow checks of ``maps``, ``systems`` and ``painleve`` and the partials of
+``hamiltonians``: binding each coordinate to (value, rate) makes the curve a
+flow line, so y''' of a PV solution is the rate of y'' = PV_RHS on the jets
+(y, y') and (y', y''), and binding one coordinate c to (c, 1) makes dH/dc the
+rate of H.
 ``Jet2`` carries ``painleve``'s order-2 transports of PV jets.
 
 Both orders treat a scalar the same way: it is a constant, mixes in without

@@ -26,7 +26,7 @@ from . import integrate
 from .expr import Expr, syms
 from .integrate import Trajectory, tolerance_case
 from .jets import Jet1, Jet2, rate
-from .sampling import CaseResult, Sampler, run_case
+from .sampling import CaseResult, Sampler, randbelow, run_case
 from .systems import get_ode2
 
 Scalar = Union[Fraction, float]
@@ -375,9 +375,9 @@ COMPOSITIONS: Dict[str, Composition] = {
 
 def _draw_integer_params(rng) -> Dict[str, Fraction]:
     """Integer 1 <= N <= 12, 0 <= n < N, rational alpha in (0, 1)."""
-    N_val = rng.randint(1, 12)
-    n_val = rng.randint(0, N_val - 1)
-    a_val = Fraction(rng.randint(1, 98), 99)
+    N_val = randbelow(rng, 12) + 1
+    n_val = randbelow(rng, N_val)
+    a_val = Fraction(randbelow(rng, 98) + 1, 99)
     return {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": a_val}
 
 

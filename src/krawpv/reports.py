@@ -307,15 +307,13 @@ def _suite_backlund(cfg: RunConfig) -> List[CaseResult]:
 
 def _suite_hamiltonian(cfg: RunConfig) -> List[CaseResult]:
     from . import hamiltonians as H
-    from .expr import syms
 
-    (t,) = syms("t")
     cases: List[CaseResult] = []
     for hid in H.VERIFIED_IDS:
         cases.append(H.verify_hamiltonian(hid, _sampler(cfg, f"ham:{hid}"), cfg.samples))
         cases.append(
             H.verify_hamiltonian(
-                hid, _sampler(cfg, f"ham_offset:{hid}"), cfg.samples, h_offset=t**3
+                hid, _sampler(cfg, f"ham_offset:{hid}"), cfg.samples, h_offset=H.T_OFFSET
             )
         )
     for hid in ("H12_displayed", "H32_squared_term", "H32_unsquared_factor"):

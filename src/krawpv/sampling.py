@@ -2,8 +2,11 @@
 
 Identities between rational expressions are certified Schwartz-Zippel style:
 evaluate both sides at random rational points and require exact equality.
-Numerators and denominators are drawn from [-99, 99]; a draw is rejected and
-redrawn whenever any guarded denominator vanishes, and rejections are counted.
+Numerators are drawn uniformly from [-99, 99] and denominators from [1, 99],
+each by rejection sampling on ``getrandbits`` (the draw stream of
+``randint``), so no value has probability above mu = 1/199, the figure a
+Schwartz-Zippel bound takes.  A draw is rejected and redrawn whenever any
+guarded denominator vanishes, and rejections are counted.
 
 ``run_case`` is the one loop that runs a sampled identity check:
 
@@ -33,8 +36,23 @@ class SamplingExhausted(RuntimeError):
     """Could not find a nonsingular sample within the resample budget."""
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n) for n >= 1: ``rng.randint(0, n - 1)``, draw for draw.
+
+    It redraws n.bit_length() random bits while they read n or more, as
+    ``randint`` does below its argument handling.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-COORD_BOUND, COORD_BOUND), rng.randint(1, COORD_BOUND))
+    return Fraction(
+        randbelow(rng, 2 * COORD_BOUND + 1) - COORD_BOUND, randbelow(rng, COORD_BOUND) + 1
+    )
 
 
 @dataclass

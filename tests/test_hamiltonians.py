@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from krawpv.expr import syms
+from krawpv import expr
 from krawpv.hamiltonians import (
+    T_OFFSET,
     VERIFIED_IDS,
     HamiltonianError,
     get_hamiltonian,
     hamiltonian_registry,
+    partial,
     verify_hamiltonian,
 )
+from krawpv.reports import RunConfig, run_suite
 from krawpv.sampling import Sampler
-
-(t,) = syms("t")
+from krawpv.systems import get_system
 
 
 def sampler(seed):
@@ -41,7 +43,7 @@ def test_canonical_pairings(h_id):
 def test_offset_invariance(h_id):
     # adding a pure function of t cannot change the coordinate derivatives
     case = verify_hamiltonian(
-        h_id, sampler(f"off:{h_id}"), samples=10, h_offset=t**3
+        h_id, sampler(f"off:{h_id}"), samples=10, h_offset=T_OFFSET
     )
     assert case.passed, case.failures[:3]
 
@@ -63,3 +65,37 @@ def test_uncorrected_variants_fail(h_id):
 def test_prefactor_entry_needs_its_weight():
     entry = get_hamiltonian("Hqp")
     assert entry.prefactor.to_prefix() != "1"
+
+
+@pytest.mark.parametrize("h_id", sorted(hamiltonian_registry()))
+def test_jet_partials_equal_diff_trees(h_id):
+    # the reference: the symbolic derivative of the summed tree, evaluated exactly
+    entry = get_hamiltonian(h_id)
+    chart = get_system(entry.system_id).chart
+    points = sampler(f"partial:{h_id}")
+    names = [*chart, "t", "n", "N", "alpha"]
+    for h_offset in (None, T_OFFSET, -2 * entry.h):
+        h = entry.h if h_offset is None else entry.h + h_offset
+        diffs = {c: h.diff(c) for c in chart}
+        checked = 0
+        while checked < 5:
+            env = points.draw(names, reject=lambda e: e["t"] == 0 or e["N"] == 0)
+            try:
+                expected = {c: diffs[c].evaluate(env) for c in chart}
+            except ZeroDivisionError:
+                continue
+            for c in chart:
+                got = partial(entry.h, c, env, h_offset)
+                assert isinstance(got, Fraction) and got == expected[c], (c, env)
+            checked += 1
+
+
+def test_warm_suite_defines_no_function(monkeypatch):
+    # the first pass compiles every tree it evaluates; the second must find them all compiled
+    cfg = RunConfig(samples=2)
+    run_suite("all", cfg)
+    defined = []
+    define = expr._define
+    monkeypatch.setattr(expr, "_define", lambda *args: defined.append(args[0]) or define(*args))
+    report = run_suite("all", cfg)
+    assert report.cases and defined == []

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from krawpv.expr import UnboundSymbolError, syms
-from krawpv.sampling import MAX_RESAMPLES_PER_POINT, Sampler, run_case
+from krawpv.painleve import _draw_integer_params
+from krawpv.sampling import MAX_RESAMPLES_PER_POINT, Sampler, rand_fraction, run_case
 
 x, z = syms("x z")
 
@@ -90,3 +91,17 @@ def test_exhausted_draw_fails_after_completed_samples():
 def test_nonpositive_samples_rejected(samples):
     with pytest.raises(ValueError):
         run_case("c", Sampler(random.Random(0)), samples, points(1), lambda env: [])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260823])
+def test_draw_stream_is_randints(seed):
+    # randbelow reads getrandbits as randint does: the same values, in the same order
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(10_000):
+        assert rand_fraction(rng) == Fraction(twin.randint(-99, 99), twin.randint(1, 99))
+    for _ in range(10_000):
+        N = twin.randint(1, 12)
+        expected = {"n": Fraction(twin.randint(0, N - 1)), "N": Fraction(N),
+                    "alpha": Fraction(twin.randint(1, 98), 99)}
+        assert _draw_integer_params(rng) == expected
+    assert rng.getstate() == twin.getstate()
