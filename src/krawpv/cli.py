@@ -179,31 +179,42 @@ def _output(out: Optional[str]) -> Iterator[Callable[[str], object]]:
     The file is opened before the work, so that a bad path costs none, but not
     truncated: a regular file is emptied only when the output is written.  So
     a run that writes nothing (an ``--integrate`` that stops early) leaves an
-    existing file as it was, and removes the empty file it created.
+    existing file as it was, and removes the empty file it created.  A failed
+    open, write or close (a full disk) is a usage error.
     """
     if not out:
         yield sys.stdout.write
         return
+
+    @contextlib.contextmanager
+    def usage_error_on_os_error():
+        try:
+            yield
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+
     existed = os.path.lexists(out)
-    try:
+    with usage_error_on_os_error():
         fh = open(out, "a")
-    except OSError as exc:
-        raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
     written = False
 
     def write(text: str) -> None:
         nonlocal written
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate(0)
-        fh.write(text)
+        with usage_error_on_os_error():
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+            fh.write(text)
         written = True
 
     try:
-        with fh:
-            yield write
+        yield write
     finally:
-        if not (existed or written):
-            os.remove(out)
+        try:
+            with usage_error_on_os_error():
+                fh.close()  # flushes what the last write buffered
+        finally:
+            if not (existed or written):
+                os.remove(out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

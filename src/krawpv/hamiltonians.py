@@ -8,7 +8,8 @@ certifies, by exact evaluation at random rational points, that
 The prefactor is 1 for the polynomial charts and 1/(p+q) for the weighted
 form of the base (q, p) system.  Only coordinate derivatives are compared,
 so H is determined up to an arbitrary function of t; invariance under adding
-t^3 (``T_OFFSET``) is part of the test battery.
+t^3 (``T_OFFSET``) is part of the test battery.  An entry flagged
+``control`` is a display-typo variant, kept because its check must fail.
 
 The partials are the rates of H on first-order jets: binding one coordinate
 c to ``Jet1.variable`` makes dH/dc the d/dt slot of H, exactly, so no
@@ -44,6 +45,8 @@ class HamiltonianEntry:
     system_id: str
     h: Expr  # rational in the chart coordinates, t, and (n, N, alpha)
     prefactor: Expr = ONE
+    # a display-typo variant kept as a non-degeneracy control: it must fail
+    control: bool = False
 
 
 @functools.cache
@@ -73,6 +76,7 @@ def hamiltonian_registry() -> Dict[str, HamiltonianEntry]:
         V * (NN * U * (V * (n - 2 * NN - 2) - NN * U * (V - 1) ** 2
                        + al - n + 2 * NN - t + 2)) / (NN * t)
         - (NN + 1) * (-n + NN + 1) / (NN * t),
+        control=True,
     ))
 
     U, V = syms("U22 V22")
@@ -99,12 +103,14 @@ def hamiltonian_registry() -> Dict[str, HamiltonianEntry]:
         (-NN * U * (V * (V * (al - n + NN + 1) - al + n - 2 * NN + t - 2) + NN + 1)
          + al * V * (n - NN - 1) ** 2) / (NN * t)
         - NN**2 * U**2 * V * (V - 1) ** 2 / (NN * t),
+        control=True,
     ))
     add(HamiltonianEntry(
         "H32_unsquared_factor", "UV32",
         (-NN * U * (V * (V * (al - n + NN + 1) - al + n - 2 * NN + t - 2) + NN + 1)
          + al * V * (n - NN - 1)) / (NN * t)
         - NN**2 * U**2 * V * (V - 1) / (NN * t),
+        control=True,
     ))
 
     u, v = syms("u55 v55")
@@ -136,10 +142,6 @@ def get_hamiltonian(h_id: str) -> HamiltonianEntry:
         return hamiltonian_registry()[h_id]
     except KeyError:
         raise HamiltonianError(f"unknown Hamiltonian id {h_id!r}") from None
-
-
-# the six catalogued pairings that must verify
-VERIFIED_IDS = ("H12", "H22", "H32", "H55", "H12b", "Hqp")
 
 
 def partial(h: Expr, c: str, env: Dict[str, Fraction], h_offset: Optional[Expr] = None):

@@ -211,11 +211,14 @@ def _suite_transforms(cfg: RunConfig) -> List[CaseResult]:
     from . import maps as M
 
     cases: List[CaseResult] = []
-    for src, mid, tgt in M.PUSHFORWARD_TRIPLES:
-        cid = f"pushforward:{src}--{mid}-->{tgt}"
-        cases.append(M.pushforward_check(src, mid, tgt, _sampler(cfg, cid), cfg.samples))
+    # a control map is a typo'd variant: its pushforward must fail
+    for src, mid, tgt in M.pushforward_triples():
+        control = M.get_map(mid).control
+        sampler = _sampler(cfg, f"pushforward:{src}--{mid}-->{tgt}")
+        case = M.pushforward_check(mid, sampler, 10 if control else cfg.samples)
+        cases.append(_expect_fail(case) if control else case)
     for mid, m in sorted(M.map_registry().items()):
-        if m.inverse is not None and not mid.endswith("_tswap"):
+        if m.inverse is not None and not m.control:
             cases.append(M.verify_inverse(mid, _sampler(cfg, f"inverse:{mid}"), cfg.samples))
     for cid in sorted(M.CASCADES):
         cases.append(M.verify_cascade(cid, _sampler(cfg, f"cascade:{cid}"), cfg.samples))
@@ -223,14 +226,6 @@ def _suite_transforms(cfg: RunConfig) -> List[CaseResult]:
     for cid in sorted(M.CASCADE_CONTROLS):
         cases.append(
             _expect_fail(M.verify_cascade(cid, _sampler(cfg, f"cascade:{cid}"), 10))
-        )
-    for src, mid, tgt in [
-        ("original_QP", "Phi54_tswap", "uv54"),
-        ("uv510b", "psi11_hat_printed", "UV11"),
-    ]:
-        cid = f"pushforward:{src}--{mid}-->{tgt}"
-        cases.append(
-            _expect_fail(M.pushforward_check(src, mid, tgt, _sampler(cfg, cid), 10))
         )
     return cases
 
@@ -309,16 +304,16 @@ def _suite_hamiltonian(cfg: RunConfig) -> List[CaseResult]:
     from . import hamiltonians as H
 
     cases: List[CaseResult] = []
-    for hid in H.VERIFIED_IDS:
-        cases.append(H.verify_hamiltonian(hid, _sampler(cfg, f"ham:{hid}"), cfg.samples))
+    for hid, entry in H.hamiltonian_registry().items():
+        sampler = _sampler(cfg, f"ham:{hid}")
+        if entry.control:  # a typo'd display: it must fail
+            cases.append(_expect_fail(H.verify_hamiltonian(hid, sampler, 10)))
+            continue
+        cases.append(H.verify_hamiltonian(hid, sampler, cfg.samples))
         cases.append(
             H.verify_hamiltonian(
                 hid, _sampler(cfg, f"ham_offset:{hid}"), cfg.samples, h_offset=H.T_OFFSET
             )
-        )
-    for hid in ("H12_displayed", "H32_squared_term", "H32_unsquared_factor"):
-        cases.append(
-            _expect_fail(H.verify_hamiltonian(hid, _sampler(cfg, f"ham:{hid}"), 10))
         )
     return cases
 

@@ -76,7 +76,8 @@ class ScalarODE2:
 
     ``elimination`` expresses the eliminated chart coordinate in terms of
     (y, yp, t, params); ``reduce_coord``/``elim_coord`` name the chart
-    coordinates playing the roles of y and the eliminated variable.
+    coordinates playing the roles of y and the eliminated variable, the
+    latter being the parent chart's other coordinate.
     """
 
     id: str
@@ -492,6 +493,11 @@ def system_ids():
     return sorted(registry().keys())
 
 
+def system_on_chart(chart: Tuple[str, str]) -> Optional[str]:
+    """The id of the catalogued system on ``chart``, or None if no system is."""
+    return next((sid for sid, s in registry().items() if s.chart == tuple(chart)), None)
+
+
 # ---------------------------------------------------------------------------
 # regularity on exceptional divisors
 # ---------------------------------------------------------------------------
@@ -606,8 +612,12 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
     reg: Dict[str, ScalarODE2] = {}
     sysreg = registry()
 
-    def add(ode_id, parent_id, reduce_coord, elim_coord, rhs, alpha_fixed=None):
+    def add(ode_id, parent_id, reduce_coord, rhs, alpha_fixed=None):
         parent = sysreg[parent_id]
+        if reduce_coord not in parent.chart:
+            raise CatalogueError(f"{ode_id}: {reduce_coord} is not a coordinate of {parent_id}")
+        # the eliminated coordinate is the parent chart's other one
+        (elim_coord,) = (c for c in parent.chart if c != reduce_coord)
         elim = _derive_elimination(parent, reduce_coord, elim_coord)
         reg[ode_id] = ScalarODE2(
             ode_id, parent_id, reduce_coord, elim_coord, rhs, elim, alpha_fixed
@@ -632,24 +642,24 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
         al + n - 2 * NN - 1,
         2 * al + 4 * y * (al + n - 2 * NN - 1) + 2 * n - 4 * NN - 5 * t - 2,
     )
-    add("ode_U11", "UV11", "U11", "V11", rhs_u11)
+    add("ode_U11", "UV11", "U11", rhs_u11)
 
     rhs_u21 = level_one_rhs(
         y**2 * ((n - al) * (al + n - 2 * NN - 2) + y * (y + 2) * _sq(-n + NN + 1)),
         al + n + 1,
         2 * al + 4 * y * (al + n + 1) + 2 * n - 5 * t + 2,
     )
-    add("ode_U21", "UV21", "U21", "V21", rhs_u21)
+    add("ode_U21", "UV21", "U21", rhs_u21)
 
     rhs_u31 = level_one_rhs(
         y**2 * ((al + n) * (al + n - 2 * NN - 2) + y * (y + 2) * _sq(al + n - NN - 1)),
         -al + n + 1,
         -2 * al + 4 * y * (-al + n + 1) + 2 * n - 5 * t + 2,
     )
-    add("ode_U31", "UV31", "U31", "V31", rhs_u31)
+    add("ode_U31", "UV31", "U31", rhs_u31)
 
     # same displayed equation as ode_U11 after renaming v54 -> y
-    add("ode_v54", "uv54", "v54", "u54", rhs_u11)
+    add("ode_v54", "uv54", "v54", rhs_u11)
 
     # alpha = 0 tilde chart reduction
     rhs_tilde = (
@@ -661,7 +671,7 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
         + (y * (y * (y * (2 * t * y - 2 * n - 5 * t - 2) + 4 * t) - 2 * n - t - 2))
         / (2 * t * (y - 1))
     )
-    add("ode_tildeV22", "tildeUV22", "tV22", "tU22", rhs_tilde, alpha_fixed=Fraction(0))
+    add("ode_tildeV22", "tildeUV22", "tV22", rhs_tilde, alpha_fixed=Fraction(0))
 
     # polynomial-chart reductions: already in PV shape
     def pv_shape(a5_like, b5_like, g5_like):
@@ -673,11 +683,11 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
             - y * (y + 1) / (2 * (y - 1))
         )
 
-    add("ode_V12", "UV12", "V12", "U12",
+    add("ode_V12", "UV12", "V12",
         pv_shape(half * n**2, -half * al**2, al + n - 2 * NN - 1))
-    add("ode_V22", "UV22", "V22", "U22",
+    add("ode_V22", "UV22", "V22",
         pv_shape(half * _sq(-n + NN + 1), -half * _sq(-al + NN + 1), al + n + 1))
-    add("ode_V32", "UV32", "V32", "U32",
+    add("ode_V32", "UV32", "V32",
         pv_shape(half * _sq(-al - n + NN + 1), (-(NN**2) - 2 * NN - 1) * half, -al + n + 1))
 
     return reg

@@ -275,6 +275,27 @@ def test_out_may_be_a_device(capsys):
     assert out == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [
+    ("--dump-catalogue",),  # the catalogue outgrows the buffer: the write fails
+    ("--suite", "decompositions", "--format", "csv"),  # the flush at close fails
+])
+def test_a_full_out_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err == "krawpv: error: cannot write --out '/dev/full': No space left on device\n"
+
+
+def test_an_os_error_in_the_work_is_not_an_out_error(capsys, monkeypatch, tmp_path):
+    def failing_work(*args, **kwargs):
+        raise OSError("not a write")
+
+    monkeypatch.setattr(cli, "run_suite", failing_work)
+    with pytest.raises(OSError, match="not a write"):
+        main(["--suite", "oracle", "--out", str(tmp_path / "r.json")])
+
+
 STOPPING_RUN = ("--integrate", "original", "--N", "2", "--n", "1", "--to-t", "40")
 
 

@@ -6,7 +6,6 @@ import pytest
 from krawpv import expr
 from krawpv.hamiltonians import (
     T_OFFSET,
-    VERIFIED_IDS,
     HamiltonianError,
     get_hamiltonian,
     hamiltonian_registry,
@@ -27,10 +26,13 @@ def test_unknown_id():
         get_hamiltonian("nope")
 
 
+VERIFIED_IDS = sorted(hid for hid, e in hamiltonian_registry().items() if not e.control)
+CONTROL_IDS = sorted(hid for hid, e in hamiltonian_registry().items() if e.control)
+
+
 def test_registry_contains_verified_ids():
-    ids = sorted(hamiltonian_registry())
-    for hid in VERIFIED_IDS:
-        assert hid in ids
+    assert VERIFIED_IDS == sorted(["H12", "H22", "H32", "H55", "H12b", "Hqp"])
+    assert CONTROL_IDS == ["H12_displayed", "H32_squared_term", "H32_unsquared_factor"]
 
 
 @pytest.mark.parametrize("h_id", VERIFIED_IDS)
@@ -54,9 +56,7 @@ def test_sign_flip_fails():
     assert case.status == "FAIL"
 
 
-@pytest.mark.parametrize(
-    "h_id", ["H12_displayed", "H32_squared_term", "H32_unsquared_factor"]
-)
+@pytest.mark.parametrize("h_id", CONTROL_IDS)
 def test_uncorrected_variants_fail(h_id):
     case = verify_hamiltonian(h_id, sampler(f"bad:{h_id}"), samples=10)
     assert case.status == "FAIL"

@@ -13,13 +13,13 @@ from krawpv.maps import (
     DECOMPOSITIONS,
     INDETERMINACY_POINTS,
     PARAMS,
-    PUSHFORWARD_TRIPLES,
     ChartMismatchError,
     MapError,
     apply_chain,
     apply_map,
     get_map,
     pushforward_check,
+    pushforward_triples,
     verify_bridge_rename,
     verify_cascade,
     verify_decomposition,
@@ -77,29 +77,76 @@ def test_chain_with_unjoined_charts_raises():
         apply_chain([get_map("phi_qP"), get_map("phi11")], {})
 
 
-@pytest.mark.parametrize("triple", PUSHFORWARD_TRIPLES, ids=lambda t: "-".join(t))
+# the certified (source system, map, target system) triples, spelled out so
+# that a map added between two catalogued charts shows here as a deliberate change
+CERTIFIED_TRIPLES = {
+    ("original", "phi11", "uv11"),
+    ("original", "phi11_hat", "UV11"),
+    ("original", "phi21", "uv21"),
+    ("original", "phi21_hat", "UV21"),
+    ("original", "phi31", "uv31"),
+    ("original", "phi31_hat", "UV31"),
+    ("uv21", "tilde_phi22", "tildeUV22"),
+    ("original", "phi_qP", "original_qP"),
+    ("original", "phi_Qp", "original_Qp"),
+    ("original", "phi_QP", "original_QP"),
+    ("original_qP", "phi41_hat", "UV41"),
+    ("original_QP", "Phi54", "uv54"),
+    ("original_QP", "Phi54b", "uv54b"),
+    ("UV41", "phi42", "uv42"),
+    ("uv42", "phi43a", "uv43a"),
+    ("uv42", "phi43b", "uv43b"),
+    ("uv42", "phi43c", "uv43c"),
+    ("uv42", "varphi11_hat", "UV11"),
+    ("uv42", "varphi21_hat", "UV21"),
+    ("uv42", "varphi31_hat", "UV31"),
+    ("uv54b", "phi55b", "uv55b"),
+    ("uv55b", "phi56b", "uv56b"),
+    ("uv56b", "Phi510b", "uv510b"),
+    ("uv510b", "psi11_hat", "UV11"),
+    ("UV11", "phi12_hat", "UV12"),
+    ("UV21", "phi22_hat", "UV22"),
+    ("UV31", "phi32_hat", "UV32"),
+    ("uv54", "phi55_poly", "uv55"),
+    ("uv11", "phi12b", "uv12b"),
+}
+CONTROL_TRIPLES = {
+    ("original_QP", "Phi54_tswap", "uv54"),
+    ("uv510b", "psi11_hat_printed", "UV11"),
+}
+
+
+def test_pushforward_triples_are_the_certified_ones_and_the_controls():
+    triples = pushforward_triples()
+    assert len(triples) == len(set(triples)) == 31
+    assert set(triples) == CERTIFIED_TRIPLES | CONTROL_TRIPLES
+    assert {tr for tr in triples if get_map(tr[1]).control} == CONTROL_TRIPLES
+
+
+@pytest.mark.parametrize(
+    "triple", [tr for tr in pushforward_triples() if not get_map(tr[1]).control],
+    ids=lambda t: "-".join(t),
+)
 def test_pushforward(triple):
     src, mid, tgt = triple
-    case = pushforward_check(src, mid, tgt, sampler(f"pf:{mid}"), samples=20)
+    case = pushforward_check(mid, sampler(f"pf:{mid}"), samples=20)
+    assert case.id == f"pushforward:{src}--{mid}-->{tgt}"
     assert case.passed, case.failures[:3]
 
 
-def test_pushforward_mismatched_triple_fails_not_raises():
-    case = pushforward_check("original", "phi11_hat", "UV21", sampler("bad"))
-    assert case.status == "FAIL"
+def test_pushforward_of_a_map_off_the_catalogued_charts_raises():
+    # phi51's target chart (u51, v51) carries no catalogued system
+    with pytest.raises(MapError, match="phi51 does not join two catalogued charts"):
+        pushforward_check("phi51", sampler("bad"))
 
 
 def test_swapped_center_variant_fails_pushforward():
-    case = pushforward_check(
-        "original_QP", "Phi54_tswap", "uv54", sampler("tswap"), samples=10
-    )
+    case = pushforward_check("Phi54_tswap", sampler("tswap"), samples=10)
     assert case.status == "FAIL"
 
 
 def test_printed_reciprocal_variant_fails_pushforward():
-    case = pushforward_check(
-        "uv510b", "psi11_hat_printed", "UV11", sampler("printed"), samples=10
-    )
+    case = pushforward_check("psi11_hat_printed", sampler("printed"), samples=10)
     assert case.status == "FAIL"
 
 
@@ -113,7 +160,7 @@ def test_target_field_off_by_t_fails_every_sample(monkeypatch, triple):
     (t,) = syms("t")
     bad = dataclasses.replace(target, rhs2_num=target.rhs2_num + t * target.rhs2_den)
     monkeypatch.setitem(systems.registry(), tgt, bad)
-    case = pushforward_check(src, mid, tgt, sampler(f"off:{mid}"), samples=10)
+    case = pushforward_check(mid, sampler(f"off:{mid}"), samples=10)
     assert case.status == "FAIL" and case.samples == 10
     assert [f.split(":")[0] for f in case.failures] == [f"sample {k}" for k in range(1, 11)]
 

@@ -15,7 +15,9 @@ from krawpv.systems import (
     get_ode2,
     get_system,
     ode2_ids,
+    ode2_registry,
     system_ids,
+    system_on_chart,
 )
 
 
@@ -133,6 +135,28 @@ def test_term_nonlinear_in_the_eliminated_coordinate_fails_soundness(monkeypatch
     assert case.status == "FAIL" and case.samples == 10
     flow_failures = [f for f in case.failures if "elimination does not invert the flow" in f]
     assert [f.split(":")[0] for f in flow_failures] == [f"sample {k}" for k in range(1, 11)]
+
+
+def test_each_reduction_eliminates_the_other_coordinate_of_its_parent_chart():
+    for oid in ode2_ids():
+        ode = get_ode2(oid)
+        chart = get_system(ode.parent_id).chart
+        assert {ode.reduce_coord, ode.elim_coord} == set(chart), oid
+
+
+def test_reduce_coord_off_the_parent_chart_is_a_catalogue_error(monkeypatch):
+    reg = dict(systems.registry())
+    reg["UV11"] = dataclasses.replace(reg["UV11"], chart=("X11", "V11"))
+    monkeypatch.setattr(systems, "registry", lambda: reg)
+    with pytest.raises(CatalogueError, match="ode_U11: U11 is not a coordinate of UV11"):
+        ode2_registry.__wrapped__()  # a fresh build, past the cache
+
+
+def test_system_on_chart_finds_the_one_system_there():
+    for sid in system_ids():
+        assert system_on_chart(get_system(sid).chart) == sid
+    assert system_on_chart(["q", "p"]) == "original"
+    assert system_on_chart(("u51", "v51")) is None
 
 
 def test_catalogued_rhs_off_by_t_fails_every_sample(monkeypatch):
