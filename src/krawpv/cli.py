@@ -9,14 +9,12 @@ that stops early, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import re
-import stat
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .integrate import SINGULAR_GUARD, UNDERFLOW, Trajectory, integrate_planar, trajectory_csv
 from .oracle import OracleError, WeightParams, oracle_xy
@@ -172,49 +170,46 @@ def _integration(system_id: str, args) -> Callable[[], Trajectory]:
     return lambda: integrate_planar(system, ic, float(t0), args.to_t, params)
 
 
-@contextlib.contextmanager
-def _output(out: Optional[str]) -> Iterator[Callable[[str], object]]:
-    """The writer of the run's output: stdout, or the ``--out`` file.
+def _check_out(out: Optional[str]) -> None:
+    """Fail on a bad ``--out`` before the work: open it for appending and close it.
 
-    The file is opened before the work, so that a bad path costs none, but not
-    truncated: a regular file is emptied only when the output is written.  So
-    a run that writes nothing (an ``--integrate`` that stops early) leaves an
-    existing file as it was, and removes the empty file it created.  A failed
-    open, write or close (a full disk) is a usage error.
+    Nothing is truncated, and a file the check created is removed again, so a
+    run that writes nothing (an ``--integrate`` that stops early) leaves an
+    existing file as it was and no new one.
     """
     if not out:
-        yield sys.stdout.write
         return
+    existed = os.path.lexists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(out)
 
-    @contextlib.contextmanager
-    def usage_error_on_os_error():
+
+def _write(out: Optional[str], text: str) -> None:
+    """Write the run's output once, to the ``--out`` file or to stdout.
+
+    A failed write, or the close or flush after it (a full disk), is a usage
+    error.  On stdout, fd 1 then points at ``os.devnull``, so that the
+    interpreter's own flush at exit does not report the error again.
+    """
+    if out:
         try:
-            yield
+            with open(out, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
-
-    existed = os.path.lexists(out)
-    with usage_error_on_os_error():
-        fh = open(out, "a")
-    written = False
-
-    def write(text: str) -> None:
-        nonlocal written
-        with usage_error_on_os_error():
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-            fh.write(text)
-        written = True
-
+        return
     try:
-        yield write
-    finally:
-        try:
-            with usage_error_on_os_error():
-                fh.close()  # flushes what the last write buffered
-        finally:
-            if not (existed or written):
-                os.remove(out)
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -225,20 +220,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed = _resolve_seed(args.seed)  # a malformed $KRAWPV_SEED is an error in every mode
         vars(args).update({k: v for k, v in _DEFAULTS.items() if getattr(args, k) is None})
         if args.dump_catalogue:
-            text = _dump_catalogue()
-            with _output(args.out) as write:
-                write(text)
+            _write(args.out, _dump_catalogue())
             return 0
         if args.integrate:
             run = _integration(args.integrate, args)
-            with _output(args.out) as write:
-                traj = run()
-                if traj.status != 0:  # a planar run's only guards are its denominators
-                    stop = (f"denominator within {SINGULAR_GUARD} of zero near t = {traj.t1}"
-                            if traj.status == 1 else UNDERFLOW)
-                    print(f"krawpv: error: {stop}", file=sys.stderr)
-                    return 1
-                write(trajectory_csv(traj))
+            _check_out(args.out)
+            traj = run()
+            if traj.status != 0:  # a planar run's only guards are its denominators
+                stop = (f"denominator within {SINGULAR_GUARD} of zero near t = {traj.t1}"
+                        if traj.status == 1 else UNDERFLOW)
+                print(f"krawpv: error: {stop}", file=sys.stderr)
+                return 1
+            _write(args.out, trajectory_csv(traj))
             return 0
         if not args.suite:
             parser.print_usage(sys.stderr)
@@ -255,9 +248,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from_t=args.from_t,
             to_t=args.to_t,
         )
-        with _output(args.out) as write:
-            report = run_suite(args.suite, cfg)
-            write(emit_report(report, args.format))
+        _check_out(args.out)
+        report = run_suite(args.suite, cfg)
+        _write(args.out, emit_report(report, args.format))
         return 0 if report.overall == "PASS" else 1
     except (UsageError, CatalogueError, OracleError) as exc:
         # args[0], not str(exc): CatalogueError is a KeyError, whose str() adds quotes

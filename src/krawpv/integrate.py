@@ -8,12 +8,12 @@ the accept/reject loop, each stage as two local floats.  It follows scipy's
 Prince, "A family of embedded Runge-Kutta formulae", 1980), the same initial
 step and step-size control (Hairer, Nørsett & Wanner, *Solving Ordinary
 Differential Equations I*, §II.4-II.6), and the same terminal events: a sign
-change of an event function over a step, then a Brent root on that step's
-interpolant.  Each stage sums the tableau's terms in ``RK45``'s order, first
-to last.  numpy's dot products may group those sums differently, so step
-ends and states agree with scipy's to rounding, not to the bit, while the
-number of steps and right-hand-side calls is the same; numpy's
-per-operation overhead is gone.
+change of an event function over a step, then a root found by a bisection on
+that step's interpolant to scipy's tolerance.  Each stage sums the tableau's
+terms in ``RK45``'s order, first to last.  numpy's dot products may group
+those sums differently, so step ends and states agree with scipy's to
+rounding, not to the bit, while the number of steps and right-hand-side calls
+is the same; numpy's per-operation overhead is gone.
 
 Around it, compiled right-hand sides are integrated with singular guards on
 every catalogued denominator, which stop the run before the state reaches a
@@ -182,58 +182,35 @@ def _dense_coefficients(stages) -> Tuple[List[float], List[float]]:
              for p1, p3, p4, p5, p6, p7 in _P_COLUMNS])
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
-    """A root of ``f`` bracketed by ``[xa, xb]``: a port of scipy's ``brentq``.
+def _event_root(f: Callable[[float], float], a: float, b: float) -> float:
+    """The crossing of ``f``'s sign change on ``[a, b]``, found by bisection.
 
-    Brent's method (inverse quadratic interpolation, secant or bisection),
-    with ``xtol = rtol = 4·EPS`` as scipy's event location uses it, and at
-    most 100 iterations.
+    Each halving keeps the half whose ends differ in sign.  It stops at
+    scipy's event tolerance, a width of at most ``4·EPS·max(|a|, |b|)``, or
+    when the midpoint is an end, and returns the end past the crossing.  A
+    zero of ``f`` at ``a`` or at a midpoint is returned as it is.
     """
-    xtol = rtol = 4 * EPS
-
     def value(x):
         fx = f(x)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1, fpre) == math.copysign(1, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    fa = value(a)
+    if fa == 0:
+        return a
+    while abs(b - a) > 4 * EPS * max(abs(a), abs(b)):
+        m = (a + b) / 2
+        if m == a or m == b:
+            break
+        fm = value(m)
+        if fm == 0:
+            return m
+        if (fm < 0) == (fa < 0):
+            a = m
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+            b = m
+    return b
 
 
 def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
@@ -322,18 +299,15 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
         active = [event for event, a, b in zip(events, ev, ev_new)
                   if a <= 0 <= b or a >= 0 >= b]
         if active:
-            roots = [_brentq(lambda tv, event=event: event(tv, step(tv)), t, t_new)
+            roots = [_event_root(lambda tv, event=event: event(tv, step(tv)), t, t_new)
                      for event in active]
             t_new = min(roots) if direction > 0 else max(roots)
             y_end = step(t_new)
             status = 1
         ev = ev_new
-        if len(ts) > 1 and ts[-1] == t_new:  # an event root at the step start
-            steps.pop()
-        else:
-            ts.append(t_new)
-            ys0.append(y_end[0])
-            ys1.append(y_end[1])
+        ts.append(t_new)
+        ys0.append(y_end[0])
+        ys1.append(y_end[1])
         t, y0, y1, a0, a1 = t_new, z0, z1, g0, g1
     return Trajectory(tuple(ts), (tuple(ys0), tuple(ys1)), steps, status, nfev)
 

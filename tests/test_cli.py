@@ -287,6 +287,19 @@ def test_a_full_out_is_a_usage_error(capsys, argv):
     assert err == "krawpv: error: cannot write --out '/dev/full': No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [
+    ("--dump-catalogue",),  # the catalogue outgrows the buffer: the write fails
+    ("--suite", "decompositions", "--format", "csv"),  # the flush fails
+])
+def test_a_full_stdout_is_a_usage_error(argv):
+    # one line: the interpreter's flush of stdout at exit must not report the error again
+    with open("/dev/full", "w") as full:
+        proc = python_m_krawpv(*argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == "krawpv: error: cannot write stdout: No space left on device\n"
+
+
 def test_an_os_error_in_the_work_is_not_an_out_error(capsys, monkeypatch, tmp_path):
     def failing_work(*args, **kwargs):
         raise OSError("not a write")
@@ -354,16 +367,21 @@ def test_integration_underflow_is_one_error_line(capsys, monkeypatch):
         "krawpv: error: Required step size is less than spacing between numbers."]
 
 
+def python_m_krawpv(*argv, stdout=subprocess.PIPE):
+    """``python -m krawpv ARGV`` from this checkout, with no ``$KRAWPV_SEED``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "KRAWPV_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "krawpv", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     # `python -m krawpv` from a checkout prints what main prints and exits with its code
     monkeypatch.delenv("KRAWPV_SEED", raising=False)
     argv = ["--suite", "decompositions", "--samples", "5", "--format", "text"]
     code, want, _ = run(capsys, *argv)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items() if k != "KRAWPV_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "krawpv", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = python_m_krawpv(*argv)
     assert (code, proc.returncode) == (0, 0), proc.stderr
     assert proc.stdout == want
     assert want.splitlines()[-1] == "PASS"

@@ -32,6 +32,7 @@ from krawpv.painleve import (
     verify_reduction_trajectory,
     verify_trajectory,
 )
+from krawpv.reports import RunConfig, run_suite
 from krawpv.systems import PlanarSystem, get_ode2, get_system
 
 PARAMS = {"n": 1, "N": 2, "alpha": Fraction(0)}
@@ -261,25 +262,63 @@ def test_guard_event_root_matches_scipy(monkeypatch):
     assert abs(ours.t1 - ref.t[-1]) < 1e-9
 
 
+def assert_past_a_crossing(f, a, b, x):
+    """x lies in [a, b], and f is zero at x or changes sign from 4·EPS·|x| before it to x."""
+    assert min(a, b) <= x <= max(a, b)
+    back = x - math.copysign(4 * sys.float_info.epsilon * abs(x), b - a)  # toward a
+    fx, fback = f(x), f(back)
+    assert fx == 0 or fback == 0 or (fback < 0) != (fx < 0), (a, b, x, fback, fx)
+
+
 @pytest.mark.parametrize("f, a, b", [
     (lambda x: x * x - 2, 0.0, 2.0),
     (lambda x: x * x - 2, 2.0, 0.0),
     (lambda x: 1 - x - x ** 5 / 3, 0.0, 1.5),
     (lambda x: math.cos(x) - x, 0.0, 1.0),
     (lambda x: math.exp(x) - 1e-3, -10.0, 5.0),
+    (lambda x: (x - 1.25) ** 3, -1.0, 3.0),  # a triple root
 ])
-def test_event_root_finder_is_scipy_brentq(f, a, b):
-    # the same float operations in the same order: the same root, bit for bit
-    optimize = pytest.importorskip("scipy.optimize")
-    eps = sys.float_info.epsilon
-    assert integrate._brentq(f, a, b) == optimize.brentq(f, a, b, xtol=4 * eps, rtol=4 * eps)
+def test_event_root_finder_stops_past_the_crossing(f, a, b):
+    assert_past_a_crossing(f, a, b, integrate._event_root(f, a, b))
 
 
-def test_event_root_finder_rejects_what_scipy_rejects():
-    with pytest.raises(ValueError, match="different signs"):
-        integrate._brentq(lambda x: x * x + 1, -1.0, 1.0)
-    with pytest.raises(RuntimeError, match="100 iterations"):  # a triple root: too slow
-        integrate._brentq(lambda x: (x - 1.25) ** 3, -1.0, 3.0)
+def test_event_root_finder_returns_a_zero_at_the_start():
+    assert integrate._event_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: math.nan,  # at the start
+    lambda x: math.nan if x == 0.5 else x - 0.75,  # at the first midpoint
+])
+def test_event_root_finder_rejects_nan(f):
+    with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+        integrate._event_root(f, 0.0, 1.0)
+
+
+def test_an_event_zero_at_the_start_stops_the_run_there():
+    stop = integrate.solve_ivp(lambda t, s: (1.0, s[0]), (1.0, 2.0), (1.0, 0.0),
+                               [lambda t, s: s[0] - 1.0])
+    assert stop.status == 1
+    assert stop.ts == (1.0, 1.0)
+    assert stop.states == ((1.0, 1.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("suite, count", [("pv", 5), ("backlund", 1)])
+def test_every_guard_stop_of_a_suite_is_past_a_crossing(monkeypatch, suite, count):
+    # the events of the default runs, each on the interpolant of the step it stops
+    found = []
+    finder = integrate._event_root
+
+    def spy(f, a, b):
+        x = finder(f, a, b)
+        found.append((f, a, b, x))
+        return x
+
+    monkeypatch.setattr(integrate, "_event_root", spy)
+    run_suite(suite, RunConfig())
+    assert len(found) == count
+    for f, a, b, x in found:
+        assert_past_a_crossing(f, a, b, x)
 
 
 def _blow_up():
@@ -499,7 +538,7 @@ def reference_solve_ivp(fun, t_span, y0, rtol, atol, events):
         active = [event for event, a, b in zip(events, g, g_new)
                   if a <= 0 <= b or a >= 0 >= b]
         if active:
-            roots = [integrate._brentq(lambda tv, event=event: event(tv, step(tv)), t, t_new)
+            roots = [integrate._event_root(lambda tv, event=event: event(tv, step(tv)), t, t_new)
                      for event in active]
             t_new = min(roots) if direction > 0 else max(roots)
             y_end = step(t_new)
