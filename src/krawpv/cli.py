@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence
 
 from .integrate import SINGULAR_GUARD, UNDERFLOW, Trajectory, integrate_planar, trajectory_csv
 from .oracle import OracleError, WeightParams, oracle_xy
-from .reports import SUITE_NAMES, RunConfig, UsageError, check_window, emit_report, run_suite
+from .reports import SUITES, RunConfig, UsageError, check_window, emit_report, run_suite
 from .systems import CatalogueError, get_system, system_ids
 
 SEED_ENV_VAR = "KRAWPV_SEED"
@@ -51,10 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="krawpv",
         description="verification suites for the Krawtchouk-type system lab",
     )
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",),
+    p.add_argument("--suite", choices=(*SUITES, "all"),
                    help="verification suite to run")
     p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (overrides ${SEED_ENV_VAR}; default 20260823)")
+                   help=f"RNG seed (overrides ${SEED_ENV_VAR}; default {RunConfig.seed})")
     p.add_argument("--samples", type=int,
                    help=f"random points per identity check (default {RunConfig.samples})")
     p.add_argument("--N", type=int, action="append", dest="Ns", metavar="N",
@@ -116,7 +116,7 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"${SEED_ENV_VAR} is not an integer: {env!r}") from exc
-    return 20260823
+    return RunConfig.seed
 
 
 def _dump_catalogue() -> str:
@@ -225,7 +225,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.integrate:
             run = _integration(args.integrate, args)
             _check_out(args.out)
-            traj = run()
+            try:
+                traj = run()
+            except ArithmeticError as exc:  # a start or a step float arithmetic cannot evaluate
+                print(f"krawpv: error: the integration raised {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                return 1
             if traj.status != 0:  # a planar run's only guards are its denominators
                 stop = (f"denominator within {SINGULAR_GUARD} of zero near t = {traj.t1}"
                         if traj.status == 1 else UNDERFLOW)
@@ -237,17 +242,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             print("krawpv: error: --suite is required", file=sys.stderr)
             return 2
-        cfg = RunConfig(
-            seed=seed,
-            samples=args.samples,
-            tol=args.tol,
-            Ns=tuple(args.Ns) if args.Ns else RunConfig.Ns,
-            ns=tuple(args.ns) if args.ns else None,
-            alphas=tuple(args.alphas) if args.alphas else RunConfig.alphas,
-            ts=tuple(args.ts) if args.ts else RunConfig.ts,
-            from_t=args.from_t,
-            to_t=args.to_t,
-        )
+        # a value given twice runs once: the sweep's cases are one per distinct point
+        sweep = {dest: tuple(dict.fromkeys(getattr(args, dest)))
+                 for dest in ("Ns", "ns", "alphas", "ts") if getattr(args, dest)}
+        cfg = RunConfig(seed=seed, samples=args.samples, tol=args.tol,
+                        from_t=args.from_t, to_t=args.to_t, **sweep)
         _check_out(args.out)
         report = run_suite(args.suite, cfg)
         _write(args.out, emit_report(report, args.format))

@@ -12,8 +12,8 @@ object once, iteratively in post-order with a quotient's denominator before
 its numerator, and applies one rule to each node and its operands' results.
 ``diff``, ``subs``, ``symbols``, ``to_prefix`` and ``as_num_den`` are such
 rules, each dispatching on the node type, and so is the compiler's schedule
-below, and so are the structural ``==`` and ``hash``.  A subtree shared by
-reference is handled once, and deep trees hit no recursion limit.
+below.  A subtree shared by reference is handled once, and deep trees hit no
+recursion limit.  Trees define no ``==``: two are equal only as one object.
 
 Evaluation is compiled.  The first ``evaluate`` call on a node turns its tree
 into one straight-line Python function and caches it on that instance (no
@@ -134,20 +134,6 @@ class Expr:
 
     def __neg__(self):
         return Neg(self)
-
-    def __eq__(self, other):
-        """Structural equality: same node types, operands, constants, names and powers."""
-        if not isinstance(other, Expr):
-            return NotImplemented
-        ids: Dict[tuple, int] = {}  # one number per distinct subtree of either tree
-
-        def number(node: Expr, args: list) -> int:
-            return ids.setdefault(_node_key(node, args), len(ids))
-
-        return _walk(self, number) == _walk(other, number)
-
-    def __hash__(self):
-        return _walk(self, lambda node, args: hash(_node_key(node, args)))
 
     # --- core operations -------------------------------------------------
 
@@ -308,8 +294,8 @@ def _walk(root: Expr, rule: Callable[[Expr, list], object]):
 def _node_key(node: Expr, args) -> tuple:
     """What identifies ``node`` given the results ``args`` of a fold for its operands.
 
-    With structure-determined results for the operands (their slots, their
-    hashes), equal keys mean structurally equal subtrees.
+    With structure-determined results for the operands (their slots), equal
+    keys mean structurally equal subtrees.
     """
     if isinstance(node, Const):
         return Const, node.value

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 from .expr import ONE, Expr, syms
 from .jets import Jet1, rate
 from .sampling import CaseResult, Sampler, run_case
-from .systems import get_system
+from .systems import PARAM_NAMES, get_system
 
 t, n, NN, al = syms("t n N alpha")
 
@@ -183,7 +183,7 @@ def verify_hamiltonian(
         return []
 
     tag = "" if h_offset is None else "+offset"
-    names = [c1, c2, "t", "n", "N", "alpha"]
+    names = [c1, c2, *PARAM_NAMES]
     return run_case(
         f"hamiltonian:{h_id}{tag}@{entry.system_id}", sampler, samples,
         lambda: sampler.draw(names, reject=lambda e: e["t"] == 0 or e["N"] == 0),

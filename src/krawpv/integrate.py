@@ -386,12 +386,12 @@ def integrate_ode2(
 def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float) -> Trajectory:
     """Integrate the fifth Painlevé equation itself (float parameters).
 
-    Guarded at its singular values y in {0, 1} and its movable poles, y = ∞ (status 1).
+    Guarded at its singular values y in ``SINGULAR_Y`` and its movable poles, y = ∞ (status 1).
     """
-    from .painleve import PV_RHS  # local import to avoid a cycle
+    from .painleve import PV_RHS, SINGULAR_Y  # local import to avoid a cycle
 
     pe = _param_floats(params.as_env())
-    return _integrate_second_order(PV_RHS, pe, (0.0, 1.0), t0, t1, y0, yp0)
+    return _integrate_second_order(PV_RHS, pe, SINGULAR_Y, t0, t1, y0, yp0)
 
 
 def _nan_max(values: Sequence[float]) -> float:
@@ -404,18 +404,25 @@ def tolerance_case(case_id: str, ts: Sequence[float], deviation: Callable[[float
     """The float verdict: PASS iff ``deviation(t) < tol`` at every ``t``, which NaN never is.
 
     The residual is the worst deviation, or ``nan`` if any deviation is NaN.
-    A case with no times checks nothing, so it FAILs.
+    A deviation that raises an ``ArithmeticError`` is NaN, and its failure
+    names the error.  A case with no times checks nothing, so it FAILs.
     """
-    devs = [deviation(tv) for tv in ts]
-    if not devs:
+    if not ts:
         return CaseResult(case_id, "FAIL", residual="nan",
                           failures=[f"no sample times: the {what} was checked nowhere"])
-    case = CaseResult(case_id, "PASS", residual=repr(_nan_max(devs)), samples=len(devs))
-    for tv, dev in zip(ts, devs):
-        if not dev < tol:
-            case.status = "FAIL"
-            case.failures.append(f"t = {tv}: {what} {dev} >= {tol}")
-    return case
+    devs, failures = [], []
+    for tv in ts:
+        try:
+            dev = deviation(tv)
+        except ArithmeticError as exc:
+            dev = math.nan
+            failures.append(f"t = {tv}: the {what} raised {type(exc).__name__}: {exc}")
+        else:
+            if not dev < tol:
+                failures.append(f"t = {tv}: {what} {dev} >= {tol}")
+        devs.append(dev)
+    return CaseResult(case_id, "FAIL" if failures else "PASS", residual=repr(_nan_max(devs)),
+                      samples=len(devs), failures=failures)
 
 
 def compare_trajectories(

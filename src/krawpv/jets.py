@@ -9,7 +9,9 @@ the flow checks of ``maps``, ``systems`` and ``painleve`` and the partials of
 flow line, so y''' of a PV solution is the rate of y'' = PV_RHS on the jets
 (y, y') and (y', y''), and binding one coordinate c to (c, 1) makes dH/dc the
 rate of H.
-``Jet2`` carries ``painleve``'s order-2 transports of PV jets.
+``Jet2`` carries ``painleve``'s order-2 transports of PV jets.  Neither order
+defines ``==``: a guard compares the value slot, ``value(x)``, and a check
+compares ``slots(x)``.
 
 Both orders treat a scalar the same way: it is a constant, mixes in without
 being lifted to a jet, meets the value slot alone in a sum and scales every
@@ -134,13 +136,6 @@ class Jet2:
                 result = result * base
             base, k = base * base, k >> 1
         return result
-
-    def __eq__(self, o):
-        if isinstance(o, Jet2):
-            return self.v == o.v and self.d1 == o.d1 and self.d2 == o.d2
-        if isinstance(o, _SCALARS):
-            return self.v == o and self.d1 == 0 and self.d2 == 0
-        return NotImplemented
 
 
 class Jet1:

@@ -23,11 +23,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .expr import Const, Expr, Sym, syms
 from .jets import rate, value
 from .sampling import CaseResult, Sampler, run_case
-from .systems import PlanarSystem, get_system, system_on_chart
+from .systems import PARAM_NAMES, PlanarSystem, get_system, system_on_chart
 
 t, n, NN, al = syms("t n N alpha")
-
-PARAMS = ("t", "n", "N", "alpha")
 
 
 class MapError(Exception):
@@ -218,7 +216,7 @@ def map_registry() -> Dict[str, BirationalMap]:
     add("phi510b_f", ("u59b", "v59b"), ("u510b", "v510b"),
         {"u59b": (1 + 2 * NN - n + t - al) / t + u * v, "v59b": v})
     add("phi510b_f_printed", ("u59b", "v59b"), ("u510b", "v510b"),
-        {"u59b": (1 + 2 * NN - n + t + al) / t + u * v, "v59b": v})
+        {"u59b": (1 + 2 * NN - n + t + al) / t + u * v, "v59b": v}, control=True)
 
     u56 = S("u56b")
     add("Phi510b", ("u56b", "v56b"), ("u510b", "v510b"),
@@ -300,15 +298,12 @@ def pushforward_triples() -> List[Tuple[str, str, str]]:
     return [tr for tr in map(_pushforward_triple, map_registry().values()) if tr is not None]
 
 
-# named cascades whose composite must match a catalogued closed form
+# named cascades whose composite must match a catalogued closed form; a cascade
+# through a control map, such as the printed (typo'd) last factor, must fail
 CASCADES: Dict[str, Tuple[Tuple[str, ...], str]] = {
     "cascade54": (("phi51", "phi52_hat", "tau52_hat", "phi53", "phi54"), "Phi54"),
     "cascade54b": (("phi51b", "phi52b", "tau52b", "phi53b", "phi54b_f"), "Phi54b"),
     "cascade510b": (("phi57b", "phi58b", "tau58b", "phi59b", "phi510b_f"), "Phi510b"),
-}
-
-# negative controls: the same cascade with the printed (typo'd) last factor
-CASCADE_CONTROLS: Dict[str, Tuple[Tuple[str, ...], str]] = {
     "cascade510b_printed": (
         ("phi57b", "phi58b", "tau58b", "phi59b", "phi510b_f_printed"), "Phi510b"),
 }
@@ -372,7 +367,7 @@ def pushforward_check(map_id: str, sampler: Sampler, samples: int = 50) -> CaseR
     fixed = None if alpha_fixed is None else {"alpha": alpha_fixed}
 
     def draw():
-        env = sampler.draw(PARAMS, fixed=fixed)
+        env = sampler.draw(PARAM_NAMES, fixed=fixed)
         env.update(sampler.draw(target.chart))
         return env
 
@@ -406,7 +401,7 @@ def verify_inverse(map_id: str, sampler: Sampler, samples: int = 50) -> CaseResu
 
     return run_case(
         f"inverse:{map_id}", sampler, samples,
-        lambda: sampler.draw(PARAMS + tuple(m.target_coords)), check,
+        lambda: sampler.draw(PARAM_NAMES + tuple(m.target_coords)), check,
     )
 
 
@@ -420,12 +415,12 @@ def _chains_agree(case_id, left, right, sampler, samples) -> CaseResult:
         a, b = apply_chain(left, env), apply_chain(right, env)
         return [] if a == b else [f"{a} != {b}"]
 
-    return run_case(case_id, sampler, samples, lambda: sampler.draw(PARAMS + charts[1]), check)
+    return run_case(case_id, sampler, samples, lambda: sampler.draw(PARAM_NAMES + charts[1]), check)
 
 
 def verify_cascade(cascade_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
     """The factor composition equals the catalogued closed-form composite."""
-    factor_ids, composite_id = {**CASCADES, **CASCADE_CONTROLS}[cascade_id]
+    factor_ids, composite_id = CASCADES[cascade_id]
     return _chains_agree(
         f"cascade:{cascade_id}=={composite_id}",
         [get_map(f) for f in factor_ids], [get_map(composite_id)], sampler, samples,
@@ -488,5 +483,5 @@ def verify_indeterminacy(
 
     return run_case(
         f"indeterminacy:{point.id}@{point.system_id}", sampler, samples,
-        lambda: sampler.draw(PARAMS, fixed=fixed), check,
+        lambda: sampler.draw(PARAM_NAMES, fixed=fixed), check,
     )

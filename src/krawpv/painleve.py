@@ -40,6 +40,7 @@ class PainleveError(Exception):
 
 
 _HALF = Fraction(1, 2)
+SINGULAR_Y = (0, 1)  # PV's singular values of y: PV_RHS divides by y and by y - 1
 
 # y'' as a rational expression in (y, yp, t) and the parameters (a5, b5, g5),
 # with δ₅ = −1/2; the δ₅ term is subtracted, which rounds as adding −1/2 times it
@@ -133,7 +134,7 @@ def pv_params_for(chart_id: str) -> PVParams:
 def pv_residual(j: PVJet, p: PVParams) -> Scalar:
     """y'' minus the PV right-hand side; exact zero certifies the jet.
 
-    At t = 0 or y in {0, 1}, PV's singular loci, ``PV_RHS`` raises a
+    At t = 0 or y in ``SINGULAR_Y``, PV's singular loci, ``PV_RHS`` raises a
     ``ZeroDivisionError``.
     """
     return j.ypp - PV_RHS.evaluate({"t": j.t, "y": j.y, "yp": j.yp, **p.as_env()})
@@ -231,7 +232,7 @@ def _draw_pv_point(sampler: Sampler, alpha_fixed: Optional[Fraction]) -> Dict[st
     names = ["t", "y", "yp", "n", "N"] + ([] if fixed else ["alpha"])
     return sampler.draw(
         names,
-        reject=lambda e: e["t"] == 0 or e["y"] in (0, 1) or e["N"] == 0,
+        reject=lambda e: e["t"] == 0 or e["y"] in SINGULAR_Y or e["N"] == 0,
         fixed=fixed,
     )
 
@@ -414,7 +415,7 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
     def draw():
         ipar = _draw_integer_params(sampler.rng)
         point = sampler.draw(
-            ["t", "y", "yp"], reject=lambda e: e["t"] == 0 or e["y"] in (0, 1)
+            ["t", "y", "yp"], reject=lambda e: e["t"] == 0 or e["y"] in SINGULAR_Y
         )
         return {**ipar, **point}
 
@@ -460,9 +461,14 @@ def _trajectory_case(case_id: str, integrate: Callable[[float], Trajectory],
     before a movable pole, or where the step size underflowed (status -1).
     The window is then halved, up to seven times, until its end lies between
     t0 and the stop; the case FAILs when no window fits, with the status in
-    words.
+    words.  A start or a run that float arithmetic cannot evaluate (an
+    ``ArithmeticError``) FAILs the case with residual nan, naming the error.
     """
-    traj = integrate(t1)
+    try:
+        traj = integrate(t1)
+    except ArithmeticError as exc:
+        return CaseResult(case_id, "FAIL", residual="nan",
+                          failures=[f"the run raised {type(exc).__name__}: {exc}"])
     if traj.status != 0:
         for _ in range(7):
             t1 = t0 + (t1 - t0) / 2
@@ -535,9 +541,11 @@ def verify_reduction_trajectory(
     fenv = {k: float(v) for k, v in env.items()}
     params = pv_params_for(red.params_id).evaluate(fenv)
 
-    # chart-side initial data from the PV-side jet
-    j0 = complete_jet(t0, y0, yp0, params)
-    u0 = red.transform(Jet2(j0.y, j0.yp, j0.ypp))
+    def run(t_end):
+        # chart-side initial data from the PV-side jet, inside the run that may raise
+        j0 = complete_jet(t0, y0, yp0, params)
+        u0 = red.transform(Jet2(j0.y, j0.yp, j0.ypp))
+        return integrate.integrate_ode2(ode, u0.v, u0.d1, t0, t_end, fenv)
 
     ode_rhs_env = dict(fenv)
 
@@ -546,8 +554,5 @@ def verify_reduction_trajectory(
         yj = red.inverse(Jet2(uv, upv, float(ode.rhs.evaluate(ode_rhs_env))))
         return pv_residual(PVJet(tv, yj.v, yj.d1, yj.d2), params)
 
-    return _trajectory_case(
-        f"reduction_trajectory:{reduction_id}",
-        lambda t_end: integrate.integrate_ode2(ode, u0.v, u0.d1, t0, t_end, fenv),
-        residual, t0, t1, tol, "PV",
-    )
+    return _trajectory_case(f"reduction_trajectory:{reduction_id}", run, residual,
+                            t0, t1, tol, "PV")

@@ -20,10 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .sampling import CaseResult, Sampler
 
-SUITE_NAMES = (
-    "oracle", "discrete", "toda", "transforms", "decompositions",
-    "regularity", "pv", "backlund", "hamiltonian",
-)
+CONTROL_SAMPLES = 10  # points at which a typo control's check runs; it must fail at them
 
 
 class UsageError(Exception):
@@ -106,6 +103,14 @@ class SuiteReport:
 
 def _sampler(cfg: RunConfig, case_id: str) -> Sampler:
     return Sampler(random.Random(f"{cfg.seed}:{case_id}"))
+
+
+def _control_or_case(control: bool, check: Callable, key: str, sampler: Sampler,
+                     cfg: RunConfig) -> CaseResult:
+    """``check(key, sampler, samples)``; a control runs at ``CONTROL_SAMPLES`` and must fail."""
+    if control:
+        return _expect_fail(check(key, sampler, CONTROL_SAMPLES))
+    return check(key, sampler, cfg.samples)
 
 
 def _expect_fail(case: CaseResult) -> CaseResult:
@@ -210,23 +215,17 @@ def _suite_toda(cfg: RunConfig) -> List[CaseResult]:
 def _suite_transforms(cfg: RunConfig) -> List[CaseResult]:
     from . import maps as M
 
-    cases: List[CaseResult] = []
-    # a control map is a typo'd variant: its pushforward must fail
-    for src, mid, tgt in M.pushforward_triples():
-        control = M.get_map(mid).control
-        sampler = _sampler(cfg, f"pushforward:{src}--{mid}-->{tgt}")
-        case = M.pushforward_check(mid, sampler, 10 if control else cfg.samples)
-        cases.append(_expect_fail(case) if control else case)
+    # a control map is a typo'd variant: its pushforward must fail, as must a cascade through it
+    cases = [_control_or_case(M.get_map(mid).control, M.pushforward_check, mid,
+                              _sampler(cfg, f"pushforward:{src}--{mid}-->{tgt}"), cfg)
+             for src, mid, tgt in M.pushforward_triples()]
     for mid, m in sorted(M.map_registry().items()):
         if m.inverse is not None and not m.control:
             cases.append(M.verify_inverse(mid, _sampler(cfg, f"inverse:{mid}"), cfg.samples))
-    for cid in sorted(M.CASCADES):
-        cases.append(M.verify_cascade(cid, _sampler(cfg, f"cascade:{cid}"), cfg.samples))
-    # non-degeneracy controls: the typo'd variants must fail
-    for cid in sorted(M.CASCADE_CONTROLS):
-        cases.append(
-            _expect_fail(M.verify_cascade(cid, _sampler(cfg, f"cascade:{cid}"), 10))
-        )
+    for cid, (factors, composite) in sorted(M.CASCADES.items()):
+        control = any(M.get_map(m).control for m in (*factors, composite))
+        cases.append(_control_or_case(control, M.verify_cascade, cid,
+                                      _sampler(cfg, f"cascade:{cid}"), cfg))
     return cases
 
 
@@ -305,20 +304,16 @@ def _suite_hamiltonian(cfg: RunConfig) -> List[CaseResult]:
 
     cases: List[CaseResult] = []
     for hid, entry in H.hamiltonian_registry().items():
-        sampler = _sampler(cfg, f"ham:{hid}")
-        if entry.control:  # a typo'd display: it must fail
-            cases.append(_expect_fail(H.verify_hamiltonian(hid, sampler, 10)))
-            continue
-        cases.append(H.verify_hamiltonian(hid, sampler, cfg.samples))
-        cases.append(
-            H.verify_hamiltonian(
-                hid, _sampler(cfg, f"ham_offset:{hid}"), cfg.samples, h_offset=H.T_OFFSET
-            )
-        )
+        # a typo'd display must fail; a verified H must also hold with T_OFFSET added
+        cases.append(_control_or_case(entry.control, H.verify_hamiltonian, hid,
+                                      _sampler(cfg, f"ham:{hid}"), cfg))
+        if not entry.control:
+            cases.append(H.verify_hamiltonian(hid, _sampler(cfg, f"ham_offset:{hid}"),
+                                              cfg.samples, h_offset=H.T_OFFSET))
     return cases
 
 
-_SUITES: Dict[str, Callable[[RunConfig], List[CaseResult]]] = {
+SUITES: Dict[str, Callable[[RunConfig], List[CaseResult]]] = {
     "oracle": _suite_oracle,
     "discrete": _suite_discrete,
     "toda": _suite_toda,
@@ -334,14 +329,14 @@ _SUITES: Dict[str, Callable[[RunConfig], List[CaseResult]]] = {
 def run_suite(name: str, cfg: RunConfig) -> SuiteReport:
     if name == "all":
         report = SuiteReport("all", cfg.seed)
-        for sub in SUITE_NAMES:
-            report.cases.extend(_SUITES[sub](cfg))
+        for suite in SUITES.values():
+            report.cases.extend(suite(cfg))
         return report
-    if name not in _SUITES:
+    if name not in SUITES:
         raise UsageError(
-            f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES + ('all',))}"
+            f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}"
         )
-    return SuiteReport(name, cfg.seed, _SUITES[name](cfg))
+    return SuiteReport(name, cfg.seed, SUITES[name](cfg))
 
 
 # ---------------------------------------------------------------------------

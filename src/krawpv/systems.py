@@ -86,7 +86,7 @@ class ScalarODE2:
     elim_coord: str
     rhs: Expr  # in y, yp, t, n, N, alpha
     elimination: Expr  # in y, yp, t, n, N, alpha
-    alpha_fixed: Optional[Fraction] = None
+    alpha_fixed: Optional[Fraction] = None  # the parent system's
 
 
 def _sq(e: Expr) -> Expr:
@@ -550,7 +550,7 @@ def alpha_zero_divisor_degeneracy(sampler, samples: int = 20):
 
     def draw():
         env = sampler.draw(
-            ["t", "n", "N", "alpha"],
+            PARAM_NAMES,
             # N = -1 would annihilate the (N+1) factor of the residue itself
             reject=lambda e: e["t"] == 0 or e["N"] in (0, -1) or e["alpha"] == 0,
         )
@@ -612,7 +612,7 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
     reg: Dict[str, ScalarODE2] = {}
     sysreg = registry()
 
-    def add(ode_id, parent_id, reduce_coord, rhs, alpha_fixed=None):
+    def add(ode_id, parent_id, reduce_coord, rhs):
         parent = sysreg[parent_id]
         if reduce_coord not in parent.chart:
             raise CatalogueError(f"{ode_id}: {reduce_coord} is not a coordinate of {parent_id}")
@@ -620,7 +620,7 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
         (elim_coord,) = (c for c in parent.chart if c != reduce_coord)
         elim = _derive_elimination(parent, reduce_coord, elim_coord)
         reg[ode_id] = ScalarODE2(
-            ode_id, parent_id, reduce_coord, elim_coord, rhs, elim, alpha_fixed
+            ode_id, parent_id, reduce_coord, elim_coord, rhs, elim, parent.alpha_fixed
         )
 
     half = Const(Fraction(1, 2))
@@ -671,7 +671,7 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
         + (y * (y * (y * (2 * t * y - 2 * n - 5 * t - 2) + 4 * t) - 2 * n - t - 2))
         / (2 * t * (y - 1))
     )
-    add("ode_tildeV22", "tildeUV22", "tV22", rhs_tilde, alpha_fixed=Fraction(0))
+    add("ode_tildeV22", "tildeUV22", "tV22", rhs_tilde)
 
     # polynomial-chart reductions: already in PV shape
     def pv_shape(a5_like, b5_like, g5_like):

@@ -367,6 +367,48 @@ def test_integration_underflow_is_one_error_line(capsys, monkeypatch):
         "krawpv: error: Required step size is less than spacing between numbers."]
 
 
+def test_a_float_check_that_cannot_be_evaluated_fails_in_the_report(capsys):
+    # t**2 is 0.0 at t = 1e-300: every reduction trajectory FAILs, the rest of pv runs
+    code, out, err = run(capsys, "--suite", "pv", "--from-t", "1e-300", "--to-t", "1e-299",
+                         "--format", "text")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL"
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert len(failed) == 9 and all(" reduction_trajectory:" in line for line in failed)
+    assert all(line.endswith("residual=nan") for line in failed)
+    assert lines.count("      the run raised EvaluationDivisionError: "
+                       "division by zero in (^ t 2)") == 9
+
+
+@pytest.mark.parametrize("window, error", [
+    (("1e300", "1e301"), "OverflowError: "),  # the first right-hand-side call
+    (("3e-6", "1e-300"), "EvaluationDivisionError: "),  # the initial-step probe lands on t = 0
+], ids=["overflow", "probe_at_t_0"])
+def test_an_integration_float_arithmetic_cannot_evaluate_is_one_error_line(
+        capsys, tmp_path, window, error):
+    target = tmp_path / "x.csv"
+    target.write_bytes(b"old,csv\n")
+    code, out, err = run(capsys, "--integrate", "original", "--from-t", window[0],
+                         "--to-t", window[1], "--out", str(target))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"krawpv: error: the integration raised {error}")
+    assert target.read_bytes() == b"old,csv\n"
+
+
+@pytest.mark.parametrize("repeats", [
+    ("--N", "2", "--N", "2", "--n", "1", "--n", "1", "--alpha", "1/2", "--t", "1"),
+    ("--N", "2", "--n", "1", "--alpha", "1/2", "--alpha", "0.5", "--t", "1", "--t", "2/2"),
+], ids=["N_and_n", "alpha_and_t"])
+def test_a_repeated_sweep_value_runs_once(capsys, repeats):
+    code, out, _ = run(capsys, "--suite", "discrete", *repeats, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["id,status,residual,samples,resamples,failures",
+                                "discrete:residuals_N2_n1_a1/2_t1/1,PASS,0,1,0,",
+                                "overall,PASS,,,,"]
+
+
 def python_m_krawpv(*argv, stdout=subprocess.PIPE):
     """``python -m krawpv ARGV`` from this checkout, with no ``$KRAWPV_SEED``."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -101,6 +101,18 @@ def test_a_case_with_no_times_fails():
         assert case.failures == [f"no sample times: the {what} was checked nowhere"]
 
 
+def test_a_deviation_that_raises_is_nan_and_names_the_error():
+    def deviation(t):
+        if t == 2.0:
+            raise ZeroDivisionError("division by zero in t")
+        return 0.0
+
+    case = tolerance_case("x", [1.0, 2.0, 3.0], deviation, 1e-6, "residual")
+    assert (case.status, case.residual, case.samples) == ("FAIL", "nan", 3)
+    assert case.failures == [
+        "t = 2.0: the residual raised ZeroDivisionError: division by zero in t"]
+
+
 def test_nan_in_a_later_component_fails():
     # max() keeps a NaN only when it comes first; the deviation must not drop it
     system = get_system("original")

@@ -46,15 +46,15 @@ def test_division_by_zero_value_slot():
 
 def test_power_matches_repeated_product():
     j = Jet2(F(2), F(3), F(-1))
-    assert j**3 == j * j * j
-    assert j**0 == Jet2(F(1), F(0), F(0))
+    assert slots(j**3) == slots(j * j * j)
+    assert slots(j**0) == (F(1), F(0), F(0))
 
 
 def test_scalar_mixing():
     j = Jet2(F(1), F(2), F(3))
-    assert 2 * j == Jet2(F(2), F(4), F(6))
-    assert j - 1 == Jet2(F(0), F(2), F(3))
-    assert 1 - j == Jet2(F(0), F(-2), F(-3))
+    assert slots(2 * j) == (F(2), F(4), F(6))
+    assert slots(j - 1) == (F(0), F(2), F(3))
+    assert slots(1 - j) == (F(0), F(-2), F(-3))
 
 
 def test_scalars_mix_in_without_a_lift():
@@ -67,7 +67,9 @@ def test_scalars_mix_in_without_a_lift():
     with pytest.raises(JetDivisionError):
         _ = Jet2(F(1), F(2), F(3)) / 0
     assert repr(Jet2(F(1, 2), 2.0, 3)) == "Jet2(v=Fraction(1, 2), d1=2.0, d2=3)"
-    assert Jet2.constant(F(3)) == 3 and Jet2(F(3), F(0), F(1)) != 3
+    assert slots(Jet2.constant(F(3))) == (3, 0, 0)
+    # neither order defines ==: a check compares slots, a guard the value slot
+    assert "__eq__" not in vars(Jet1) and "__eq__" not in vars(Jet2)
     assert slots(Jet1(1, 2)) == (1, 2) and slots(F(5)) == (F(5),)
 
 

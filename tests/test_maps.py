@@ -8,11 +8,9 @@ from krawpv import maps, systems
 from krawpv.expr import Sym, syms
 from krawpv.maps import (
     BRIDGE_RENAMES,
-    CASCADE_CONTROLS,
     CASCADES,
     DECOMPOSITIONS,
     INDETERMINACY_POINTS,
-    PARAMS,
     ChartMismatchError,
     MapError,
     apply_chain,
@@ -47,7 +45,7 @@ def test_apply_map_simple_point():
 
 
 CHAINS = {
-    **{cid: factors for cid, (factors, _) in {**CASCADES, **CASCADE_CONTROLS}.items()},
+    **{cid: factors for cid, (factors, _) in CASCADES.items()},
     **{name: chain for name, (_, chain) in DECOMPOSITIONS.items()},
 }
 
@@ -62,7 +60,7 @@ def test_chain_evaluation_is_substitution(name):
     rng = sampler(f"chain:{name}")
     checked = 0
     for _ in range(30):
-        env = rng.draw(PARAMS + tuple(chain[-1].target_coords))
+        env = rng.draw(systems.PARAM_NAMES + tuple(chain[-1].target_coords))
         try:
             expected = {k: e.evaluate(env) for k, e in composite.items()}
         except ZeroDivisionError:
@@ -171,7 +169,13 @@ def test_inverses_round_trip(map_id):
     assert case.passed, case.failures[:3]
 
 
-@pytest.mark.parametrize("cascade_id", sorted(CASCADES))
+def _is_control_cascade(cascade_id):
+    """A cascade through a control map is a control."""
+    factors, composite = CASCADES[cascade_id]
+    return any(get_map(m).control for m in (*factors, composite))
+
+
+@pytest.mark.parametrize("cascade_id", sorted(c for c in CASCADES if not _is_control_cascade(c)))
 def test_cascades_match_closed_forms(cascade_id):
     case = verify_cascade(cascade_id, sampler(f"casc:{cascade_id}"), samples=20)
     assert case.passed, case.failures[:3]
@@ -198,6 +202,14 @@ def test_swapped_inverse_fails_round_trip(monkeypatch):
     wrong = dataclasses.replace(get_map("Phi54"), inverse=get_map("Phi54_tswap").inverse)
     monkeypatch.setitem(maps.map_registry(), "Phi54", wrong)
     case = verify_inverse("Phi54", sampler("inv:swapped"), samples=10)
+    assert _fails_most_samples(case, 10), case
+
+
+def test_the_cascade_through_the_printed_factor_is_the_control_and_fails():
+    assert [c for c in sorted(CASCADES) if _is_control_cascade(c)] == ["cascade510b_printed"]
+    factors, _ = CASCADES["cascade510b_printed"]
+    assert [m for m in factors if get_map(m).control] == ["phi510b_f_printed"]
+    case = verify_cascade("cascade510b_printed", sampler("casc:printed"), samples=10)
     assert _fails_most_samples(case, 10), case
 
 

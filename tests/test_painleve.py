@@ -275,6 +275,20 @@ def test_trajectory_case_integrates_once(monkeypatch):
     assert case.samples == 20
 
 
+@pytest.mark.parametrize("verify, case_id, t0, t1, error", [
+    # PV's rhs divides by t**2, which is 0.0 at t = 1e-300: the start cannot be evaluated
+    (verify_reduction_trajectory, "ode_U11", 1e-300, 1e-299,
+     "EvaluationDivisionError: division by zero in (^ t 2)"),
+    # at t = 1e300 the first right-hand-side call overflows
+    (verify_trajectory, "first_to_base", 1e300, 1e301, "OverflowError: "),
+], ids=["reduction_start", "backlund_run"])
+def test_a_run_float_arithmetic_cannot_evaluate_fails_naming_the_error(verify, case_id, t0,
+                                                                        t1, error):
+    case = verify(case_id, t0=t0, t1=t1)
+    assert (case.status, case.residual, case.samples) == ("FAIL", "nan", 0)
+    assert len(case.failures) == 1 and case.failures[0].startswith(f"the run raised {error}")
+
+
 def _stopping_run(t0, stop, status=-1):
     """An integrator that stops at ``stop`` with ``status``; the run is identically zero."""
     def integrate(t_end):

@@ -6,8 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from krawpv import oracle
-from krawpv.reports import RunConfig, SuiteReport, _expect_fail, emit_report, run_suite
+from krawpv import hamiltonians, maps, oracle
+from krawpv.reports import (
+    CONTROL_SAMPLES,
+    RunConfig,
+    SuiteReport,
+    _expect_fail,
+    emit_report,
+    run_suite,
+)
 from krawpv.sampling import CaseResult
 
 
@@ -56,6 +63,22 @@ def test_every_control_fails_on_sampled_points():
         controls = [c for c in cases if c.id.startswith("control:")]
         assert len(controls) == 3
         assert all(c.status == "PASS" and c.samples == 10 for c in controls), controls
+
+
+def test_the_default_reports_hold_the_controls_the_flags_derive():
+    # a flagged map's pushforward, a cascade through a flagged map, a flagged Hamiltonian
+    get = maps.get_map
+    transforms = {f"control:pushforward:{src}--{mid}-->{tgt}"
+                  for src, mid, tgt in maps.pushforward_triples() if get(mid).control}
+    transforms |= {f"control:cascade:{cid}=={composite}"
+                   for cid, (factors, composite) in maps.CASCADES.items()
+                   if any(get(m).control for m in (*factors, composite))}
+    hamiltonian = {f"control:hamiltonian:{hid}@{entry.system_id}"
+                   for hid, entry in hamiltonians.hamiltonian_registry().items() if entry.control}
+    for suite, want in (("transforms", transforms), ("hamiltonian", hamiltonian)):
+        controls = [c for c in run_suite(suite, RunConfig()).cases if c.id.startswith("control:")]
+        assert len(want) == 3 and sorted(c.id for c in controls) == sorted(want)
+        assert all(c.status == "PASS" and c.samples == CONTROL_SAMPLES for c in controls), controls
 
 
 def _product(cfg):
