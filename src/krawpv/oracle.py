@@ -61,14 +61,48 @@ def _each_slot(f, x):
     return type(x)(*map(f, slots(x))) if isinstance(x, (Jet1, Jet2)) else f(x)
 
 
+def _exact(n: int, d: int) -> int:
+    """n/d for a d that divides n; a remainder is a bug in the caller, not a property of the input."""
+    q, r = divmod(n, d)
+    if r:
+        raise OracleError(f"inexact division: {d} does not divide {n}")
+    return q
+
+
+def _exact_quotient(n, s):
+    """n/s for ints, or jets of one order with int slots, whose quotient has int slots; checked.
+
+    A jet s divides by the triangular rule that inverts the Leibniz rule
+    n = q s slot by slot: q₀ = n₀/s₀, q₁ = (n₁ − q₀s₁)/s₀,
+    q₂ = (n₂ − q₀s₂ − 2q₁s₁)/s₀, each division exact.
+    """
+    if not isinstance(s, (Jet1, Jet2)):
+        return _exact(n, s)
+    ss, q = slots(s), []
+    for i, ni in enumerate(slots(n)):
+        for j, qj in enumerate(q):
+            ni -= math.comb(i, j) * qj * ss[i - j]
+        q.append(_exact(ni, ss[0]))
+    return type(s)(*q)
+
+
 def _quotient(p, q):
-    """p/q with ``Fraction`` slots, for integer(-slotted) p and q."""
-    return _each_slot(Fraction, p) / q if isinstance(q, (Jet1, Jet2)) else Fraction(p, q)
+    """p/q with ``Fraction`` slots, for ints p and q or jets of one order with int slots.
+
+    For a jet q of order k, slot i of p/q has a denominator dividing
+    q₀^(i+1), so p·q₀^(k+1)/q has integer slots: the triangular rule of
+    ``_exact_quotient`` runs on integers, and each slot is reduced once.
+    """
+    if not isinstance(q, (Jet1, Jet2)):
+        return Fraction(p, q)
+    scale = q.v ** len(slots(q))
+    r = _exact_quotient(type(q)(*[x * scale for x in slots(p)]), q)
+    return type(q)(*[Fraction(x, scale) for x in slots(r)])
 
 
 def _integer_slots(xs):
     """(L, [L x for x in xs]): L is the lcm of the slots' denominators, so every slot is an int."""
-    # lcm and gcd fold pairwise: a star-argument tuple of varying length per call
+    # lcm folds pairwise: a star-argument tuple of varying length per call
     # would fill CPython's tuple free lists, which only a full collection empties
     L = functools.reduce(math.lcm, (s.denominator for x in xs for s in slots(x)))
     return L, [_each_slot(lambda s: s.numerator * (L // s.denominator), x) for x in xs]
@@ -80,43 +114,46 @@ def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
     b_k = <x P_k, P_k>/<P_k, P_k>, a_k^2 = <P_k, P_k>/<P_{k-1}, P_{k-1}>, with
     inner products as finite sums over the support.  Requires nmax <= N.
 
-    The recurrence runs on integers.  Both ratios are unchanged when the
-    weight is scaled by a positive constant, so the weight is scaled by the
-    lcm of its denominators.  P_k on the support is held as an integer vector
-    q over one integer d, divided by its content after each step.  Each
-    degree's reduced b_k and a_k^2 are scaled the same way, by the lcm D of
-    their denominators, so P_{k+1} = (x - b_k) P_k - a_k^2 P_{k-1} is again an
-    integer vector over the integer D d d_prev.  For a jet t (``Jet1`` or
-    ``Jet2``) the entries of q are jets with integer slots and the code is the
-    same: D is the lcm over every slot, so d stays an integer.
+    The recurrence runs on integers, fraction-free.  Both ratios are unchanged
+    when the weight is scaled by a positive constant, so the weight W is the
+    weight scaled by the lcm of its denominators.  With Δ_k the k×k Hankel
+    determinant of W's moments (Δ_0 = 1), Q_k = Δ_k P_k is an integer vector
+    on the support, and with M_k = Σ Q_k² W = Δ_k Δ_{k+1} and X_k = Σ x Q_k² W:
+
+        b_k = X_k/M_k,  Δ_{k+1} = M_k/Δ_k,  a_k^2 = Δ_{k+1} Δ_{k-1}/Δ_k²,
+        Q_{k+1} = ((x M_k − X_k) Q_k − Δ_{k+1}² Q_{k-1})/Δ_k²,
+
+    where both divisions by Δ's are exact, and are checked to be (see
+    Bareiss 1968 for the same device in elimination).  Only b_k and a_k^2 are
+    reduced, once each.  For a jet t (``Jet1`` or ``Jet2``) W, Q_k, M_k and
+    Δ_k are jets with integer slots and the code is the same: a jet divisor
+    divides by the triangular rule of ``_exact_quotient``.
     """
     if nmax > w.N:
         raise OracleError("nmax exceeds the number of support points minus one")
     wi = _integer_slots(weight_values(w))[1]
     xs = range(w.N + 1)
 
-    # P_{k-1} = q_prev/d_prev and P_k = q/d; norm = d^2 <P_k, P_k> on the scaled weight
-    q_prev, d_prev, norm_prev = [0] * (w.N + 1), 1, 1
-    q, d = [1] * (w.N + 1), 1
+    one = 0 * wi[0] + 1  # Δ_0 = 1, as the unit jet for a jet t
+    q_prev, q = [0] * (w.N + 1), [1] * (w.N + 1)  # Q_{k-1} and Q_k
+    delta_prev, delta = one, one  # Δ_{k-1} (read from k = 1 on) and Δ_k
     aa: List[Fraction] = []
     b: List[Fraction] = []
     for k in range(nmax + 1):
         qqw = [qx * qx * wx for qx, wx in zip(q, wi)]
-        norm = sum(qqw)
+        norm = sum(qqw)  # M_k
         if value(norm) == 0:
             raise OracleError(f"vanishing norm <P_{k},P_{k}>")
-        b.append(_quotient(sum(x * v for x, v in zip(xs, qqw)), norm))
-        aa.append(_quotient(norm * d_prev * d_prev, norm_prev * d * d) if k else 0 * b[0])
+        moment = sum(x * v for x, v in zip(xs, qqw))  # X_k
+        b.append(_quotient(moment, norm))
+        delta_next, square = _exact_quotient(norm, delta), delta * delta
+        aa.append(_quotient(delta_next * delta_prev, square) if k else 0 * b[0])
         if k == nmax:
             break
-        # P_{k+1} times D d d_prev, with B = D b_k and A = D a_k^2
-        D, (B, A) = _integer_slots((b[k], aa[k]))
-        slope, shift, tail = D * d_prev, B * d_prev, A * d
-        q_next = [(x * slope - shift) * qx - tail * px for x, qx, px in zip(xs, q, q_prev)]
-        d_next = D * d * d_prev
-        g = functools.reduce(math.gcd, (s for qx in q_next for s in slots(qx)), d_next)
-        q_prev, d_prev, norm_prev = q, d, norm
-        q, d = [_each_slot(lambda s: s // g, qx) for qx in q_next], d_next // g
+        tail = delta_next * delta_next
+        q_prev, q = q, [_exact_quotient((x * norm - moment) * qx - tail * px, square)
+                        for x, qx, px in zip(xs, q, q_prev)]
+        delta_prev, delta = delta, delta_next
     return RecurrenceTable(tuple(aa), tuple(b))
 
 
@@ -160,33 +197,51 @@ def iterate_discrete(w: WeightParams, nmax: int) -> XYTable:
     """Solve the nonlinear discrete system forward from x_0 = 0, y_0 closed form.
 
     At each step the first equation is solved for x_{n+1} and the second
-    (shifted to index n+1) for y_{n+1}; every pivot is guarded.
+    (shifted to index n+1) for y_{n+1}; every pivot is guarded.  t must be a
+    ``Fraction``: the guards compare exact values.
+
+    A step runs on integers and reduces once per value.  With x_n = X/F,
+    y_n = Y/E, alpha = A/C and t = T/S, P = XE + YF (so x_n + y_n = P/(FE)),
+    U = (N+1)E + NY and V = ((N+1)C - A)E + NCY,
+
+        x_{n+1} = -Y (UVFS + PTNCE)/(C E^2 P T N);
+
+    then with x_{n+1} = X1/F1 reduced, R1 = N X1 - (N+1)F1, R2 = A F1 + C R1,
+    R3 = N X1 - (n+1)F1 and P2 = X1 E + Y F1 (so x_{n+1} + y_n = P2/(F1 E)),
+
+        y_{n+1} = X1 (R1 R2 E - C N R3 P2)/(C F1 N R3 P2).
     """
     if nmax > w.N:
         raise OracleError("nmax exceeds N")
-    N = Fraction(w.N)
-    al, t = w.alpha, w.t
+    if not isinstance(w.t, (int, Fraction)):
+        raise OracleError("the discrete iteration takes a Fraction t, not a jet")
+    N = w.N
+    A, C = w.alpha.numerator, w.alpha.denominator
+    T, S = w.t.numerator, w.t.denominator
     xs = [Fraction(0)]
     ys = [initial_y0(w)]
     for n in range(nmax):
-        xn, yn = xs[n], ys[n]
-        piv = xn + yn
-        if piv == 0:
+        X, F = xs[n].numerator, xs[n].denominator
+        Y, E = ys[n].numerator, ys[n].denominator
+        P = X * E + Y * F
+        if P == 0:
             raise OracleError(f"vanishing pivot x_{n} + y_{n}")
-        xnp1 = -(yn * (N + 1 + N * yn) * (N + 1 - al + N * yn) + yn * piv * t * N) / (
-            piv * t * N
-        )
-        xs.append(xnp1)
+        U = (N + 1) * E + N * Y
+        V = ((N + 1) * C - A) * E + N * C * Y
+        PTN = P * T * N
+        x1 = Fraction(-Y * (U * V * F * S + PTN * C * E), C * E * E * PTN)
+        xs.append(x1)
         # second equation at index n+1: (x+y_{n+1})(x+y_n) = rhs(x), x = x_{n+1}
-        if N * xnp1 - (n + 1) == 0:
+        X1, F1 = x1.numerator, x1.denominator
+        R3 = N * X1 - (n + 1) * F1
+        if R3 == 0:
             raise OracleError(f"vanishing pivot N*x_{n+1} - ({n + 1})")
-        rhs = xnp1 * (-N - 1 + N * xnp1) * (al - N - 1 + N * xnp1) / (
-            N * (N * xnp1 - (n + 1))
-        )
-        piv2 = xnp1 + yn
-        if piv2 == 0:
+        P2 = X1 * E + Y * F1
+        if P2 == 0:
             raise OracleError(f"vanishing pivot x_{n + 1} + y_{n}")
-        ys.append(rhs / piv2 - xnp1)
+        R1 = N * X1 - (N + 1) * F1
+        R2 = A * F1 + C * R1
+        ys.append(Fraction(X1 * (R1 * R2 * E - C * N * R3 * P2), C * F1 * N * R3 * P2))
     return XYTable(tuple(xs), tuple(ys))
 
 

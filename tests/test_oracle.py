@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from krawpv import oracle
 from krawpv.jets import Jet1, Jet2, slots, value
 from krawpv.oracle import (
     OracleError,
@@ -295,3 +296,122 @@ def test_a_doubled_derivative_slot_doubles_every_derivative():
             two = stieltjes_recurrence(WeightParams(N, a, doubled), N)
             assert _slots(two.aa + two.b) == [
                 tuple(k * s for k, s in zip(scale, row)) for row in _slots(one.aa + one.b)]
+
+
+JETS = {"Jet1": lambda r: Jet1(*r[:2]), "Jet2": lambda r: Jet2(*r[:3])}  # from a list of 3 or more
+
+
+def test_an_inexact_division_raises():
+    # Hankel divisibility is a theorem: a remainder means a bug, never a rounded quotient
+    assert oracle._exact(-91, 7) == -13
+    with pytest.raises(OracleError, match="inexact division: 7 does not divide 90"):
+        oracle._exact(90, 7)
+    with pytest.raises(OracleError, match="inexact division"):
+        oracle._exact_quotient(90, 7)
+
+
+@pytest.mark.parametrize("order", sorted(JETS))
+def test_the_exact_jet_quotient_inverts_the_product_and_rejects_a_non_multiple(order):
+    rng = random.Random(order)
+    for _ in range(50):
+        q, s = (JETS[order]([rng.randint(-10**40, 10**40) for _ in range(3)]) for _ in "qs")
+        s.v = s.v if abs(s.v) > 1 else 3
+        assert slots(oracle._exact_quotient(q * s, s)) == slots(q)
+        # off by one in the last slot alone: the earlier slots divide, the last does not
+        n = JETS[order]([*slots(q * s)[:-1], slots(q * s)[-1] + 1, 0])
+        with pytest.raises(OracleError, match="inexact division"):
+            oracle._exact_quotient(n, s)
+
+
+@pytest.mark.parametrize("order", sorted(JETS))
+def test_the_jet_quotient_is_the_fraction_jet_division(order):
+    rng = random.Random(2004)
+    for digits in (1, 5, 40):
+        for _ in range(30):
+            p, q = (JETS[order]([rng.randint(-10**digits, 10**digits) for _ in range(3)])
+                    for _ in "pq")
+            q.v = q.v or 1
+            want = JETS[order]([Fraction(x) for x in slots(p)] + [0]) / q
+            got = oracle._quotient(p, q)
+            assert slots(got) == slots(want)
+            assert {type(x) for x in slots(got)} == {Fraction}
+
+
+def _reference_iteration(w, nmax):
+    """The discrete iteration as a loop of reduced ``Fraction`` operations: the reference."""
+    N = Fraction(w.N)
+    al, t = w.alpha, w.t
+    xs = [Fraction(0)]
+    ys = [oracle.initial_y0(w)]
+    for n in range(nmax):
+        xn, yn = xs[n], ys[n]
+        piv = xn + yn
+        if piv == 0:
+            raise OracleError(f"vanishing pivot x_{n} + y_{n}")
+        xnp1 = -(yn * (N + 1 + N * yn) * (N + 1 - al + N * yn) + yn * piv * t * N) / (
+            piv * t * N
+        )
+        xs.append(xnp1)
+        if N * xnp1 - (n + 1) == 0:
+            raise OracleError(f"vanishing pivot N*x_{n+1} - ({n + 1})")
+        rhs = xnp1 * (-N - 1 + N * xnp1) * (al - N - 1 + N * xnp1) / (
+            N * (N * xnp1 - (n + 1))
+        )
+        piv2 = xnp1 + yn
+        if piv2 == 0:
+            raise OracleError(f"vanishing pivot x_{n + 1} + y_{n}")
+        ys.append(rhs / piv2 - xnp1)
+    return tuple(xs), tuple(ys)
+
+
+def _iteration_outcome(iterate, w, nmax):
+    """The (x, y) tables an iteration returns, or the message of the OracleError it raises."""
+    try:
+        return iterate(w, nmax)
+    except OracleError as exc:
+        return str(exc)
+
+
+def _iterate(w, nmax):
+    it = iterate_discrete(w, nmax)
+    return it.x, it.y
+
+
+def test_integer_iteration_equals_the_fraction_loop_on_the_default_sweep():
+    for N, a, tv, _ in RunConfig().weights():
+        w = WeightParams(N, a, tv)
+        assert _iterate(w, N) == _reference_iteration(w, N)
+
+
+def test_integer_iteration_equals_the_fraction_loop_at_three_digit_heights():
+    rng = random.Random(1968)
+    for N in range(7, 19):
+        for digits in (1, 2, 3):
+            a, tv = _draw(rng, digits)
+            w = WeightParams(N, a, tv)
+            assert _iteration_outcome(_iterate, w, N) == _iteration_outcome(_reference_iteration, w, N)
+
+
+@pytest.mark.parametrize("order", ["Jet1", "Jet2"])
+def test_the_iteration_rejects_a_jet_t(order):
+    # a jet's == compares identity, so the pivot guards could not see a zero value slot
+    w = WeightParams(3, Fraction(1, 2), T_ORDERS[order](Fraction(2)))
+    with pytest.raises(OracleError, match="Fraction t"):
+        iterate_discrete(w, 2)
+
+
+@pytest.mark.parametrize("alpha, t, y0, message", [
+    # x_0 + y_0 = 0 at once
+    (Fraction(0), Fraction(1), Fraction(0), r"vanishing pivot x_0 \+ y_0$"),
+    # x_1 = -(N+1+N y_0)(N+1-alpha+N y_0)/(tN) - y_0: y_0 = -2 and t = 1/2 give x_1 = 1/2
+    (Fraction(1, 2), Fraction(1, 2), Fraction(-2), r"vanishing pivot N\*x_1 - \(1\)$"),
+    # y_0 = -(N+1)/N zeroes the product, so x_1 = -y_0
+    (Fraction(1, 2), Fraction(1), Fraction(-3, 2), r"vanishing pivot x_1 \+ y_0$"),
+])
+def test_a_vanishing_pivot_is_named(monkeypatch, alpha, t, y0, message):
+    monkeypatch.setattr(oracle, "initial_y0", lambda w: y0)
+    w = WeightParams(2, alpha, t)
+    with pytest.raises(OracleError, match=message):
+        iterate_discrete(w, 2)
+    with pytest.raises(OracleError, match=message):
+        _reference_iteration(w, 2)
