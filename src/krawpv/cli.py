@@ -242,8 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             print("krawpv: error: --suite is required", file=sys.stderr)
             return 2
-        # a value given twice runs once: the sweep's cases are one per distinct point
-        sweep = {dest: tuple(dict.fromkeys(getattr(args, dest)))
+        sweep = {dest: tuple(getattr(args, dest))
                  for dest in ("Ns", "ns", "alphas", "ts") if getattr(args, dest)}
         cfg = RunConfig(seed=seed, samples=args.samples, tol=args.tol,
                         from_t=args.from_t, to_t=args.to_t, **sweep)

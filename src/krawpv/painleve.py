@@ -4,8 +4,10 @@ The second-order reductions in the catalogue become the fifth Painlevé
 equation (PV) after simple Möbius changes of the dependent variable.  Every
 chart reaches PV with δ₅ = −1/2 (k = 1), so ``PV_RHS`` carries that constant
 and each chart's ``PVParams`` holds only (α₅, β₅, γ₅), expressed in
-(n, N, α).  One table, ``BRANCHES``, holds per chart the signed literal
-branches c, a and γ₅; the triple is (c²/2, −a²/2, γ₅).
+(n, N, α), from one quadruple ``NU`` = ν(n) = (0, n, −(N−n+1), α−(N−n+1)).
+A chart's ``BRANCHES`` row is a pairing {i, j} | {k, l} of ν: the signed
+branches c = ν_j − ν_i, a = ν_l − ν_k and γ₅ = 1 + ν_k + ν_l − ν_i − ν_j,
+with the triple (c²/2, −a²/2, γ₅).  Charts 1-3 pair ν₀ with each other ν.
 Sign-indexed Bäcklund transformations connect the parameter sets: the parameter
 half, ``backlund_step``, maps the literal branch state, and the jet half is
 the one expression ``BACKLUND_Y`` pushed through ``transform_jet``.  Fixed
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from . import integrate
-from .expr import Expr, syms
+from .expr import ZERO, Expr, syms
 from .integrate import Trajectory, tolerance_case
 from .jets import Jet1, Jet2, rate
 from .sampling import CaseResult, Sampler, randbelow, run_case
@@ -97,30 +99,54 @@ class BacklundSigns:
             raise PainleveError("signs must be +1 or -1")
 
 
-# one row per chart: the signed literal branches c, a (see BranchState) and
-# γ₅, in (n, N, alpha); the chart's parameters are (c²/2, −a²/2, γ₅)
-_FIRST = (n, al, al + n - 2 * NN - 1)
-_SECOND = (NN - n + 1, -al + NN + 1, al + n + 1)
-_THIRD = (NN - n + 1 - al, 1 + NN, -al + n + 1)
+@dataclass(frozen=True)
+class BranchState:
+    """(γ₅, c, a) with c² = 2α₅, a² = −2β₅, δ₅ = −1/2 (hence k = 1).
+
+    A Bäcklund step depends only on the products ε₁c and ε₂a, so carrying
+    *signed literal* branches (e.g. c = α − 3 rather than |α − 3|) is what
+    makes the fixed sign patterns of the displayed compositions land on the
+    displayed target quadruples.
+    """
+
+    g5: Scalar
+    c: Scalar
+    a: Scalar
+
+    def params(self) -> PVParams:
+        return PVParams(self.c * self.c / 2, -self.a * self.a / 2, self.g5)
+
+
+# PV's parameter quadruple at degree n; the shift n -> n + 1 adds (0, 1, 1, 1)
+NU: Tuple[Expr, ...] = (ZERO, n, -(NN - n + 1), al - (NN - n + 1))
+
+
+def _pairing(nu: Tuple[Expr, ...], i: int, j: int, k: int, l: int) -> Tuple[Expr, Expr, Expr]:
+    """The signed branches c, a and γ₅ (see BranchState) of the pairing {i, j} | {k, l} of nu."""
+    return nu[j] - nu[i], nu[l] - nu[k], 1 + nu[k] + nu[l] - nu[i] - nu[j]
+
+
+# one row (c, a, γ₅) per chart, in (n, N, alpha); charts 1-3 pair ν₀ with ν₁, ν₂, ν₃
+_CHART1, _CHART2, _CHART3 = (_pairing(NU, *ijkl)
+                              for ijkl in ((0, 1, 2, 3), (2, 0, 3, 1), (3, 0, 2, 1)))
 BRANCHES: Dict[str, Tuple[Expr, Expr, Expr]] = {
-    "ode_U11": _FIRST,
-    "ode_v54": _FIRST,
-    "ode_V12": _FIRST,
-    "ode_U21": _SECOND,
-    "ode_V22": _SECOND,
-    "ode_U31": _THIRD,
-    "ode_V32": _THIRD,
-    # the reciprocal shift y -> -1 + 1/y of the first chart
-    "ode_U11_reciprocal": (al, n, 1 + 2 * NN - n - al),
+    "ode_U11": _CHART1,
+    "ode_v54": _CHART1,
+    "ode_V12": _CHART1,
+    "ode_U21": _CHART2,
+    "ode_V22": _CHART2,
+    "ode_U31": _CHART3,
+    "ode_V32": _CHART3,
+    # the reciprocal shift y -> -1 + 1/y of the first chart swaps c and a, negates γ₅
+    "ode_U11_reciprocal": (_CHART1[1], _CHART1[0], -_CHART1[2]),
     # alpha = 0 tilde chart
-    "ode_tildeV22": (NN - n + 1, NN + 1, n + 1),
-    # the base (q, p) system, as connected to PV in earlier work
-    "original": (al - NN - 1, n - NN, -(n + al)),
+    "ode_tildeV22": tuple(e.subs({"alpha": ZERO}) for e in _CHART2),
+    # the base (q, p) system, as connected to PV in earlier work, at ν(n + 1)
+    "original": _pairing(tuple(v.subs({"n": n + 1}) for v in NU), 1, 3, 0, 2),
 }
 
 PARAM_SETS: Dict[str, PVParams] = {
-    k: PVParams(_HALF * c**2, -_HALF * a**2, g5)
-    for k, (c, a, g5) in BRANCHES.items()
+    k: BranchState(g5, c, a).params() for k, (c, a, g5) in BRANCHES.items()
 }
 
 
@@ -227,16 +253,6 @@ REDUCTIONS: Dict[str, Reduction] = {
 }
 
 
-def _draw_pv_point(sampler: Sampler, alpha_fixed: Optional[Fraction]) -> Dict[str, Fraction]:
-    fixed = {"alpha": alpha_fixed} if alpha_fixed is not None else None
-    names = ["t", "y", "yp", "n", "N"] + ([] if fixed else ["alpha"])
-    return sampler.draw(
-        names,
-        reject=lambda e: e["t"] == 0 or e["y"] in SINGULAR_Y or e["N"] == 0,
-        fixed=fixed,
-    )
-
-
 def mobius_reduce(reduction_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
     """The catalogued reduction equals PV under the chart's Möbius shift.
 
@@ -250,44 +266,23 @@ def mobius_reduce(reduction_id: str, sampler: Sampler, samples: int = 50) -> Cas
     def check(env):
         pj = complete_jet(env["t"], env["y"], env["yp"], params.evaluate(env))
         uj = red.transform(Jet2(pj.y, pj.yp, pj.ypp))
-        ode_env = {
-            "y": uj.v, "yp": uj.d1, "t": env["t"],
-            "n": env["n"], "N": env["N"],
-        }
-        if ode.alpha_fixed is None:
-            ode_env["alpha"] = env["alpha"]
-        rhs_val = ode.rhs.evaluate(ode_env)
+        rhs_val = ode.rhs.evaluate({**env, "y": uj.v, "yp": uj.d1})
         if uj.d2 != rhs_val:
             return [f"U'' = {uj.d2} != ode rhs {rhs_val} (difference {uj.d2 - rhs_val})"]
         return []
 
+    fixed = None if ode.alpha_fixed is None else {"alpha": ode.alpha_fixed}
     return run_case(
         f"reduction_to_pv:{reduction_id}", sampler, samples,
-        lambda: _draw_pv_point(sampler, ode.alpha_fixed), check,
+        lambda: sampler.draw(["t", "y", "yp", "n", "N", "alpha"], fixed=fixed,
+                             reject=lambda e: e["t"] == 0 or e["y"] in SINGULAR_Y or e["N"] == 0),
+        check,
     )
 
 
 # ---------------------------------------------------------------------------
 # Bäcklund transformations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BranchState:
-    """(γ₅, c, a) with c² = 2α₅, a² = −2β₅, δ₅ = −1/2 (hence k = 1).
-
-    A Bäcklund step depends only on the products ε₁c and ε₂a, so carrying
-    *signed literal* branches (e.g. c = α − 3 rather than |α − 3|) is what
-    makes the fixed sign patterns of the displayed compositions land on the
-    displayed target quadruples.
-    """
-
-    g5: Scalar
-    c: Scalar
-    a: Scalar
-
-    def params(self) -> PVParams:
-        return PVParams(self.c * self.c / 2, -self.a * self.a / 2, self.g5)
-
 
 def branch_state_for(params_id: str, env: Mapping[str, Scalar]) -> BranchState:
     c, a, g5 = BRANCHES[params_id]
@@ -536,8 +531,6 @@ def verify_reduction_trajectory(
     red = REDUCTIONS[reduction_id]
     ode = get_ode2(red.ode_id)
     env = {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": alpha_val}
-    if ode.alpha_fixed is not None:
-        env["alpha"] = ode.alpha_fixed
     fenv = {k: float(v) for k, v in env.items()}
     params = pv_params_for(red.params_id).evaluate(fenv)
 

@@ -67,9 +67,14 @@ class RunConfig:
             raise UsageError("the parameter sweep (N, n, alpha, t) is empty")
 
     def weights(self):
-        """Each weight (N, alpha, t) with a valid degree, and its degrees ``ns`` (0 <= n < N)."""
-        for N, a, tv in itertools.product(self.Ns, self.alphas, self.ts):
-            ns = tuple(n for n in (self.ns if self.ns is not None else range(N)) if 0 <= n < N)
+        """Each distinct weight (N, alpha, t) with a valid degree, and its distinct degrees ``ns``.
+
+        A degree n is valid when 0 <= n < N; a value repeated in a sweep list counts once.
+        """
+        Ns, alphas, ts = (dict.fromkeys(v) for v in (self.Ns, self.alphas, self.ts))
+        for N, a, tv in itertools.product(Ns, alphas, ts):
+            ns = tuple(n for n in dict.fromkeys(self.ns if self.ns is not None else range(N))
+                       if 0 <= n < N)
             if ns:
                 yield N, a, tv, ns
 

@@ -6,7 +6,9 @@ Numerators are drawn uniformly from [-99, 99] and denominators from [1, 99],
 each by rejection sampling on ``getrandbits`` (the draw stream of
 ``randint``), so no value has probability above mu = 1/199, the figure a
 Schwartz-Zippel bound takes.  A draw is rejected and redrawn whenever any
-guarded denominator vanishes, and rejections are counted.
+guarded denominator vanishes, and rejections are counted.  A name that
+``fixed`` binds (a chart's fixed alpha) takes that value and is not drawn, so
+the stream is the one a draw of the free names alone consumes.
 
 ``run_case`` is the one loop that runs a sampled identity check:
 
@@ -68,11 +70,11 @@ class Sampler:
         reject: Optional[Callable[[Dict[str, Fraction]], bool]] = None,
         fixed: Optional[Dict[str, Fraction]] = None,
     ) -> Dict[str, Fraction]:
-        """One binding for `names`; `reject` returns True to force a redraw."""
+        """One binding for `names`; a name `fixed` binds is not drawn; `reject` forces a redraw."""
+        fixed = fixed or {}
         for _ in range(MAX_RESAMPLES_PER_POINT):
-            env = {nm: rand_fraction(self.rng) for nm in names}
-            if fixed:
-                env.update(fixed)
+            env = {nm: rand_fraction(self.rng) for nm in names if nm not in fixed}
+            env.update(fixed)
             if reject is not None and reject(env):
                 self.resamples += 1
                 continue

@@ -514,7 +514,7 @@ def check_regular_on_divisor(system_id: str, sampler, samples: int = 50):
     if not sys.has_divisor:
         raise CatalogueError(f"system {system_id} has no catalogued divisor")
     c1, c2 = sys.chart
-    names = [c1] + [p for p in PARAM_NAMES if p != "alpha" or sys.alpha_fixed is None]
+    names = [c1, *PARAM_NAMES]
     fixed = {c2: Fraction(0)}
     if sys.alpha_fixed is not None:
         fixed["alpha"] = sys.alpha_fixed
@@ -706,7 +706,7 @@ def check_reduction_soundness(ode_id: str, sampler, samples: int = 50):
     parent = get_system(ode.parent_id)
     rhs_y = parent.rhs1 if parent.chart[0] == ode.reduce_coord else parent.rhs2
 
-    names = ["y", "yp", "t", "n", "N"] + ([] if ode.alpha_fixed is not None else ["alpha"])
+    names = ["y", "yp", "t", "n", "N", "alpha"]
     fixed = {"alpha": ode.alpha_fixed} if ode.alpha_fixed is not None else None
 
     def check(env):

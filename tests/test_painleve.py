@@ -64,6 +64,25 @@ REFERENCE_QUADRUPLES = {
 }
 
 
+# The signed rows (c, a, γ₅) as they were typed before the library derived them
+# from the pairings of ν; the chart's triple is (c²/2, −a²/2, γ₅).
+_C1 = (n, al, al + n - 2 * NN - 1)
+_C2 = (NN - n + 1, -al + NN + 1, al + n + 1)
+_C3 = (NN - n + 1 - al, 1 + NN, -al + n + 1)
+REFERENCE_BRANCHES = {
+    "ode_U11": _C1,
+    "ode_v54": _C1,
+    "ode_V12": _C1,
+    "ode_U21": _C2,
+    "ode_V22": _C2,
+    "ode_U31": _C3,
+    "ode_V32": _C3,
+    "ode_U11_reciprocal": (al, n, 1 + 2 * NN - n - al),
+    "ode_tildeV22": (NN - n + 1, NN + 1, n + 1),
+    "original": (al - NN - 1, n - NN, -(n + al)),
+}
+
+
 def reference_quadruple(chart_id, env):
     return tuple(e.evaluate(env) for e in REFERENCE_QUADRUPLES[chart_id])
 
@@ -173,6 +192,48 @@ def test_param_sets_match_the_squared_quadruples(chart_id):
         expect = reference_quadruple(chart_id, env)
         assert quadruple(PARAM_SETS[chart_id].evaluate(env)) == expect
         assert quadruple(branch_state_for(chart_id, env).params()) == expect
+
+
+@pytest.mark.parametrize("chart_id", sorted(REFERENCE_BRANCHES))
+def test_derived_branches_equal_the_typed_rows(chart_id):
+    assert sorted(painleve.BRANCHES) == sorted(REFERENCE_BRANCHES)
+    smp = sampler(f"branches:{chart_id}")
+    for _ in range(200):
+        env = smp.draw(["n", "N", "alpha"])
+        c, a, g5 = (e.evaluate(env) for e in REFERENCE_BRANCHES[chart_id])
+        assert tuple(e.evaluate(env) for e in painleve.BRANCHES[chart_id]) == (c, a, g5)
+        assert branch_state_for(chart_id, env) == BranchState(g5, c, a)
+
+
+def test_the_tilde_row_has_no_alpha():
+    assert not any("alpha" in e.symbols() for e in painleve.BRANCHES["ode_tildeV22"])
+
+
+def _nu(env):
+    return [v.evaluate(env) for v in painleve.NU]
+
+
+@pytest.mark.parametrize("j, chart_id", [(1, "ode_U11"), (2, "ode_U21"), (3, "ode_U31")])
+def test_charts_one_to_three_pair_nu0_with_one_other_nu(j, chart_id):
+    # chart j: {0, j} | {k, l}, with c = ±(ν_j − ν₀), a = ±(ν_l − ν_k)
+    k, l = (m for m in (1, 2, 3) if m != j)
+    smp = sampler(f"pairing:{chart_id}")
+    for _ in range(50):
+        env = smp.draw(["n", "N", "alpha"])
+        nu = _nu(env)
+        c, a, g5 = (e.evaluate(env) for e in painleve.BRANCHES[chart_id])
+        assert c**2 == (nu[j] - nu[0]) ** 2 and a**2 == (nu[l] - nu[k]) ** 2
+        assert g5 == 1 + nu[k] + nu[l] - nu[0] - nu[j]
+
+
+def test_the_shift_in_n_translates_nu():
+    smp = sampler("nu shift")
+    for _ in range(50):
+        env = smp.draw(["n", "N", "alpha"])
+        m = env["N"] - env["n"] + 1
+        assert _nu(env) == [0, env["n"], -m, env["alpha"] - m]
+        shifted = _nu({**env, "n": env["n"] + 1})
+        assert [b - a for a, b in zip(_nu(env), shifted)] == [0, 1, 1, 1]
 
 
 def test_backlund_params_worked_example():

@@ -82,12 +82,12 @@ def test_the_default_reports_hold_the_controls_the_flags_derive():
 
 
 def _product(cfg):
-    """The sweep points (N, n, alpha, t) as the nested product over the config's lists."""
-    for N in cfg.Ns:
-        for n in cfg.ns if cfg.ns is not None else range(N):
+    """The sweep points (N, n, alpha, t): the nested product over the config's distinct values."""
+    for N in dict.fromkeys(cfg.Ns):
+        for n in dict.fromkeys(cfg.ns if cfg.ns is not None else range(N)):
             if 0 <= n < N:
-                for a in cfg.alphas:
-                    for tv in cfg.ts:
+                for a in dict.fromkeys(cfg.alphas):
+                    for tv in dict.fromkeys(cfg.ts):
                         yield N, n, a, tv
 
 
@@ -104,6 +104,15 @@ def test_weights_yield_the_sweep_points(kwargs):
     assert all(ns and all(0 <= n < N for n in ns) for N, _, _, ns in weights)
     points = [(N, n, a, tv) for N, a, tv, ns in weights for n in ns]
     assert Counter(points) == Counter(_product(cfg))
+
+
+def test_a_repeated_sweep_value_runs_once():
+    # the rule lives in RunConfig, so a library caller gets it as the CLI does
+    cfg = RunConfig(Ns=(2, 2), ns=(1, 1), alphas=(Fraction(1, 2), Fraction(2, 4)),
+                    ts=(Fraction(1), Fraction(1)))
+    assert list(cfg.weights()) == [(2, Fraction(1, 2), Fraction(1), (1,))]
+    assert [c.id for c in run_suite("discrete", cfg).cases] == [
+        "discrete:residuals_N2_n1_a1/2_t1/1"]
 
 
 @pytest.mark.parametrize("suite, stieltjes, iterations", [

@@ -105,3 +105,18 @@ def test_draw_stream_is_randints(seed):
                     "alpha": Fraction(twin.randint(1, 98), 99)}
         assert _draw_integer_params(rng) == expected
     assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 77])
+def test_a_fixed_name_is_not_drawn(seed):
+    # a draw with `fixed` consumes the stream exactly as a draw of the free names alone
+    rng, twin = random.Random(seed), random.Random(seed)
+    drawn, free = Sampler(rng), Sampler(twin)
+
+    def reject(env):
+        return env["x"] < 0
+
+    for _ in range(100):
+        env = drawn.draw(["x", "alpha", "z"], reject=reject, fixed={"alpha": Fraction(0)})
+        assert env == {**free.draw(["x", "z"], reject=reject), "alpha": Fraction(0)}
+    assert rng.getstate() == twin.getstate() and drawn.resamples == free.resamples > 0
