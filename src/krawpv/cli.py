@@ -21,7 +21,6 @@ from .oracle import OracleError, WeightParams, oracle_xy
 from .reports import SUITES, RunConfig, UsageError, check_window, emit_report, run_suite
 from .systems import CatalogueError, get_system, system_ids
 
-SEED_ENV_VAR = "KRAWPV_SEED"
 # argparse reads a token that starts with '-' as an option unless it is a plain
 # integer or decimal, so "--alpha -1/3" or "--from-t -1e-3" would lose its value
 NEGATIVE_NUMBER = re.compile(r"-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)")
@@ -53,10 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--suite", choices=(*SUITES, "all"),
                    help="verification suite to run")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (overrides ${SEED_ENV_VAR}; default {RunConfig.seed})")
+    p.add_argument("--seed", type=int, help=f"RNG seed (default {RunConfig.seed})")
     p.add_argument("--samples", type=int,
-                   help=f"random points per identity check (default {RunConfig.samples})")
+                   help=f"random points every sampled case draws (default {RunConfig.samples})")
     p.add_argument("--N", type=int, action="append", dest="Ns", metavar="N",
                    help="restrict the parameter sweep to this N (repeatable)")
     p.add_argument("--n", type=int, action="append", dest="ns", metavar="n",
@@ -88,8 +86,8 @@ _SUITE_OPTIONS = (("--suite", "suite"), ("--seed", "seed"), ("--samples", "sampl
                   ("--tol", "tol"), ("--format", "format"))
 _SWEEP_OPTIONS = (("--N", "Ns"), ("--n", "ns"), ("--alpha", "alphas"), ("--t", "ts"),
                   ("--from-t", "from_t"), ("--to-t", "to_t"))
-_DEFAULTS = {"samples": RunConfig.samples, "tol": RunConfig.tol, "format": "json",
-             "from_t": RunConfig.from_t, "to_t": RunConfig.to_t}
+_DEFAULTS = {"seed": RunConfig.seed, "samples": RunConfig.samples, "tol": RunConfig.tol,
+             "format": "json", "from_t": RunConfig.from_t, "to_t": RunConfig.to_t}
 
 
 def _check_mode(args) -> None:
@@ -105,18 +103,6 @@ def _check_mode(args) -> None:
     for option, dest in ignored:
         if getattr(args, dest) is not None:
             raise UsageError(f"{mode} takes no {option}")
-
-
-def _resolve_seed(arg_seed: Optional[int]) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"${SEED_ENV_VAR} is not an integer: {env!r}") from exc
-    return RunConfig.seed
 
 
 def _dump_catalogue() -> str:
@@ -217,7 +203,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_mode(args)
-        seed = _resolve_seed(args.seed)  # a malformed $KRAWPV_SEED is an error in every mode
         vars(args).update({k: v for k, v in _DEFAULTS.items() if getattr(args, k) is None})
         if args.dump_catalogue:
             _write(args.out, _dump_catalogue())
@@ -244,7 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         sweep = {dest: tuple(getattr(args, dest))
                  for dest in ("Ns", "ns", "alphas", "ts") if getattr(args, dest)}
-        cfg = RunConfig(seed=seed, samples=args.samples, tol=args.tol,
+        cfg = RunConfig(seed=args.seed, samples=args.samples, tol=args.tol,
                         from_t=args.from_t, to_t=args.to_t, **sweep)
         _check_out(args.out)
         report = run_suite(args.suite, cfg)

@@ -160,7 +160,7 @@ def partial(h: Expr, c: str, env: Dict[str, Fraction], h_offset: Optional[Expr] 
 def verify_hamiltonian(
     h_id: str,
     sampler: Sampler,
-    samples: int = 50,
+    samples: int,
     h_offset: Optional[Expr] = None,
 ) -> CaseResult:
     """prefactor-weighted system rhs equals the canonical derivatives of H.

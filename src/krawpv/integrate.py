@@ -35,7 +35,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from .expr import Expr, compile_float
 from .sampling import CaseResult
@@ -374,13 +374,14 @@ def integrate_ode2(
 ) -> Trajectory:
     """Integrate a second-order reduction as the first-order (y, y') system.
 
-    Guarded at the charts' structural singularities y in {0, ±1} and at y = ∞ (status 1).
+    Guarded at y in {0, ±1} and at y = ∞ (status 1).  The three levels are the
+    union of the charts' singular levels, which are PV's y = 0, 1 and ∞ in each
+    chart's variable: -1 and 0 for ``ode_U11``, ``ode_U21``, ``ode_U31`` and
+    ``ode_v54``, 0 and 1 for the V charts.  So every run also stops at a level
+    its own chart is regular at.
     """
-    pf = _param_floats(params)
-    if ode.alpha_fixed is not None:
-        pf["alpha"] = float(ode.alpha_fixed)
-    # guard against the structural singularities y in {0, +-1} of the charts
-    return _integrate_second_order(ode.rhs, pf, (0.0, 1.0, -1.0), t0, t1, y0, yp0)
+    return _integrate_second_order(ode.rhs, _param_floats(params), (0.0, 1.0, -1.0),
+                                   t0, t1, y0, yp0)
 
 
 def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float) -> Trajectory:
@@ -429,10 +430,10 @@ def compare_trajectories(
     a: Trajectory,
     b: Callable[[float], Sequence[float]],
     tol: float,
-    times: Optional[Sequence[float]] = None,
+    times: Sequence[float],
     case_id: str = "trajectory_compare",
 ) -> CaseResult:
-    """Max relative deviation of b from a at sample times; PASS iff < tol.
+    """Max relative deviation of b from a at ``times``; PASS iff < tol.
 
     A run ``a`` that stopped early (``status`` not 0) never covered its window: it FAILs.
     """
@@ -444,8 +445,7 @@ def compare_trajectories(
         return _nan_max([abs(va - float(vb)) / max(1.0, abs(va))
                          for va, vb in zip(a(tv), b(tv))])
 
-    ts = list(times) if times is not None else list(a.ts)
-    return tolerance_case(case_id, ts, deviation, tol, "relative deviation")
+    return tolerance_case(case_id, list(times), deviation, tol, "relative deviation")
 
 
 def trajectory_csv(traj: Trajectory) -> str:

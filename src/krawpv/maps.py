@@ -345,7 +345,7 @@ def _alpha_constraint(*systems: PlanarSystem) -> Optional[Fraction]:
     return vals.pop() if vals else None
 
 
-def pushforward_check(map_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
+def pushforward_check(map_id: str, sampler: Sampler, samples: int) -> CaseResult:
     """The map carries the target flow onto the source flow.
 
     The source and target flows are the catalogued systems on the map's two
@@ -382,7 +382,7 @@ def pushforward_check(map_id: str, sampler: Sampler, samples: int = 50) -> CaseR
     return run_case(case_id, sampler, samples, draw, check)
 
 
-def verify_inverse(map_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
+def verify_inverse(map_id: str, sampler: Sampler, samples: int) -> CaseResult:
     """inverse∘forward is the identity at random target points.
 
     That one direction suffices.  A map with a left inverse has a
@@ -418,7 +418,7 @@ def _chains_agree(case_id, left, right, sampler, samples) -> CaseResult:
     return run_case(case_id, sampler, samples, lambda: sampler.draw(PARAM_NAMES + charts[1]), check)
 
 
-def verify_cascade(cascade_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
+def verify_cascade(cascade_id: str, sampler: Sampler, samples: int) -> CaseResult:
     """The factor composition equals the catalogued closed-form composite."""
     factor_ids, composite_id = CASCADES[cascade_id]
     return _chains_agree(
@@ -449,7 +449,7 @@ BRIDGE_RENAMES: Dict[str, Tuple[str, str, BirationalMap]] = {
 }
 
 
-def verify_decomposition(name: str, sampler: Sampler, samples: int = 50) -> CaseResult:
+def verify_decomposition(name: str, sampler: Sampler, samples: int) -> CaseResult:
     lhs_id, chain = DECOMPOSITIONS[name]
     return _chains_agree(
         f"decomposition:{name}", [get_map(lhs_id)], [get_map(f) for f in chain],
@@ -457,7 +457,7 @@ def verify_decomposition(name: str, sampler: Sampler, samples: int = 50) -> Case
     )
 
 
-def verify_bridge_rename(name: str, sampler: Sampler, samples: int = 50) -> CaseResult:
+def verify_bridge_rename(name: str, sampler: Sampler, samples: int) -> CaseResult:
     a_id, b_id, renaming = BRIDGE_RENAMES[name]
     return _chains_agree(
         f"bridge:{name}", [get_map(a_id)], [get_map(b_id), renaming], sampler, samples
@@ -465,7 +465,7 @@ def verify_bridge_rename(name: str, sampler: Sampler, samples: int = 50) -> Case
 
 
 def verify_indeterminacy(
-    point: IndeterminacyPoint, sampler: Sampler, samples: int = 50
+    point: IndeterminacyPoint, sampler: Sampler, samples: int
 ) -> CaseResult:
     """Numerator and denominator of some rhs component both vanish at the point."""
     sys = get_system(point.system_id)

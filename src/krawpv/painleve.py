@@ -253,7 +253,7 @@ REDUCTIONS: Dict[str, Reduction] = {
 }
 
 
-def mobius_reduce(reduction_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
+def mobius_reduce(reduction_id: str, sampler: Sampler, samples: int) -> CaseResult:
     """The catalogued reduction equals PV under the chart's Möbius shift.
 
     For a PV jet (y, y', y'' = PV rhs) the transformed jet U = m(y) must
@@ -377,7 +377,7 @@ def _draw_integer_params(rng) -> Dict[str, Fraction]:
     return {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": a_val}
 
 
-def verify_param_chain(comp_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
+def verify_param_chain(comp_id: str, sampler: Sampler, samples: int) -> CaseResult:
     """The step-by-step parameter chain lands exactly on the target quadruple."""
     comp = COMPOSITIONS[comp_id]
     tgt = pv_params_for(comp.target_params)
@@ -398,7 +398,7 @@ def verify_param_chain(comp_id: str, sampler: Sampler, samples: int = 50) -> Cas
     )
 
 
-def verify_closed_form(comp_id: str, sampler: Sampler, samples: int = 50) -> CaseResult:
+def verify_closed_form(comp_id: str, sampler: Sampler, samples: int) -> CaseResult:
     """Factor-by-factor jets agree with the displayed one-shot map on solutions.
 
     Also checks that every intermediate jet satisfies its own PV equation

@@ -261,7 +261,7 @@ def _suite_regularity(cfg: RunConfig) -> List[CaseResult]:
                     sid, _sampler(cfg, f"regular:{sid}"), cfg.samples
                 )
             )
-    cases.append(S.alpha_zero_divisor_degeneracy(_sampler(cfg, "alpha0_degeneracy")))
+    cases.append(S.alpha_zero_divisor_degeneracy(_sampler(cfg, "alpha0_degeneracy"), cfg.samples))
     for pid in M.INDETERMINACY_POINTS:
         cases.append(
             M.verify_indeterminacy(

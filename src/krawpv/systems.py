@@ -503,7 +503,7 @@ def system_on_chart(chart: Tuple[str, str]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def check_regular_on_divisor(system_id: str, sampler, samples: int = 50):
+def check_regular_on_divisor(system_id: str, sampler, samples: int):
     """The rhs is finite at random points of the exceptional divisor.
 
     Points violating the catalogued exclusions (residual poles such as
@@ -537,7 +537,7 @@ def check_regular_on_divisor(system_id: str, sampler, samples: int = 50):
     )
 
 
-def alpha_zero_divisor_degeneracy(sampler, samples: int = 20):
+def alpha_zero_divisor_degeneracy(sampler, samples: int):
     """At alpha = 0 the excluded pole of the (U21, V21) chart degenerates.
 
     For generic alpha the point (U21, V21) = (-1, 0) is a simple pole of the
@@ -693,7 +693,7 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
     return reg
 
 
-def check_reduction_soundness(ode_id: str, sampler, samples: int = 50):
+def check_reduction_soundness(ode_id: str, sampler, samples: int):
     """The scalar reduction reproduces the parent planar flow exactly.
 
     Draw (y, y', t, params), recover the eliminated coordinate from the

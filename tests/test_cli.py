@@ -10,6 +10,7 @@ import pytest
 from krawpv import cli
 from krawpv.cli import main
 from krawpv.oracle import WeightParams, oracle_xy
+from krawpv.reports import RunConfig
 
 
 def run(capsys, *argv):
@@ -74,14 +75,6 @@ def test_different_seed_changes_sampling(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["overall"] == r2["overall"] == "PASS"
     assert r1["seed"] != r2["seed"]
-
-
-def test_env_seed_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("KRAWPV_SEED", "33")
-    _, out, _ = run(capsys, "--suite", "oracle", "--N", "1")
-    assert json.loads(out)["seed"] == 33
-    _, out, _ = run(capsys, "--suite", "oracle", "--N", "1", "--seed", "44")
-    assert json.loads(out)["seed"] == 44
 
 
 def test_out_file(tmp_path, capsys):
@@ -149,17 +142,23 @@ def test_an_option_the_mode_ignores_is_a_usage_error(capsys, argv, message):
     assert err == f"krawpv: error: {message}\n"
 
 
+def test_the_default_seed_is_the_run_configs(capsys):
+    _, out, _ = run(capsys, "--suite", "oracle", "--N", "1")
+    assert json.loads(out)["seed"] == RunConfig.seed
+
+
 @pytest.mark.parametrize("argv", [
     ("--suite", "oracle", "--N", "1"),
     ("--dump-catalogue",),
     ("--integrate", "original"),
 ], ids=lambda v: " ".join(v))
-def test_a_malformed_env_seed_is_a_usage_error_in_every_mode(capsys, monkeypatch, argv):
-    monkeypatch.setenv("KRAWPV_SEED", "abc")
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == "krawpv: error: $KRAWPV_SEED is not an integer: 'abc'\n"
+def test_a_seed_in_the_environment_changes_no_output(capsys, monkeypatch, argv):
+    # --seed is the seed's only source; the variable that once replaced the default is ignored
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    for value in ("33", "abc"):
+        monkeypatch.setenv("KRAWPV_SEED", value)
+        assert run(capsys, *argv) == want
 
 
 def test_plain_modes_still_run(capsys):
@@ -410,17 +409,16 @@ def test_a_repeated_sweep_value_runs_once(capsys, repeats):
 
 
 def python_m_krawpv(*argv, stdout=subprocess.PIPE):
-    """``python -m krawpv ARGV`` from this checkout, with no ``$KRAWPV_SEED``."""
+    """``python -m krawpv ARGV`` from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items() if k != "KRAWPV_SEED"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "krawpv", *argv], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=120)
 
 
-def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+def test_python_dash_m_runs_the_cli(capsys):
     # `python -m krawpv` from a checkout prints what main prints and exits with its code
-    monkeypatch.delenv("KRAWPV_SEED", raising=False)
     argv = ["--suite", "decompositions", "--samples", "5", "--format", "text"]
     code, want, _ = run(capsys, *argv)
     proc = python_m_krawpv(*argv)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -25,15 +26,17 @@ from krawpv.integrate import (
     tolerance_case,
     trajectory_csv,
 )
+from krawpv.jets import Jet2
 from krawpv.oracle import WeightParams, oracle_xy
 from krawpv.painleve import (
+    REDUCTIONS,
     _trajectory_case,
     pv_params_for,
     verify_reduction_trajectory,
     verify_trajectory,
 )
 from krawpv.reports import RunConfig, run_suite
-from krawpv.systems import PlanarSystem, get_ode2, get_system
+from krawpv.systems import PlanarSystem, get_ode2, get_system, ode2_ids
 
 PARAMS = {"n": 1, "N": 2, "alpha": Fraction(0)}
 
@@ -68,7 +71,7 @@ def test_compare_trajectories_against_oracle():
 def test_compare_trajectory_to_itself_is_zero():
     system = get_system("original")
     traj = integrate_planar(system, oracle_point(1), 1.0, 2.0, PARAMS)
-    case = compare_trajectories(traj, lambda t: traj(t), 1e-15)
+    case = compare_trajectories(traj, lambda t: traj(t), 1e-15, times=traj.ts)
     assert case.passed
 
 
@@ -187,6 +190,60 @@ def test_ode2_integration_runs():
     traj = integrate_ode2(ode, 2.0, 0.25, 1.0, 1.5,
                           {"n": 1, "N": 3, "alpha": 0.5})
     assert traj.t1 == 1.5
+
+
+def test_a_fixed_alpha_is_absent_from_its_ode():
+    # integrate_ode2 binds the alpha it is given: a chart that fixes alpha must not read it
+    fixed = [get_ode2(oid) for oid in ode2_ids() if get_ode2(oid).alpha_fixed is not None]
+    assert [ode.id for ode in fixed] == ["ode_tildeV22"]
+    for ode in fixed:
+        assert "alpha" not in ode.rhs.symbols()
+
+
+def _image(transform, y):
+    """A reduction's chart level at PV's y in {0, 1, None = ∞}; None where it is infinite.
+
+    A Möbius map m(y) = m(∞) + K/(y - p) has m(∞) = m - 2m'²/m'' at any
+    regular y, here y = 2; an affine one (m'' = 0) sends ∞ to ∞.
+    """
+    if y is None:
+        m = transform(Jet2.variable(Fraction(2)))
+        return None if m.d2 == 0 else m.v - 2 * m.d1**2 / m.d2
+    try:
+        return transform(Jet2.constant(Fraction(y))).v
+    except ZeroDivisionError:
+        return None
+
+
+SINGULAR_LEVELS = {
+    **dict.fromkeys(("ode_U11", "ode_U21", "ode_U31", "ode_v54", "ode_U11_reciprocal"), {-1, 0}),
+    **dict.fromkeys(("ode_V12", "ode_V22", "ode_V32", "ode_tildeV22"), {0, 1}),
+}
+
+
+@pytest.mark.parametrize("reduction_id", sorted(REDUCTIONS))
+def test_a_chart_is_singular_at_the_images_of_pv_singular_values(reduction_id):
+    red = REDUCTIONS[reduction_id]
+    levels = {m for y in (0, 1, None) if (m := _image(red.transform, y)) is not None}
+    assert levels == SINGULAR_LEVELS[reduction_id]
+    den = get_ode2(red.ode_id).rhs.as_num_den()[1]
+    rng = random.Random(f"levels:{reduction_id}")
+    for _ in range(5):
+        env = {k: Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+               for k in ("yp", "t", "n", "N", "alpha")}
+        for level in (-1, 0, 1):
+            assert (den.evaluate({**env, "y": Fraction(level)}) == 0) == (level in levels)
+
+
+def test_ode2_guards_are_the_union_of_the_singular_levels(monkeypatch):
+    # each run is guarded at every chart's levels, its own and the others'
+    seen = []
+    monkeypatch.setattr(integrate, "_integrate_second_order",
+                        lambda rhs, pf, levels, *run: seen.append(levels))
+    for ode_id in ode2_ids():
+        integrate_ode2(get_ode2(ode_id), 2.0, 0.25, 1.0, 1.5, {"n": 1, "N": 3, "alpha": 0.5})
+    assert seen == [(0.0, 1.0, -1.0)] * len(ode2_ids())
+    assert set(seen[0]) == set().union(*SINGULAR_LEVELS.values())
 
 
 def test_csv_header_and_precision():
@@ -360,7 +417,7 @@ def test_the_guard_at_infinity_is_not_called_a_denominator():
                             1e-6, "PV")
     assert case.failures == [
         f"no singularity-free window found: a guard stopped the run near t = {stop.t1}"]
-    compared = compare_trajectories(stop, lambda t: stop(t), 1e-6)
+    compared = compare_trajectories(stop, lambda t: stop(t), 1e-6, times=stop.ts)
     for failure in (*case.failures, *compared.failures):
         assert "denominator" not in failure
 

@@ -135,7 +135,7 @@ def test_pushforward(triple):
 def test_pushforward_of_a_map_off_the_catalogued_charts_raises():
     # phi51's target chart (u51, v51) carries no catalogued system
     with pytest.raises(MapError, match="phi51 does not join two catalogued charts"):
-        pushforward_check("phi51", sampler("bad"))
+        pushforward_check("phi51", sampler("bad"), samples=10)
 
 
 def test_swapped_center_variant_fails_pushforward():

@@ -81,6 +81,20 @@ def test_the_default_reports_hold_the_controls_the_flags_derive():
         assert all(c.status == "PASS" and c.samples == CONTROL_SAMPLES for c in controls), controls
 
 
+def test_samples_reaches_every_sampled_case():
+    # a control runs at CONTROL_SAMPLES, a weight case counts its residuals and a
+    # trajectory case its check times; every case of the 13 sampled kinds draws `samples`
+    unsampled = ("control:", "oracle:", "discrete:", "toda:", "trajectory:",
+                 "reduction_trajectory:")
+    sampled = [c for c in run_suite("all", RunConfig(samples=7)).cases
+               if not c.id.startswith(unsampled)]
+    assert {c.id.split(":")[0] for c in sampled} == {
+        "pushforward", "inverse", "cascade", "decomposition", "bridge", "regular_on_divisor",
+        "alpha0_degeneracy", "indeterminacy", "reduction_soundness", "reduction_to_pv",
+        "param_chain", "closed_form", "hamiltonian"}
+    assert [(c.id, c.samples) for c in sampled if c.samples != 7] == []
+
+
 def _product(cfg):
     """The sweep points (N, n, alpha, t): the nested product over the config's distinct values."""
     for N in dict.fromkeys(cfg.Ns):
