@@ -17,10 +17,11 @@ is the same; numpy's per-operation overhead is gone.
 
 Around it, compiled right-hand sides are integrated with singular guards on
 every catalogued denominator, which stop the run before the state reaches a
-singular locus.  A second-order run is also guarded at y = ∞: it stops when
-1/y, the chart at infinity, comes within the guard distance of zero, so a
-run toward a movable pole stops just before it instead of crawling into it
-until the step size underflows.  Every run uses the same tolerances,
+singular locus; a run that starts inside a guard band stops at its start, so
+it never integrates through the level it guards.  A second-order run is also
+guarded at y = ∞: it stops when 1/y, the chart at infinity, comes within the
+guard distance of zero, so a run toward a movable pole stops just before it
+instead of crawling into it until the step size underflows.  Every run uses the same tolerances,
 ``RTOL`` and ``ATOL``, and the same guard distance, ``SINGULAR_GUARD``.
 Every integration returns the ``Trajectory`` it integrated, whatever its
 ``status``: 0 at the window's end, 1 at a guard, -1 where the step size
@@ -39,7 +40,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from .expr import Expr, compile_float
 from .sampling import CaseResult
-from .systems import PlanarSystem, ScalarODE2
+from .systems import PV_RHS, SINGULAR_Y, PlanarSystem, ScalarODE2
 
 Scalar = Union[int, float, Fraction]
 State = Sequence[float]
@@ -125,7 +126,9 @@ class Trajectory:
     end or after the last, the nearest step's.
     """
 
-    ts: Tuple[float, ...]  # the accepted step ends; the last is the root of a terminal event
+    # the start and the accepted step ends; the last is the root of a terminal event.
+    # A run stopped at its start has the start only, and its one "step" is constant
+    ts: Tuple[float, ...]
     states: Tuple[Tuple[float, ...], ...]  # states[j][i]: component j at ts[i]
     steps: List[Callable[[float], Tuple[float, ...]]]
     status: int  # 0 reached the end, 1 stopped at an event, -1 the step size underflowed
@@ -222,9 +225,12 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
     of a step are local floats, each a sum of the tableau's terms in
     ``RK45``'s order.
 
-    Every event is terminal: the run stops at the first root, in the
-    direction of integration, of any event function that changes sign over a
-    step (status 1).  It gives up with status -1 when the step size falls
+    Every event is a terminal guard, positive where the run may go: the run
+    stops at the first root, in the direction of integration, of any event
+    function that changes sign over a step (status 1).  A run whose start has
+    an event below zero, inside its guard band, stops there before its first
+    step (status 1); an event exactly zero at the start is a root on the
+    first step.  It gives up with status -1 when the step size falls
     below ten times the float spacing at ``t``.  A step whose stages divide
     by zero or overflow is rejected like one with an infinite error
     estimate.  ``t_span`` must have nonzero length.  The tolerances are
@@ -244,6 +250,8 @@ def solve_ivp(fun: Callable[[float, State], State], t_span: Tuple[float, float],
     nfev = 2
     ts, ys0, ys1, steps = [t], [y0], [y1], []
     ev = [event(t, y) for event in events]  # each event's value at t
+    if any(e < 0 for e in ev):  # the run starts inside a guard band
+        return Trajectory((t,), ((y0,), (y1,)), [lambda tv: y], 1, nfev)
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -385,12 +393,10 @@ def integrate_ode2(
 
 
 def integrate_pv(params, t0: float, t1: float, y0: float, yp0: float) -> Trajectory:
-    """Integrate the fifth Painlevé equation itself (float parameters).
+    """Integrate the fifth Painlevé equation itself, ``PV_RHS`` (float parameters).
 
     Guarded at its singular values y in ``SINGULAR_Y`` and its movable poles, y = ∞ (status 1).
     """
-    from .painleve import PV_RHS, SINGULAR_Y  # local import to avoid a cycle
-
     pe = _param_floats(params.as_env())
     return _integrate_second_order(PV_RHS, pe, SINGULAR_Y, t0, t1, y0, yp0)
 

@@ -101,11 +101,11 @@ def _quotient(p, q):
 
 
 def _integer_slots(xs):
-    """(L, [L x for x in xs]): L is the lcm of the slots' denominators, so every slot is an int."""
+    """[L x for x in xs], with L the lcm of the slots' denominators, so every slot is an int."""
     # lcm folds pairwise: a star-argument tuple of varying length per call
     # would fill CPython's tuple free lists, which only a full collection empties
     L = functools.reduce(math.lcm, (s.denominator for x in xs for s in slots(x)))
-    return L, [_each_slot(lambda s: s.numerator * (L // s.denominator), x) for x in xs]
+    return [_each_slot(lambda s: s.numerator * (L // s.denominator), x) for x in xs]
 
 
 def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
@@ -131,7 +131,7 @@ def stieltjes_recurrence(w: WeightParams, nmax: int) -> RecurrenceTable:
     """
     if nmax > w.N:
         raise OracleError("nmax exceeds the number of support points minus one")
-    wi = _integer_slots(weight_values(w))[1]
+    wi = _integer_slots(weight_values(w))
     xs = range(w.N + 1)
 
     one = 0 * wi[0] + 1  # Δ_0 = 1, as the unit jet for a jet t

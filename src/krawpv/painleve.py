@@ -1,13 +1,16 @@
 """Fifth-Painlevé residuals, parameter sets and Bäcklund transformations.
 
 The second-order reductions in the catalogue become the fifth Painlevé
-equation (PV) after simple Möbius changes of the dependent variable.  Every
-chart reaches PV with δ₅ = −1/2 (k = 1), so ``PV_RHS`` carries that constant
-and each chart's ``PVParams`` holds only (α₅, β₅, γ₅), expressed in
-(n, N, α), from one quadruple ``NU`` = ν(n) = (0, n, −(N−n+1), α−(N−n+1)).
-A chart's ``BRANCHES`` row is a pairing {i, j} | {k, l} of ν: the signed
-branches c = ν_j − ν_i, a = ν_l − ν_k and γ₅ = 1 + ν_k + ν_l − ν_i − ν_j,
-with the triple (c²/2, −a²/2, γ₅).  Charts 1-3 pair ν₀ with each other ν.
+equation (PV) after simple Möbius changes of the dependent variable.  PV
+itself, ``PV_RHS`` with δ₅ = −1/2 (k = 1) written in, lives in
+``krawpv.systems`` beside the reductions, with its singular values
+``SINGULAR_Y``.  The one table of parameters is ``BRANCHES``: per chart a
+``BranchState`` (γ₅, c, a) of Exprs in (n, N, α), the pairing {i, j} | {k, l}
+of one quadruple ``NU`` = ν(n) = (0, n, −(N−n+1), α−(N−n+1)) with signed
+branches c = ν_j − ν_i, a = ν_l − ν_k and γ₅ = 1 + ν_k + ν_l − ν_i − ν_j.
+Charts 1-3 pair ν₀ with each other ν.  ``pv_params_for(id)`` is the row,
+``.evaluate(env)`` its numbers at a point and ``.params()`` their
+``PVParams`` (α₅, β₅, γ₅) = (c²/2, −a²/2, γ₅).
 Sign-indexed Bäcklund transformations connect the parameter sets: the parameter
 half, ``backlund_step``, maps the literal branch state, and the jet half is
 the one expression ``BACKLUND_Y`` pushed through ``transform_jet``.  Fixed
@@ -29,53 +32,27 @@ from .expr import ZERO, Expr, syms
 from .integrate import Trajectory, tolerance_case
 from .jets import Jet1, Jet2, rate
 from .sampling import CaseResult, Sampler, randbelow, run_case
-from .systems import get_ode2
+from .systems import PV_RHS, SINGULAR_Y, get_ode2
 
 Scalar = Union[Fraction, float]
 
 t, y, yp, n, NN, al = syms("t y yp n N alpha")
-a5s, b5s, g5s = syms("a5 b5 g5")
 
 
 class PainleveError(Exception):
     pass
 
 
-_HALF = Fraction(1, 2)
-SINGULAR_Y = (0, 1)  # PV's singular values of y: PV_RHS divides by y and by y - 1
-
-# y'' as a rational expression in (y, yp, t) and the parameters (a5, b5, g5),
-# with δ₅ = −1/2; the δ₅ term is subtracted, which rounds as adding −1/2 times it
-PV_RHS: Expr = (
-    (1 / (2 * y) + 1 / (y - 1)) * yp**2
-    - yp / t
-    + (y - 1) ** 2 * (a5s * y + b5s / y) / t**2
-    + g5s * y / t
-    - _HALF * y * (y + 1) / (y - 1)
-)
-
-
 @dataclass(frozen=True)
 class PVParams:
-    """(α₅, β₅, γ₅) of PV with δ₅ = −1/2; scalars, or Exprs in (n, N, alpha)."""
+    """(α₅, β₅, γ₅) of PV with δ₅ = −1/2, as numbers."""
 
-    a5: Union[Scalar, Expr]
-    b5: Union[Scalar, Expr]
-    g5: Union[Scalar, Expr]
-
-    def evaluate(self, env: Mapping[str, Scalar]) -> "PVParams":
-        def val(x):
-            return x.evaluate(env) if isinstance(x, Expr) else x
-
-        return PVParams(val(self.a5), val(self.b5), val(self.g5))
+    a5: Scalar
+    b5: Scalar
+    g5: Scalar
 
     def as_env(self) -> Dict[str, Scalar]:
-        out = {}
-        for key, x in (("a5", self.a5), ("b5", self.b5), ("g5", self.g5)):
-            if isinstance(x, Expr):
-                raise PainleveError("parameters must be evaluated before numeric use")
-            out[key] = x
-        return out
+        return {"a5": self.a5, "b5": self.b5, "g5": self.g5}
 
 
 @dataclass(frozen=True)
@@ -106,30 +83,36 @@ class BranchState:
     A Bäcklund step depends only on the products ε₁c and ε₂a, so carrying
     *signed literal* branches (e.g. c = α − 3 rather than |α − 3|) is what
     makes the fixed sign patterns of the displayed compositions land on the
-    displayed target quadruples.
+    displayed target quadruples.  A ``BRANCHES`` row holds Exprs in (n, N, alpha).
     """
 
-    g5: Scalar
-    c: Scalar
-    a: Scalar
+    g5: Union[Scalar, Expr]
+    c: Union[Scalar, Expr]
+    a: Union[Scalar, Expr]
+
+    def evaluate(self, env: Mapping[str, Scalar]) -> "BranchState":
+        return BranchState(self.g5.evaluate(env), self.c.evaluate(env), self.a.evaluate(env))
 
     def params(self) -> PVParams:
         return PVParams(self.c * self.c / 2, -self.a * self.a / 2, self.g5)
+
+    def as_env(self) -> Dict[str, Scalar]:
+        return self.params().as_env()
 
 
 # PV's parameter quadruple at degree n; the shift n -> n + 1 adds (0, 1, 1, 1)
 NU: Tuple[Expr, ...] = (ZERO, n, -(NN - n + 1), al - (NN - n + 1))
 
 
-def _pairing(nu: Tuple[Expr, ...], i: int, j: int, k: int, l: int) -> Tuple[Expr, Expr, Expr]:
-    """The signed branches c, a and γ₅ (see BranchState) of the pairing {i, j} | {k, l} of nu."""
-    return nu[j] - nu[i], nu[l] - nu[k], 1 + nu[k] + nu[l] - nu[i] - nu[j]
+def _pairing(nu: Tuple[Expr, ...], i: int, j: int, k: int, l: int) -> BranchState:
+    """The row of the pairing {i, j} | {k, l} of nu: c = ν_j − ν_i, a = ν_l − ν_k."""
+    return BranchState(1 + nu[k] + nu[l] - nu[i] - nu[j], nu[j] - nu[i], nu[l] - nu[k])
 
 
-# one row (c, a, γ₅) per chart, in (n, N, alpha); charts 1-3 pair ν₀ with ν₁, ν₂, ν₃
+# one row per parameter set, in (n, N, alpha); charts 1-3 pair ν₀ with ν₁, ν₂, ν₃
 _CHART1, _CHART2, _CHART3 = (_pairing(NU, *ijkl)
                               for ijkl in ((0, 1, 2, 3), (2, 0, 3, 1), (3, 0, 2, 1)))
-BRANCHES: Dict[str, Tuple[Expr, Expr, Expr]] = {
+BRANCHES: Dict[str, BranchState] = {
     "ode_U11": _CHART1,
     "ode_v54": _CHART1,
     "ode_V12": _CHART1,
@@ -138,26 +121,28 @@ BRANCHES: Dict[str, Tuple[Expr, Expr, Expr]] = {
     "ode_U31": _CHART3,
     "ode_V32": _CHART3,
     # the reciprocal shift y -> -1 + 1/y of the first chart swaps c and a, negates γ₅
-    "ode_U11_reciprocal": (_CHART1[1], _CHART1[0], -_CHART1[2]),
+    "ode_U11_reciprocal": BranchState(-_CHART1.g5, _CHART1.a, _CHART1.c),
     # alpha = 0 tilde chart
-    "ode_tildeV22": tuple(e.subs({"alpha": ZERO}) for e in _CHART2),
+    "ode_tildeV22": BranchState(*(e.subs({"alpha": ZERO})
+                                  for e in (_CHART2.g5, _CHART2.c, _CHART2.a))),
     # the base (q, p) system, as connected to PV in earlier work, at ν(n + 1)
     "original": _pairing(tuple(v.subs({"n": n + 1}) for v in NU), 1, 3, 0, 2),
 }
 
-PARAM_SETS: Dict[str, PVParams] = {
-    k: BranchState(g5, c, a).params() for k, (c, a, g5) in BRANCHES.items()
-}
 
-
-def pv_params_for(chart_id: str) -> PVParams:
+def pv_params_for(chart_id: str) -> BranchState:
+    """The chart's ``BRANCHES`` row; ``.evaluate(env).params()`` is its (α₅, β₅, γ₅)."""
     try:
-        return PARAM_SETS[chart_id]
+        return BRANCHES[chart_id]
     except KeyError:
         raise PainleveError(f"unknown parameter set id {chart_id!r}") from None
 
 
-def pv_residual(j: PVJet, p: PVParams) -> Scalar:
+# either gives the parameters' bindings through as_env()
+Params = Union[PVParams, BranchState]
+
+
+def pv_residual(j: PVJet, p: Params) -> Scalar:
     """y'' minus the PV right-hand side; exact zero certifies the jet.
 
     At t = 0 or y in ``SINGULAR_Y``, PV's singular loci, ``PV_RHS`` raises a
@@ -166,7 +151,7 @@ def pv_residual(j: PVJet, p: PVParams) -> Scalar:
     return j.ypp - PV_RHS.evaluate({"t": j.t, "y": j.y, "yp": j.yp, **p.as_env()})
 
 
-def pv_third_derivative(j: PVJet, p: PVParams) -> Scalar:
+def pv_third_derivative(j: PVJet, p: Params) -> Scalar:
     """y''' as the rate of y'' = PV_RHS along the solution.
 
     One evaluation on the flow jets t, (y, y') and (y', y'') gives the total
@@ -176,13 +161,13 @@ def pv_third_derivative(j: PVJet, p: PVParams) -> Scalar:
                                  "yp": Jet1(j.yp, j.ypp), **p.as_env()}))
 
 
-def complete_jet(t_val: Scalar, y_val: Scalar, yp_val: Scalar, p: PVParams) -> PVJet:
+def complete_jet(t_val: Scalar, y_val: Scalar, yp_val: Scalar, p: Params) -> PVJet:
     """Fill in y'' from the PV equation itself."""
     env = {"t": t_val, "y": y_val, "yp": yp_val, **p.as_env()}
     return PVJet(t_val, y_val, yp_val, PV_RHS.evaluate(env))
 
 
-def transform_jet(expr: Expr, j: PVJet, p: PVParams,
+def transform_jet(expr: Expr, j: PVJet, p: Params,
                   extra: Optional[Mapping[str, Scalar]] = None) -> PVJet:
     """Push a jet through y1 = expr(y, yp, t, ...) by order-2 jet arithmetic.
 
@@ -284,11 +269,6 @@ def mobius_reduce(reduction_id: str, sampler: Sampler, samples: int) -> CaseResu
 # Bäcklund transformations
 # ---------------------------------------------------------------------------
 
-def branch_state_for(params_id: str, env: Mapping[str, Scalar]) -> BranchState:
-    c, a, g5 = BRANCHES[params_id]
-    return BranchState(g5.evaluate(env), c.evaluate(env), a.evaluate(env))
-
-
 def backlund_step(state: BranchState, s: BacklundSigns) -> BranchState:
     """Parameter half of one Bäcklund step on the literal branch state."""
     w = s.e3 * (1 - s.e2 * state.a - s.e1 * state.c)
@@ -380,14 +360,14 @@ def _draw_integer_params(rng) -> Dict[str, Fraction]:
 def verify_param_chain(comp_id: str, sampler: Sampler, samples: int) -> CaseResult:
     """The step-by-step parameter chain lands exactly on the target quadruple."""
     comp = COMPOSITIONS[comp_id]
-    tgt = pv_params_for(comp.target_params)
+    src, tgt = pv_params_for(comp.source_params), pv_params_for(comp.target_params)
 
     def check(env):
-        st = branch_state_for(comp.source_params, env)
+        st = src.evaluate(env)
         for s in comp.steps:
             st = backlund_step(st, s)
         p = st.params()
-        expect = tgt.evaluate(env)
+        expect = tgt.evaluate(env).params()
         if p != expect:
             return [f"chained {p} != target {expect} at {env}"]
         return []
@@ -405,7 +385,7 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int) -> CaseResu
     exactly, which certifies each single Bäcklund step.
     """
     comp = COMPOSITIONS[comp_id]
-    tgt = pv_params_for(comp.target_params)
+    src, tgt = pv_params_for(comp.source_params), pv_params_for(comp.target_params)
 
     def draw():
         ipar = _draw_integer_params(sampler.rng)
@@ -415,7 +395,7 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int) -> CaseResu
         return {**ipar, **point}
 
     def check(env):
-        st = branch_state_for(comp.source_params, env)
+        st = src.evaluate(env)
         p = st.params()
         j = jf = complete_jet(env["t"], env["y"], env["yp"], p)
         for s in comp.steps:
@@ -428,7 +408,7 @@ def verify_closed_form(comp_id: str, sampler: Sampler, samples: int) -> CaseResu
             extra={"n": env["n"], "N": env["N"], "alpha": env["alpha"]},
         )
         failures = []
-        expect = tgt.evaluate(env)
+        expect = tgt.evaluate(env).params()
         if pf != expect:
             failures.append(f"final params {pf} != {expect}")
         if (jf.y, jf.yp, jf.ypp) != (closed.y, closed.yp, closed.ypp):
@@ -497,9 +477,9 @@ def verify_trajectory(
     env = {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": alpha_val}
     fenv = {k: float(v) for k, v in env.items()}
     # rounded from the exact triple: evaluated on fenv, its last bits would differ
-    src = pv_params_for(comp.source_params).evaluate(env)
+    src = pv_params_for(comp.source_params).evaluate(env).params()
     src_f = PVParams(float(src.a5), float(src.b5), float(src.g5))
-    tgt_f = pv_params_for(comp.target_params).evaluate(fenv)
+    tgt_f = pv_params_for(comp.target_params).evaluate(fenv).params()
 
     def residual(tv, yv, ypv):
         j = complete_jet(tv, yv, ypv, src_f)
@@ -532,7 +512,7 @@ def verify_reduction_trajectory(
     ode = get_ode2(red.ode_id)
     env = {"n": Fraction(n_val), "N": Fraction(N_val), "alpha": alpha_val}
     fenv = {k: float(v) for k, v in env.items()}
-    params = pv_params_for(red.params_id).evaluate(fenv)
+    params = pv_params_for(red.params_id).evaluate(fenv).params()
 
     def run(t_end):
         # chart-side initial data from the PV-side jet, inside the run that may raise

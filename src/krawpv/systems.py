@@ -2,7 +2,10 @@
 
 Each system is stored with numerator and denominator kept separate, exactly
 as displayed, so indeterminacy analysis can interrogate both parts.  The
-registry is built once and is immutable afterwards.
+registry is built once and is immutable afterwards.  The fifth Painlevé
+equation, ``PV_RHS``, is stated here once, beside the reductions it is
+checked against, with its singular values ``SINGULAR_Y``; the polynomial
+charts' reductions are ``PV_RHS`` at their displayed parameters.
 
 Chart naming: (u11, v11) / (U11, V11) are the two charts of the first
 blow-up of the base point at the origin, and so on; the 'b' cascades carry a
@@ -583,6 +586,20 @@ def alpha_zero_divisor_degeneracy(sampler, samples: int):
 # ---------------------------------------------------------------------------
 
 y, yp = syms("y yp")
+a5, b5, g5 = syms("a5 b5 g5")
+
+SINGULAR_Y = (0, 1)  # PV's singular values of y: PV_RHS divides by y and by y - 1
+
+# the fifth Painlevé equation (PV): y'' as a rational expression in (y, yp, t)
+# and the parameters (a5, b5, g5), with δ₅ = −1/2; the δ₅ term is subtracted,
+# which rounds as adding −1/2 times it
+PV_RHS: Expr = (
+    (1 / (2 * y) + 1 / (y - 1)) * yp**2
+    - yp / t
+    + (y - 1) ** 2 * (a5 * y + b5 / y) / t**2
+    + g5 * y / t
+    - Fraction(1, 2) * y * (y + 1) / (y - 1)
+)
 
 
 def _derive_elimination(sys: PlanarSystem, y_name: str, s_name: str) -> Expr:
@@ -673,22 +690,13 @@ def ode2_registry() -> Dict[str, ScalarODE2]:
     )
     add("ode_tildeV22", "tildeUV22", "tV22", rhs_tilde)
 
-    # polynomial-chart reductions: already in PV shape
-    def pv_shape(a5_like, b5_like, g5_like):
-        return (
-            (1 / (2 * y) + 1 / (y - 1)) * yp**2
-            - yp / t
-            + _sq(y - 1) * (a5_like * y + b5_like / y) / t**2
-            + g5_like * y / t
-            - y * (y + 1) / (2 * (y - 1))
-        )
-
-    add("ode_V12", "UV12", "V12",
-        pv_shape(half * n**2, -half * al**2, al + n - 2 * NN - 1))
-    add("ode_V22", "UV22", "V22",
-        pv_shape(half * _sq(-n + NN + 1), -half * _sq(-al + NN + 1), al + n + 1))
-    add("ode_V32", "UV32", "V32",
-        pv_shape(half * _sq(-al - n + NN + 1), (-(NN**2) - 2 * NN - 1) * half, -al + n + 1))
+    # polynomial-chart reductions: PV itself, at the displayed (α₅, β₅, γ₅)
+    for v, a5_val, b5_val, g5_val in (
+        ("V12", half * n**2, -half * al**2, al + n - 2 * NN - 1),
+        ("V22", half * _sq(-n + NN + 1), -half * _sq(-al + NN + 1), al + n + 1),
+        ("V32", half * _sq(-al - n + NN + 1), (-(NN**2) - 2 * NN - 1) * half, -al + n + 1),
+    ):
+        add(f"ode_{v}", f"U{v}", v, PV_RHS.subs({"a5": a5_val, "b5": b5_val, "g5": g5_val}))
 
     return reg
 

@@ -348,6 +348,17 @@ def test_integration_stopping_early_is_one_error_line(capsys):
     assert err.startswith("krawpv: error: denominator within ")
 
 
+def test_an_integration_starting_inside_a_guard_band_stops_at_its_start(capsys):
+    # at t = 1/2 this alpha puts the oracle's q + p within 4e-11 of zero, so the
+    # denominator N t (q + p) starts inside its guard band; the run used to cross
+    # q + p = 0 and stop only past it, near t = 0.5000008
+    code, out, err = run(capsys, "--integrate", "original", "--N", "3", "--n", "2",
+                         "--alpha", "359758352/1000000000", "--from-t", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err == "krawpv: error: denominator within 1e-06 of zero near t = 0.5\n"
+
+
 def test_integration_underflow_is_one_error_line(capsys, monkeypatch):
     # u' = u^2, u(0) = 1 runs into its pole at t = 1 until the step size underflows
     from krawpv.expr import ONE, ZERO, syms

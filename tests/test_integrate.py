@@ -372,6 +372,36 @@ def test_an_event_zero_at_the_start_stops_the_run_there():
     assert stop.states == ((1.0, 1.0), (0.0, 0.0))
 
 
+U11_FLOATS = {"n": 1.0, "N": 3.0, "alpha": 0.5}
+
+
+@pytest.mark.parametrize("run, start", [
+    # q + p = 1e-9, so the denominator N t (q + p) is 3e-9, inside its guard band
+    (lambda: integrate_planar(get_system("original"), (0.5, -0.5 + 1e-9), 1.0, 2.0,
+                              {"n": 1, "N": 3, "alpha": 0.5}), (0.5, -0.5 + 1e-9)),
+    # y = 1 + 5e-7 lies within the guard distance of PV's singular value 1; before
+    # the start was checked this run took 353 steps through y = 1 to y = 0.999999
+    (lambda: integrate_pv(pv_params_for("ode_U11").evaluate(U11_FLOATS), 1.0, 1.5,
+                          1 + 5e-7, 0.3), (1 + 5e-7, 0.3)),
+    (lambda: integrate_ode2(get_ode2("ode_U11"), -5e-7, 0.3, 1.0, 1.5, U11_FLOATS),
+     (-5e-7, 0.3)),
+    # |y| = 2e6 is past the guard at y = ∞, 1/SINGULAR_GUARD
+    (lambda: integrate_ode2(get_ode2("ode_U11"), 2e6, 0.0, 2.0, 1.0, U11_FLOATS),
+     (2e6, 0.0)),
+], ids=["planar", "pv", "ode2", "ode2_infinity"])
+def test_a_run_that_starts_inside_a_guard_band_stops_at_its_start(run, start):
+    stop = run()
+    t0 = stop.ts[0]
+    # the two right-hand-side calls are the start's and the initial step's probe
+    assert (stop.status, stop.ts, stop.nfev) == (1, (t0,), 2)
+    assert stop.states == tuple((x,) for x in start)
+    assert stop(t0) == start and stop(t0 + 0.25) == start
+    case = _trajectory_case("x", lambda t_end: stop, lambda tv, y, yp: 0.0, t0, 2 * t0,
+                            1e-6, "PV")
+    assert case.failures == [
+        f"no singularity-free window found: a guard stopped the run near t = {t0}"]
+
+
 @pytest.mark.parametrize("suite, count", [("pv", 5), ("backlund", 1)])
 def test_every_guard_stop_of_a_suite_is_past_a_crossing(monkeypatch, suite, count):
     # the events of the default runs, each on the interpolant of the step it stops
@@ -479,13 +509,28 @@ def test_no_numpy_or_scipy_at_run_time():
         "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
         "sys.exit(f'exit {code}, loaded {loaded}' if code or loaded else 0)\n"
     )
+    done = _fresh_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("t,coord1,coord2\n")
+
+
+def test_the_integrator_imports_no_painleve():
+    # PV_RHS and SINGULAR_Y come from systems, so the package has no import cycle,
+    # and integrating PV itself loads no painleve either
+    done = _fresh_python(
+        "import sys, types, krawpv.integrate as i\n"
+        "p = types.SimpleNamespace(as_env=lambda: {'a5': 0.5, 'b5': -0.5, 'g5': 0.0})\n"
+        "assert i.integrate_pv(p, 1.0, 1.1, 3.0, 0.25).status == 0\n"
+        "sys.exit('krawpv.painleve' in sys.modules)\n")
+    assert done.returncode == 0, done.stderr
+
+
+def _fresh_python(code):
     src = str(Path(krawpv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("t,coord1,coord2\n")
 
 
 # --- the solver against the n-component loop it replaced ---------------------

@@ -8,8 +8,8 @@ from krawpv import painleve
 from krawpv.expr import syms
 from krawpv.integrate import Trajectory
 from krawpv.painleve import (
+    BRANCHES,
     COMPOSITIONS,
-    PARAM_SETS,
     REDUCTIONS,
     BacklundSigns,
     BranchState,
@@ -18,7 +18,6 @@ from krawpv.painleve import (
     PVParams,
     _trajectory_case,
     backlund_apply,
-    branch_state_for,
     backlund_step,
     complete_jet,
     mobius_reduce,
@@ -134,9 +133,11 @@ def test_residual_raises_on_the_singular_loci(kind, t, y):
 
 def test_param_sets_evaluate_to_three_floats_on_a_float_env():
     env = {"n": 1.0, "N": 3.0, "alpha": 0.5}
-    for chart_id in sorted(PARAM_SETS):
-        p = PARAM_SETS[chart_id].evaluate(env)
-        assert [type(x) for x in quadruple(p)] == [float] * 3, chart_id
+    for chart_id in sorted(BRANCHES):
+        row = pv_params_for(chart_id).evaluate(env)
+        assert [type(x) for x in (row.g5, row.c, row.a)] == [float] * 3, chart_id
+        assert [type(x) for x in quadruple(row.params())] == [float] * 3, chart_id
+        assert row.as_env() == row.params().as_env()
 
 
 def test_residual_detects_wrong_second_derivative():
@@ -171,13 +172,13 @@ def reference_third_derivative(j, p):
     return r_y * j.yp + r_yp * j.ypp + r_t
 
 
-@pytest.mark.parametrize("params_id", sorted(PARAM_SETS))
+@pytest.mark.parametrize("params_id", sorted(BRANCHES))
 def test_third_derivative_is_the_chain_rule_exactly(params_id):
     s = sampler(f"third derivative:{params_id}")
     for _ in range(10):
         env = s.draw(["t", "y", "yp", "n", "N", "alpha"],
                      reject=lambda e: e["t"] == 0 or e["y"] in (0, 1))
-        p = PARAM_SETS[params_id].evaluate(env)
+        p = pv_params_for(params_id).evaluate(env).params()
         j = complete_jet(env["t"], env["y"], env["yp"], p)
         got = pv_third_derivative(j, p)
         assert type(got) is Fraction and got == reference_third_derivative(j, p)
@@ -185,28 +186,41 @@ def test_third_derivative_is_the_chain_rule_exactly(params_id):
 
 @pytest.mark.parametrize("chart_id", sorted(REFERENCE_QUADRUPLES))
 def test_param_sets_match_the_squared_quadruples(chart_id):
-    assert sorted(PARAM_SETS) == sorted(REFERENCE_QUADRUPLES)
+    assert sorted(BRANCHES) == sorted(REFERENCE_QUADRUPLES)
     smp = sampler(f"quadruple:{chart_id}")
     for _ in range(20):
         env = smp.draw(["n", "N", "alpha"])
         expect = reference_quadruple(chart_id, env)
-        assert quadruple(PARAM_SETS[chart_id].evaluate(env)) == expect
-        assert quadruple(branch_state_for(chart_id, env).params()) == expect
+        assert quadruple(pv_params_for(chart_id).evaluate(env).params()) == expect
+
+
+@pytest.mark.parametrize("chart_id", sorted(REFERENCE_QUADRUPLES))
+def test_float_param_sets_are_the_squared_quadruples_at_dyadic_points(chart_id):
+    # n, N integers and alpha a multiple of 1/64: every float operation of the
+    # row and of its squares is exact, so the float triple is the exact one
+    rng = random.Random(f"float quadruple:{chart_id}")
+    for _ in range(20):
+        env = {"n": F(rng.randint(0, 11)), "N": F(rng.randint(1, 12)),
+               "alpha": F(rng.randint(-64, 63), 64)}
+        got = quadruple(pv_params_for(chart_id).evaluate(
+            {k: float(v) for k, v in env.items()}).params())
+        assert [type(x) for x in got] == [float] * 3
+        assert got == tuple(float(x) for x in reference_quadruple(chart_id, env))
 
 
 @pytest.mark.parametrize("chart_id", sorted(REFERENCE_BRANCHES))
 def test_derived_branches_equal_the_typed_rows(chart_id):
-    assert sorted(painleve.BRANCHES) == sorted(REFERENCE_BRANCHES)
+    assert sorted(BRANCHES) == sorted(REFERENCE_BRANCHES)
     smp = sampler(f"branches:{chart_id}")
     for _ in range(200):
         env = smp.draw(["n", "N", "alpha"])
         c, a, g5 = (e.evaluate(env) for e in REFERENCE_BRANCHES[chart_id])
-        assert tuple(e.evaluate(env) for e in painleve.BRANCHES[chart_id]) == (c, a, g5)
-        assert branch_state_for(chart_id, env) == BranchState(g5, c, a)
+        assert pv_params_for(chart_id).evaluate(env) == BranchState(g5, c, a)
 
 
 def test_the_tilde_row_has_no_alpha():
-    assert not any("alpha" in e.symbols() for e in painleve.BRANCHES["ode_tildeV22"])
+    row = BRANCHES["ode_tildeV22"]
+    assert not any("alpha" in e.symbols() for e in (row.g5, row.c, row.a))
 
 
 def _nu(env):
@@ -221,7 +235,8 @@ def test_charts_one_to_three_pair_nu0_with_one_other_nu(j, chart_id):
     for _ in range(50):
         env = smp.draw(["n", "N", "alpha"])
         nu = _nu(env)
-        c, a, g5 = (e.evaluate(env) for e in painleve.BRANCHES[chart_id])
+        row = BRANCHES[chart_id].evaluate(env)
+        c, a, g5 = row.c, row.a, row.g5
         assert c**2 == (nu[j] - nu[0]) ** 2 and a**2 == (nu[l] - nu[k]) ** 2
         assert g5 == 1 + nu[k] + nu[l] - nu[0] - nu[j]
 

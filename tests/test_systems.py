@@ -89,6 +89,40 @@ def test_ode_v54_same_rhs_as_ode_U11():
     assert get_ode2("ode_v54").rhs is get_ode2("ode_U11").rhs
 
 
+# a test-only copy of the polynomial charts' rhs as displayed, in PV's shape,
+# written out before they were built from PV_RHS
+t, y, yp, n, NN, al = syms("t y yp n N alpha")
+_H = Fraction(1, 2)
+
+
+def displayed_pv_shape(a5_like, b5_like, g5_like):
+    return (
+        (1 / (2 * y) + 1 / (y - 1)) * yp**2
+        - yp / t
+        + (y - 1) ** 2 * (a5_like * y + b5_like / y) / t**2
+        + g5_like * y / t
+        - y * (y + 1) / (2 * (y - 1))
+    )
+
+
+DISPLAYED_PV_CHARTS = {
+    "ode_V12": (_H * n**2, -_H * al**2, al + n - 2 * NN - 1),
+    "ode_V22": (_H * (-n + NN + 1) ** 2, -_H * (-al + NN + 1) ** 2, al + n + 1),
+    "ode_V32": (_H * (-al - n + NN + 1) ** 2, (-(NN**2) - 2 * NN - 1) * _H, -al + n + 1),
+}
+
+
+@pytest.mark.parametrize("ode_id", sorted(DISPLAYED_PV_CHARTS))
+def test_a_polynomial_chart_is_pv_at_its_displayed_parameters(ode_id):
+    displayed = displayed_pv_shape(*DISPLAYED_PV_CHARTS[ode_id])
+    rhs = get_ode2(ode_id).rhs
+    smp = sampler(f"displayed PV shape:{ode_id}")
+    for _ in range(50):
+        env = smp.draw(["t", "y", "yp", "n", "N", "alpha"],
+                       reject=lambda e: e["t"] == 0 or e["y"] in systems.SINGULAR_Y)
+        assert rhs.evaluate(env) == displayed.evaluate(env)
+
+
 @pytest.mark.parametrize("ode_id", ode2_ids())
 def test_reduction_soundness(ode_id):
     case = check_reduction_soundness(ode_id, sampler(f"sound:{ode_id}"), samples=50)
