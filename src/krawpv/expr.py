@@ -3,9 +3,8 @@
 Nodes are constants, symbols, sums, differences, negations, products,
 quotients and nonnegative integer powers.  There is no simplification and no
 normal form: semantic identities are established elsewhere by exact
-evaluation at random rational points.  Evaluation is generic in the bound
-values, so the same tree evaluates over Fractions, ints, floats or jets of
-either order.
+evaluation at random rational points.  The same tree evaluates over
+Fractions and ints, or over floats, as scalars or as jets of either order.
 
 Every operation on a tree runs on one walk, ``_walk``: it visits each node
 object once, iteratively in post-order with a quotient's denominator before
@@ -34,21 +33,19 @@ with kernels generated from that one slot order:
   of each symbol).  The Leibniz rule is expanded when the kernel is
   generated, and a quotient by a jet multiplies by its conjugate (b·c a
   scalar, b₀^(k+1));
-* float, when any slot is a float: ``compile_float``'s function for the
+* float, when every slot is a float: ``compile_float``'s function for the
   symbols in schedule order, which applies Python's operators with the
-  constants rounded to float.  Every exact slot of the binding is rounded
-  once on entry, so two exact values in a float binding meet as floats.  A
-  ``Fraction`` constant met by a float computes ``float(c) op x``, and a jet
-  meets a constant slot by slot without lifting it, so rounding ``c`` first
-  gives the same bits.
+  constants rounded to float.  A ``Fraction`` constant met by a float
+  computes ``float(c) op x``, and a jet meets a constant slot by slot
+  without lifting it, so rounding ``c`` first gives the same bits.
 
 The function itself reads the bindings and runs the scalar rational kernel
 when every symbol is bound to exactly a ``Fraction``; ``_domain`` classifies
 any other binding, and the kernel it picks is generated on first use and
 cached on the instance beside the function.  A symbol missing from the
 bindings raises ``UnboundSymbolError`` before any arithmetic, naming the
-first missing symbol in the walk's order; jets of two orders raise
-``TypeError``, as the walk does where they meet.
+first missing symbol in the walk's order.  Any other binding, jets of two
+orders or an exact slot beside a float one, raises ``TypeError``.
 
 The rational kernel returns the rational numbers, slot for slot, that a
 recursive tree walk computes on the bindings with ints read as Fractions:
@@ -147,6 +144,7 @@ class Expr:
         return fn(env, self)
 
     def diff(self, name: str) -> "Expr":
+        """d/d``name`` as a tree; only the benchmark's ``diff_catalogue`` probe calls it."""
         return _walk(self, partial(_diff, name))
 
     def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
@@ -591,32 +589,29 @@ _ORDERS = {Jet1: 1, Jet2: 2}
 _EXACT = {int, Fraction}
 
 
-def _domain(names: Tuple[str, ...], values: tuple) -> Tuple[Optional[Tuple[int, ...]], tuple]:
-    """The arithmetic domain of the ``values`` bound to ``names``: a kernel key and its values.
+def _domain(names: Tuple[str, ...], values: tuple) -> Optional[Tuple[int, ...]]:
+    """The kernel key of the ``values`` bound to ``names``: None if every slot is a float.
 
-    The key is None for the float domain, where some slot is a float; every
-    ``int`` or ``Fraction`` slot is then rounded.  When every slot is an
-    ``int`` or a ``Fraction`` the key is each value's jet order, 0 for a
-    scalar.  The first missing value in ``names``' order (the walk's) raises
-    ``UnboundSymbolError``; jets of two orders and slots of neither domain
-    raise ``TypeError``.
+    If every slot is an ``int`` or a ``Fraction``, the key is each value's jet
+    order, 0 for a scalar.  Otherwise the first missing value in ``names``'
+    order (the walk's) raises ``UnboundSymbolError``; jets of two orders,
+    slots of neither domain and exact slots beside floats raise ``TypeError``.
     """
     types = set(map(type, values))
     kinds = {type(s) for v in values for s in slots(v)} if types & _ORDERS.keys() else types
     if kinds == {float} and not {Jet1, Jet2} <= types:
-        return None, values  # already floats: nothing to round
+        return None
     for name, v in zip(names, values):
         if v is _MISSING:
             raise UnboundSymbolError(f"unbound symbol {name!r}")
     if {Jet1, Jet2} <= types:
         raise TypeError("jets of two orders in one binding")
     if kinds <= _EXACT:
-        return tuple(_ORDERS.get(t, 0) for t in map(type, values)), values
+        return tuple(_ORDERS.get(t, 0) for t in map(type, values))
     other = kinds - _EXACT - {float}
     if other:
         raise TypeError(f"cannot evaluate on {', '.join(sorted(t.__name__ for t in other))}")
-    return None, tuple(type(v)(*map(float, slots(v))) if type(v) in _ORDERS else float(v)
-                       for v in values)
+    raise TypeError("exact and float values in one binding")
 
 
 def _kernel(e: Expr, orders: Tuple[int, ...]) -> Callable[..., Value]:
@@ -659,7 +654,7 @@ def _compile_evaluate(e: Expr) -> Callable[[Mapping[str, Value], Expr], Value]:
     ns = _namespace(slots)
     if sym_slots:
         args = ", ".join(f"s{i}" for i in sym_slots)
-        body += [f"key, args = _domain(_NAMES, ({args},))", "if key is None:",
+        body += [f"args = ({args},)", "key = _domain(_NAMES, args)", "if key is None:",
                  "    return _compile_float(tree, _NAMES)(*args)",
                  "return _kernel(tree, key)(*args)"]
         ns.update(_domain=_domain, _compile_float=compile_float, _kernel=_kernel, _MISSING=_MISSING,

@@ -7,9 +7,11 @@ certifies, by exact evaluation at random rational points, that
 
 The prefactor is 1 for the polynomial charts and 1/(p+q) for the weighted
 form of the base (q, p) system.  Only coordinate derivatives are compared,
-so H is determined up to an arbitrary function of t; invariance under adding
-t^3 (``T_OFFSET``) is part of the test battery.  An entry flagged
-``control`` is a display-typo variant, kept because its check must fail.
+so H is determined up to an arbitrary function of t.  A ``+offset`` row adds
+t^3 (``T_OFFSET``) to H, whose rate is 0 by construction (``partial`` binds
+only a coordinate to a jet), so the row re-checks H at other points.  An
+entry flagged ``control`` is a display-typo variant, kept because its check
+must fail.
 
 The partials are the rates of H on first-order jets: binding one coordinate
 c to ``Jet1.variable`` makes dH/dc the d/dt slot of H, exactly, so no

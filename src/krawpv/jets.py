@@ -19,13 +19,13 @@ slot in a product or quotient.  No zero slot is made for it, so the float
 bits are those of the slotwise operations on the bound values.
 
 These classes are the arithmetic of record.  ``Expr.evaluate`` applies them
-to float jets, and a binding with any float slot rounds every exact slot of
-its jets and scalars first.  For jets whose slots are all ints or
-``Fraction``s (with int or ``Fraction`` parameters) it runs the same rules
-on unreduced integers in a generated kernel (see ``krawpv.expr``): a
-quotient there multiplies by the conjugate c of the divisor u, with u·c = s
-a scalar: c = (u₀, −u₁) and s = u₀² for ``Jet1``, c = (u₀², −u₀u₁,
-2u₁² − u₀u₂) and s = u₀³ for ``Jet2``.  It returns the jets these classes
+to a binding whose every slot, of its jets and scalars, is a float, and
+raises ``TypeError`` on one that mixes float and exact slots.  For jets whose
+slots are all ints or ``Fraction``s (with int or ``Fraction`` parameters) it
+runs the same rules on unreduced integers in a generated kernel (see
+``krawpv.expr``): a quotient there multiplies by the conjugate c of the
+divisor u, with u·c = s a scalar: c = (u₀, −u₁) and s = u₀² for ``Jet1``,
+c = (u₀², −u₀u₁, 2u₁² − u₀u₂) and s = u₀³ for ``Jet2``.  It returns the jets these classes
 would on the slots with ints read as ``Fraction``s, slot for slot.
 """
 

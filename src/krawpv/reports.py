@@ -1,9 +1,10 @@
 """Verification suites and machine-readable reports.
 
 Each suite assembles CaseResults from the library modules.  A run is fully
-determined by (suite, seed, config): every case gets its own RNG seeded from
-the global seed and the case id, so reports are byte-identical across reruns.
-No wall-clock time is recorded or serialized.
+determined by (suite, seed, config): each sampled case draws from an RNG
+seeded from the seed and a key of its own (``soundness:ode_U11`` for the id
+``reduction_soundness:ode_U11``), and the oracle, discrete, toda and
+trajectory cases draw nothing.  No wall-clock time is recorded or serialized.
 """
 
 from __future__ import annotations

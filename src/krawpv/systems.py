@@ -606,7 +606,8 @@ def _derive_elimination(sys: PlanarSystem, y_name: str, s_name: str) -> Expr:
     """Solve the equation governing y, linear in the eliminated coordinate.
 
     With rhs = num/den and num = A + B*s (den free of s), the flow condition
-    y' = rhs gives s = (yp*den - A)/B.  Linearity is not checked here:
+    y' = rhs gives s = (yp*den - A)/B, where A = num(s=0) and B = num(s=1) - A
+    are read off the tree by substitution.  Linearity is not checked here:
     ``check_reduction_soundness`` fails wherever the elimination does not
     invert the flow, which a term nonlinear in s makes happen.
     """
@@ -615,12 +616,9 @@ def _derive_elimination(sys: PlanarSystem, y_name: str, s_name: str) -> Expr:
     den = sys.rhs1_den if first else sys.rhs2_den
     if s_name in den.symbols():
         raise CatalogueError(f"{sys.id}: denominator not free of {s_name}")
-    zero = Const(Fraction(0))
-    a = num.subs({s_name: zero})
-    # for num linear in s, d num/ds is s-free semantically, so pinning s = 0
-    # in its tree only removes syntactic zero-coefficient occurrences of s
-    elim = (yp * den - a) / num.diff(s_name).subs({s_name: zero})
-    return elim.subs({y_name: y})
+    a = num.subs({s_name: Const(Fraction(0))})
+    b = num.subs({s_name: Const(Fraction(1))}) - a
+    return ((yp * den - a) / b).subs({y_name: y})
 
 
 @functools.cache

@@ -50,10 +50,11 @@ def test_unbound_symbol_is_loud():
 def test_division_by_zero_is_loud():
     # exact, float and jet zeros raise one error family, naming the denominator
     product, shifted = y * x, y - 1
-    for zero in (Fraction(0), 0.0, Jet2(Fraction(0), Fraction(1), Fraction(0)),
-                 Jet2(0.0, 1.0, 0.0), Jet1(Fraction(0), Fraction(1))):
+    for zero, two in ((Fraction(0), Fraction(2)), (0.0, 2.0),
+                      (Jet2(Fraction(0), Fraction(1), Fraction(0)), Fraction(2)),
+                      (Jet2(0.0, 1.0, 0.0), 2.0), (Jet1(Fraction(0), Fraction(1)), Fraction(2))):
         with pytest.raises(EvaluationDivisionError) as exc:
-            (1 / product).evaluate({"x": zero, "y": Fraction(2)})
+            (1 / product).evaluate({"x": zero, "y": two})
         assert isinstance(exc.value, ZeroDivisionError)
         assert exc.value.subtree is product
     # exact Jet1s: jet/jet, Fraction/jet and jet/Fraction(0); a zero rate slot divides fine
@@ -206,10 +207,9 @@ def _cast(value, scalar):
 def domain_reference(e, env):
     """The tree walk on the domain the bindings of ``e`` choose.
 
-    The first symbol the walk reads that is unbound raises, and jets of two
-    orders raise.  Otherwise the walk runs on the bound values with every
-    slot rounded to float when any slot is a float, and with ints read as
-    Fractions when none is.
+    The first symbol the walk reads that is unbound raises, then jets of two
+    orders, then exact slots beside float ones.  Otherwise the walk runs on
+    the bound values, with ints read as Fractions when no slot is a float.
     """
     names = _reading_order(e)
     for name in names:
@@ -218,9 +218,12 @@ def domain_reference(e, env):
     values = [env[name] for name in names]
     if {Jet1, Jet2} <= set(map(type, values)):
         raise TypeError("jets of two orders in one binding")
-    floaty = any(type(s) is float for v in values for s in slots(v))
-    return reference_evaluate(e, {nm: _cast(v, float if floaty else Fraction)
-                                  for nm, v in zip(names, values)})
+    kinds = {type(s) for v in values for s in slots(v)}
+    if float in kinds:
+        if kinds != {float}:
+            raise TypeError("exact and float values in one binding")
+        return reference_evaluate(e, env)
+    return reference_evaluate(e, {nm: _cast(v, Fraction) for nm, v in zip(names, values)})
 
 
 def _outcome(fn, *args):
@@ -257,7 +260,7 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 leaves = st.one_of(
     small_fractions.map(Const),  # includes zero, so denominators vanish
     st.sampled_from(NAMES).map(Sym),
-    # two symbols joined, so that the values of mixed bindings meet inside a tree
+    # two symbols joined, so that values of two kinds meet inside a tree
     st.builds(lambda op, a, b: op(Sym(a), Sym(b)), st.sampled_from([Add, Sub, Mul, Div]),
               st.sampled_from(NAMES), st.sampled_from(NAMES)),
 )
@@ -279,29 +282,29 @@ def _extend(children):
 
 trees = st.recursive(leaves, _extend, max_leaves=12)
 
-# denominators up to 10, such as tenths: computed exactly and then rounded, a product
-# or sum of them often differs in the last bit from the product or sum of their roundings
-den10_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=10)
 scalars = {
     "fraction": small_fractions,
-    "fraction_den10": den10_fractions,
     "int": st.integers(-3, 3),
     "float": st.floats(-3, 3, allow_nan=False).filter(lambda v: v != 0) | st.just(0.0),
     "jet_fraction": st.builds(Jet2, small_fractions, small_fractions, small_fractions),
     "jet1_fraction": st.builds(Jet1, small_fractions, small_fractions),
     "jet_float": st.builds(Jet2, *[st.floats(-3, 3, allow_nan=False)] * 3),
-    # exact slots beside a float slot: the float domain, every slot rounded on entry
-    "jet_mixed": st.builds(Jet2, den10_fractions, st.floats(-3, 3, allow_nan=False),
-                           den10_fractions),
+    # exact slots beside a float slot: of neither domain, so evaluating raises
+    "jet_mixed": st.builds(Jet2, small_fractions, st.floats(-3, 3, allow_nan=False),
+                           small_fractions),
 }
+# kinds drawn together: the exact ones, the float ones, or any, whose mixes raise
+KIND_POOLS = (("fraction", "int", "jet_fraction", "jet1_fraction"), ("float", "jet_float"),
+              tuple(sorted(scalars)))
 
 
 @st.composite
 def bindings(draw):
-    """Bindings of one kind or mixed, sometimes with a symbol left unbound."""
+    """Bindings of one kind or of several from one pool, sometimes with a symbol left unbound."""
     kinds = draw(st.one_of(
         st.sampled_from(sorted(scalars)).map(lambda k: [k] * len(NAMES)),
-        st.lists(st.sampled_from(sorted(scalars)), min_size=len(NAMES), max_size=len(NAMES)),
+        st.sampled_from(KIND_POOLS).flatmap(lambda kinds: st.lists(
+            st.sampled_from(kinds), min_size=len(NAMES), max_size=len(NAMES))),
         # the exact checks' shape: Fraction parameters, exact jets of one order for the rest
         st.sampled_from(["jet_fraction", "jet1_fraction"]).flatmap(lambda jet: st.lists(
             st.sampled_from(["fraction", jet]), min_size=len(NAMES), max_size=len(NAMES))),
@@ -319,30 +322,6 @@ def test_compiled_evaluate_matches_tree_walk(e, envs):
         _assert_same_outcome(_outcome(e.evaluate, env), _outcome(domain_reference, e, env))
 
 
-@st.composite
-def exact_pair_then_float(draw):
-    """A tree reading all three symbols, two bound exactly and one to a float.
-
-    The two exact values meet before the float does, so only rounding each
-    exact value on entry gives the float domain's result: their exact sum,
-    product or quotient, rounded once, often differs in the last bit.
-    """
-    binary = st.sampled_from([Add, Sub, Mul, Div])
-    p, q, r = draw(st.permutations(NAMES))
-    core = draw(binary)(draw(binary)(Sym(p), Sym(q)), Sym(r))
-    e = draw(st.just(core)
-             | st.builds(lambda op, t: op(core, t), binary, trees)
-             | st.builds(lambda op, t: op(t, core), binary, trees))
-    return e, {p: draw(den10_fractions), q: draw(den10_fractions), r: draw(scalars["float"])}
-
-
-@given(case=exact_pair_then_float())
-@settings(max_examples=100, deadline=None)
-def test_exact_values_are_rounded_before_they_meet_a_float(case):
-    e, env = case
-    _assert_same_outcome(_outcome(e.evaluate, env), _outcome(domain_reference, e, env))
-
-
 @given(e=trees, values=st.lists(scalars["float"], min_size=3, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_compile_float_is_bit_identical_to_tree_walk(e, values):
@@ -358,9 +337,9 @@ def test_first_error_is_the_tree_walks():
     # post-order with a quotient's denominator first, as the tree walk raised
     (z,) = syms("z")
     e = (x / y) / (x / z)
-    for zero in (Fraction(0), 0.0, 0):
+    for one, zero in ((Fraction(1), Fraction(0)), (1.0, 0.0), (Fraction(1), 0)):
         with pytest.raises(EvaluationDivisionError) as exc:
-            e.evaluate({"x": Fraction(1), "y": zero, "z": zero})
+            e.evaluate({"x": one, "y": zero, "z": zero})
         assert exc.value.subtree is z
     with pytest.raises(UnboundSymbolError, match="'z'"):
         e.evaluate({})
@@ -543,7 +522,8 @@ def test_exact_bindings_take_exact_arithmetic():
     for env in ({"x": Fraction(1), "y": Fraction(3)}, {"x": 1, "y": 3}, {"x": 1, "y": Fraction(3)}):
         got = e.evaluate(env)
         assert got == Fraction(1, 3) and type(got) is Fraction
-    assert e.evaluate({"x": 1, "y": 3.0}) == 1 / 3  # a float slot makes the binding float
+    with pytest.raises(TypeError, match="exact and float"):  # neither domain: no rounding
+        e.evaluate({"x": 1, "y": 3.0})
 
 
 # --- float constants for float bindings ------------------------------------
@@ -617,21 +597,17 @@ def test_the_bindings_choose_one_of_two_domains():
     names = ("x", "y")
     # every slot a float: the float kernel takes the values as they are
     for values in ((1.0, Jet2(1.0, 2.0, 3.0)), (Jet1(1.0, 2.0), -0.0)):
-        key, args = _domain(names, values)
-        assert key is None and args is values
-    # some slot a float: every exact slot is rounded once, slot for slot
-    for other in (Fraction(1, 3), 1, Jet1(1.0, Fraction(2)), Jet2(Fraction(1), 2.0, 3.0),
-                  Jet2(1.0, 2.0, 3)):
-        key, args = _domain(names, (0.5, other))
-        jet = isinstance(other, (Jet1, Jet2))
-        assert key is None and args[0] == 0.5 and type(args[1]) is (type(other) if jet else float)
-        assert [type(s) for s in slots(args[1])] == [float] * len(slots(other))
-        assert slots(args[1]) == tuple(map(float, slots(other)))
+        assert _domain(names, values) is None
     # every slot an int or a Fraction: each value's jet order keys the rational kernel
     for values, orders in (((1, Fraction(2)), (0, 0)), ((Jet2(1, Fraction(2), 3), 5), (2, 0)),
                            ((Fraction(1), Jet1(Fraction(1), 0)), (0, 1))):
-        key, args = _domain(names, values)
-        assert key == orders and args is values
+        assert _domain(names, values) == orders
+    # an exact slot beside a float one, in one jet or across the binding: neither domain
+    for values in ((0.5, Fraction(1, 3)), (0.5, 1), (1, 0.5), (0.5, Jet1(1.0, Fraction(2))),
+                   (0.5, Jet2(Fraction(1), 2.0, 3.0)), (Jet2(1.0, 2.0, 3), 0.5),
+                   (Jet1(1, 2), 0.5)):
+        with pytest.raises(TypeError, match="exact and float"):
+            _domain(names, values)
     # a missing symbol first, in the walk's order; then jets of two orders; then other types
     for values in ((_MISSING, _MISSING), (1.0, _MISSING), (Jet1(1, 2), _MISSING)):
         missing = names[values.index(_MISSING)]
@@ -645,20 +621,22 @@ def test_the_bindings_choose_one_of_two_domains():
             _domain(names, values)
 
 
-def test_mixed_bindings_round_to_float_and_exact_ones_stay_exact():
-    # x - c is exactly -10**-30 only in exact arithmetic; a float slot anywhere in the
-    # binding rounds x, so x - c is 0.0 and y/0.0 raises, as with x bound to a float
+def test_mixed_bindings_raise_and_exact_ones_stay_exact():
+    # x - c is exactly -10**-30 only in exact arithmetic; bound to a float, x - c is 0.0
+    # and y/0.0 raises.  With x exact and y a float the binding raises: neither is chosen
     c = Fraction(1, 3) + Fraction(1, 10**30)
     den = x - Const(c)
     e = y / den
     assert e.evaluate({"x": Fraction(1, 3), "y": Fraction(2)}) == -2 * 10**30
-    for env in ({"x": Fraction(1, 3), "y": 2.0}, {"x": float(Fraction(1, 3)), "y": 2.0},
-                {"x": Fraction(1, 3), "y": Jet1(2.0, 0.0)}):
-        with pytest.raises(EvaluationDivisionError) as exc:
+    with pytest.raises(EvaluationDivisionError) as exc:
+        e.evaluate({"x": float(Fraction(1, 3)), "y": 2.0})
+    assert exc.value.subtree is den
+    for env in ({"x": Fraction(1, 3), "y": 2.0}, {"x": Fraction(1, 3), "y": Jet1(2.0, 0.0)}):
+        with pytest.raises(TypeError, match="exact and float"):
             e.evaluate(env)
-        assert exc.value.subtree is den
-    # two exact values in a float binding meet as floats: 0.1 * 0.1 is not float(1/100)
-    assert (x * x * y).evaluate({"x": Fraction(1, 10), "y": 1.0}) == 0.1 * 0.1 != 0.01
+    # two exact values never meet as floats: rounding them first would differ in the last bit
+    with pytest.raises(TypeError, match="exact and float"):
+        (x * x * y).evaluate({"x": Fraction(1, 10), "y": 1.0})
     # an exact jet keeps Fraction slots
     j = (x * Const(Fraction(1, 3)) - 2 * y).evaluate(
         {"x": Jet2(Fraction(1), Fraction(2), Fraction(3)), "y": Jet2.variable(Fraction(5))})

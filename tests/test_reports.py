@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from krawpv import hamiltonians, maps, oracle
+from krawpv import hamiltonians, maps, oracle, reports
 from krawpv.reports import (
     CONTROL_SAMPLES,
     RunConfig,
@@ -146,3 +146,18 @@ def test_each_weight_builds_its_tables_once(monkeypatch, suite, stieltjes, itera
     assert len(report.cases) == 27 + (suite == "oracle")
     assert calls["stieltjes_recurrence"] == stieltjes
     assert calls["iterate_discrete"] == iterations
+
+
+def test_no_two_cases_share_a_draw_stream(monkeypatch):
+    # each sampled case's RNG is seeded from the seed and its key: equal keys would
+    # make two cases draw the same points
+    keys = []
+    real = reports._sampler
+
+    def recording(cfg, key):
+        keys.append(key)
+        return real(cfg, key)
+
+    monkeypatch.setattr(reports, "_sampler", recording)
+    run_suite("all", RunConfig(samples=1))
+    assert keys and len(set(keys)) == len(keys), Counter(keys).most_common(3)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from krawpv import systems
-from krawpv.expr import EvaluationDivisionError, syms
+from krawpv.expr import Const, EvaluationDivisionError, syms
 from krawpv.sampling import Sampler
 from krawpv.systems import (
     CatalogueError,
@@ -169,6 +169,39 @@ def test_term_nonlinear_in_the_eliminated_coordinate_fails_soundness(monkeypatch
     assert case.status == "FAIL" and case.samples == 10
     flow_failures = [f for f in case.failures if "elimination does not invert the flow" in f]
     assert [f.split(":")[0] for f in flow_failures] == [f"sample {k}" for k in range(1, 11)]
+
+
+def _diff_quotient(ode):
+    """(yp·den − A)/(d num/ds at s = 0) with A = num at s = 0: the elimination via ``diff``."""
+    parent = get_system(ode.parent_id)
+    first = parent.chart[0] == ode.reduce_coord
+    num = parent.rhs1_num if first else parent.rhs2_num
+    den = parent.rhs1_den if first else parent.rhs2_den
+    zero = Const(Fraction(0))
+    a = num.subs({ode.elim_coord: zero})
+    elim = (yp * den - a) / num.diff(ode.elim_coord).subs({ode.elim_coord: zero})
+    return elim.subs({ode.reduce_coord: y})
+
+
+@pytest.mark.parametrize("ode_id", ode2_ids())
+def test_elimination_equals_the_derivative_quotient(ode_id):
+    # num(s=1) − num(s=0) is the coefficient of s that d num/ds read, for num linear in s
+    ode = get_ode2(ode_id)
+    want = _diff_quotient(ode)
+    names = sorted(want.symbols() | ode.elimination.symbols())
+    smp = sampler(f"elimination quotient:{ode_id}")
+    agreed = 0
+    for _ in range(200):
+        env = smp.draw(names)
+        try:
+            got, expected = ode.elimination.evaluate(env), want.evaluate(env)
+        except ZeroDivisionError:
+            continue
+        assert got == expected, env
+        agreed += 1
+        if agreed == 20:
+            break
+    assert agreed == 20
 
 
 def test_each_reduction_eliminates_the_other_coordinate_of_its_parent_chart():
